@@ -1,7 +1,9 @@
 """Position auctions for sponsored creatives in generated content.
 
-Winner determination under the MNL user model is solved exactly through a
-linear-program reformulation; under the cascade model it is approximated by
+Winner determination under the MNL user model is solved exactly by
+parametric (Newton-Dinkelbach) search over a capped matching kernel, with
+the paper's linear-program reformulation kept as a size-guarded
+cross-check; under the cascade model it is approximated by
 a restricted-welfare search and by a monotone bucketized greedy.  VCG and
 envelope-priced revenue mechanisms sit on top, and brute-force oracles make
 everything checkable at desk scale.
@@ -52,7 +54,7 @@ from .mechanisms import (
     vcg,
     virtual_value,
 )
-from .mnl_wdp import WdpResult, dinkelbach_check, solve_mnl_wdp
+from .mnl_wdp import WdpResult, dinkelbach_check, solve_mnl_lp, solve_mnl_wdp
 from .oracle import (
     brute_force_restricted,
     brute_force_wdp_cascade,

@@ -11,7 +11,17 @@ command-line flags win.  All randomness flows from --seed, and each
 simulation sample derives its own stream from (seed, sample index), so
 identical configs give byte-identical outputs.
 
-Exit codes: 0 ok, 1 usage error, 2 solver error, 3 audit failure.
+``solve --algorithm dinkelbach`` runs the production exact MNL solver
+(parametric search); ``--algorithm lp`` runs the paper's Charnes-Cooper LP,
+which rejects inputs above its size limit.
+
+Exit codes:
+  0  ok
+  1  usage error (flags, config, unreadable or malformed files)
+  2  solver or validation error: one of the library's own error classes,
+     such as an invalid instance or an input above a size guard
+  3  audit failure
+  4  internal error: any other exception, reported with its traceback
 """
 
 from __future__ import annotations
@@ -21,19 +31,47 @@ import csv
 import json
 import math
 import sys
+import traceback
 from typing import Sequence
 
 import numpy as np
 
 from . import cascade_wdp, core, mechanisms, oracle
-from .core import CASCADE, Instance, MNL, welfare
-from .distributions import ValueDistribution, dist_from_dict, sample
-from .mnl_wdp import dinkelbach_check, solve_mnl_wdp
+from .core import (
+    CASCADE,
+    InfeasibleAllocationError,
+    Instance,
+    MNL,
+    SizeGuardError,
+    ValidationError,
+    welfare,
+)
+from .distributions import (
+    DistributionError,
+    ValueDistribution,
+    dist_from_dict,
+    sample,
+)
+from .linfrac import SimplexError
+from .mechanisms import IrregularDistributionError, NonMonotoneSolverError
+from .mnl_wdp import solve_mnl_lp, solve_mnl_wdp
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
+EXIT_INTERNAL = 4
+
+# The library's own error classes; anything else escaping a command is a bug.
+LIBRARY_ERRORS = (
+    ValidationError,
+    SizeGuardError,
+    SimplexError,
+    InfeasibleAllocationError,
+    DistributionError,
+    IrregularDistributionError,
+    NonMonotoneSolverError,
+)
 
 
 class UsageError(Exception):
@@ -82,10 +120,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise UsageError("config must be a JSON object")
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_KEYS[key](value)
+            try:
+                merged[key] = _CONFIG_KEYS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
     overrides = {
         "instance": args.instance, "values": args.values, "dist": args.dist,
         "algorithm": args.algorithm, "mechanism": args.mechanism_name,
@@ -113,7 +156,11 @@ def _load_values(cfg: dict, n: int) -> np.ndarray:
     if not cfg["values"]:
         raise UsageError("--values is required for this command")
     with open(cfg["values"]) as fh:
-        vals = np.asarray(json.load(fh), dtype=float)
+        raw = json.load(fh)
+    try:
+        vals = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"values must be numbers: {exc}") from exc
     if vals.shape != (n,):
         raise UsageError(f"expected {n} values, got shape {vals.shape}")
     return vals
@@ -128,6 +175,8 @@ def _load_dists(cfg: dict, n: int) -> list[ValueDistribution]:
         raw = [raw] * n
     if len(raw) != n:
         raise UsageError(f"expected 1 or {n} distributions, got {len(raw)}")
+    if not all(isinstance(d, dict) for d in raw):
+        raise UsageError("each distribution must be a JSON object")
     return [dist_from_dict(d) for d in raw]
 
 
@@ -157,7 +206,7 @@ def cmd_solve(cfg: dict) -> int:
         raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
 
     if algorithm in ("lp", "dinkelbach"):
-        result = (solve_mnl_wdp if algorithm == "lp" else dinkelbach_check)(
+        result = (solve_mnl_lp if algorithm == "lp" else solve_mnl_wdp)(
             inst, bids
         )
         alloc = result.allocation
@@ -398,12 +447,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             "audit": cmd_audit,
         }[args.command]
         return handler(cfg)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # solver / validation failures
+    except LIBRARY_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ operations are pure functions, so concurrent read access is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,10 +254,3 @@ def instance_to_dict(inst: Instance) -> dict:
         "model": inst.model,
         "p": inst.p.tolist(),
     }
-
-
-def log_odds(p: float) -> float:
-    """Scalar logit, log(p / (1 - p))."""
-    if not 0.0 <= p < 1.0:
-        raise ValidationError(f"log-odds undefined for p={p}")
-    return math.log(p / (1.0 - p))

@@ -9,8 +9,13 @@ together.  Any basic optimal solution has z > 0 and y / z integral, so the
 winning matching is read off directly.
 
 The solver is an in-house dense-tableau two-phase simplex with Bland's
-anti-cycling pivot rule: instance sizes are small, so guaranteed termination
-and determinism beat speed.
+anti-cycling pivot rule, chosen for guaranteed termination and determinism
+over speed.  Its pivot count grows steeply with size, so this LP is the
+cross-check of the production MNL solver (``mnl_wdp.solve_mnl_wdp``), not
+the solver itself, and ``mnl_wdp.solve_mnl_lp`` accepts at most
+``MAX_LP_CELLS`` advertiser x position cells: larger inputs raise
+``SizeGuardError`` before a tableau is built, instead of running into the
+pivot cap mid-solve.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ UNBOUNDED = "unbounded"
 FEAS_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 MAX_PIVOTS = 20_000
+# Largest advertiser x position count the MNL LP route accepts
+# (``mnl_wdp.solve_mnl_lp`` counts positive bidders only).  Bland pivots grow
+# steeply with size; see the README for the measurement behind this value.
+MAX_LP_CELLS = 800
 
 
 class SimplexError(RuntimeError):

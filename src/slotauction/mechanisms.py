@@ -30,6 +30,7 @@ from .core import (
     CtrVector,
     Instance,
     Permutation,
+    ValidationError,
     cascade_ctr,
 )
 from .cascade_wdp import bucketize, combined_cascade_candidates
@@ -166,7 +167,7 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
         )
     values = np.asarray(values, dtype=float)
     if np.any(values < 0.0):
-        raise ValueError("values must be non-negative")
+        raise ValidationError("values must be non-negative")
     chi, pi = solver.solve(inst, values)
     payments = np.zeros(inst.n)
     for i in range(inst.n):
@@ -218,9 +219,10 @@ def myerson(
     """
     values = np.asarray(values, dtype=float)
     if len(dists) != inst.n:
-        raise ValueError(f"expected {inst.n} distributions, got {len(dists)}")
+        raise ValidationError(
+            f"expected {inst.n} distributions, got {len(dists)}")
     if grid_size < 1:
-        raise ValueError("grid_size must be positive")
+        raise ValidationError("grid_size must be positive")
     for dist in dists:
         if not is_regular(dist):
             raise IrregularDistributionError(

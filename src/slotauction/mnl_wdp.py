@@ -1,8 +1,24 @@
 """Exact winner determination under the MNL user model.
 
-``solve_mnl_wdp`` goes through the linear-program route; ``dinkelbach_check``
-solves the same ratio objective by parametric search over max-weight
-matchings and exists purely as an independent cross-check of the LP path.
+The bid-weighted MNL objective is a ratio of two affine functions of the
+matching.  Newton-Dinkelbach parametric search maximizes it: given a guess
+lam of the optimal ratio, the max-weight matching with at most K edges under
+edge weights (b_i - lam) * exp(rho_ij) either certifies lam optimal or has a
+strictly higher ratio, which becomes the next guess.  Radzik (1992) bounds
+the number of such steps strongly polynomially for 0/1 linear-fractional
+problems.
+
+* ``solve_mnl_wdp`` is the production solver: the ratio loop on arrays over
+  ``capped_matching``, a dense successive-shortest-path matching kernel
+  (Jonker-Volgenant, 1987, but label-correcting: Bellman-Ford relaxations
+  vectorized over numpy arrays, no node potentials).
+* ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
+  ``linfrac``), kept as a cross-check.  It accepts at most
+  ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
+  raises ``SizeGuardError`` above that, before any tableau is built.
+* ``dinkelbach_check`` and the dict-based ``max_weight_matching`` are an
+  independent loop-by-loop reference that shares no code with either route;
+  past the LP's range they are the only cross-check.
 """
 
 from __future__ import annotations
@@ -11,11 +27,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, CtrVector, Instance, MNL, ValidationError, mnl_ctr
-from .linfrac import SimplexError, build_charnes_cooper, recover_allocation, solve_lp
+from .core import (
+    Allocation,
+    CtrVector,
+    Instance,
+    MNL,
+    SizeGuardError,
+    ValidationError,
+    mnl_ctr,
+)
+from .linfrac import (
+    MAX_LP_CELLS,
+    SimplexError,
+    build_charnes_cooper,
+    recover_allocation,
+    solve_lp,
+)
 
 DINKELBACH_TOL = 1e-12
 DINKELBACH_MAX_ITER = 100
+# Path gains and label improvements at or below this are rounding noise.
+MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,21 +63,173 @@ def _positive_bidders(bids: np.ndarray) -> list[int]:
     return [i for i in range(bids.shape[0]) if bids[i] > 0.0]
 
 
-def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
-    """Maximize sum_i b_i pi_i(x) over feasible matchings, exactly.
-
-    Advertisers with non-positive bids are excluded up front: matching them
-    can only dilute the shared MNL denominator, so exclusion is optimal and
-    keeps the LP's b >= 0, b != 0 precondition satisfied.
-    """
+def _checked_bids(inst: Instance, bids, caller: str) -> np.ndarray:
     if inst.model != MNL:
-        raise ValidationError("solve_mnl_wdp needs an MNL instance")
+        raise ValidationError(f"{caller} needs an MNL instance")
     bids = np.asarray(bids, dtype=float)
     if bids.shape != (inst.n,):
         raise ValidationError(f"expected {inst.n} bids, got {bids.shape}")
+    return bids
+
+
+def _result(inst: Instance, bids: np.ndarray, alloc: Allocation) -> WdpResult:
+    pi = mnl_ctr(inst, alloc)
+    return WdpResult(allocation=alloc, objective=float(bids @ pi), ctrs=pi)
+
+
+def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
+    """Maximize sum_i b_i pi_i(x) over feasible matchings, exactly.
+
+    Newton-Dinkelbach from lam = 0: take the ``capped_matching`` of the
+    weights (b_i - lam) * exp(rho_ij) with cap K, move lam to that
+    matching's ratio sum b_i x e^rho / (1 + sum x e^rho), and stop once lam
+    rises by no more than DINKELBACH_TOL; the last matching is returned.
+
+    Advertisers with non-positive bids are excluded up front: matching them
+    can only dilute the shared MNL denominator, so exclusion is optimal.
+
+    Ties: when several matchings are optimal, the one returned is the one
+    the kernel's lowest-index rule picks at the last step (see
+    ``capped_matching``).  An advertiser whose bid equals the optimal ratio
+    leaves the ratio unchanged either way and is left out: at the last step
+    its weights are zero, and a zero weight is no edge.
+    """
+    bids = _checked_bids(inst, bids, "solve_mnl_wdp")
+    keep = np.flatnonzero(bids > 0.0)
+    if keep.size == 0:
+        return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
+    b = bids[keep]
+    expo = np.exp(inst.log_odds()[keep])
+
+    lam = 0.0
+    for _ in range(DINKELBACH_MAX_ITER):
+        match = capped_matching((b - lam)[:, None] * expo, inst.k)
+        rows = np.flatnonzero(match >= 0)
+        e = expo[rows, match[rows]]
+        new_lam = float(b[rows] @ e) / (1.0 + float(e.sum()))
+        if new_lam - lam <= DINKELBACH_TOL:
+            break
+        lam = new_lam
+    else:
+        raise RuntimeError(
+            f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
+        )
+    alloc = Allocation(dict(zip(keep[rows].tolist(), match[rows].tolist())))
+    return _result(inst, bids, alloc)
+
+
+def capped_matching(weights, k: int) -> np.ndarray:
+    """Maximum-weight bipartite matching with at most ``k`` edges.
+
+    ``weights`` is a dense n x m array; ``weights[i, j] > 0`` is an edge
+    between row i and column j, and a non-positive entry is no edge.
+    Returns ``match`` of length n: ``match[i]`` is the column matched to
+    row i, or -1.
+
+    Each step adds one best-gain augmenting path.  The matching after t
+    steps is a maximum-weight matching of cardinality t, and gains never
+    grow from one step to the next, so stopping at the cap or at the first
+    gain of at most MATCH_TOL is exact.
+
+    Ties go to the lowest index: a column's label moves only to a strictly
+    better row, the lowest-numbered among equals, and the path ends at the
+    lowest-numbered free column of maximal gain.
+    """
+    w = np.asarray(weights, dtype=float)
+    n, m = w.shape
+    # open_w[i, j]: weight gained by entering edge (i, j) from row i; -inf
+    # for no edge and for the matched edge of row i.
+    open_w = np.where(w > 0.0, w, -np.inf)
+    match = np.full(n, -1, dtype=np.intp)
+    row_of = np.full(m, -1, dtype=np.intp)
+    for _ in range(min(k, n, m)):
+        path = _best_path(w, open_w, match, row_of)
+        if path is None:
+            break
+        rows, cols = path
+        old = match[rows]
+        was = old >= 0
+        open_w[rows[was], old[was]] = w[rows[was], old[was]]
+        open_w[rows, cols] = -np.inf
+        match[rows] = cols
+        row_of[cols] = rows
+    return match
+
+
+def _best_path(w, open_w, match, row_of):
+    """Rows and columns of a best-gain augmenting path, or None when no path
+    gains more than MATCH_TOL.
+
+    Bellman-Ford label correcting over the alternating graph: a round
+    relaxes, in one numpy step, every unmatched edge out of the rows whose
+    label rose in the round before, and then carries each improved matched
+    column's label back to its row.  The matching has maximum weight for
+    its size, so the graph has no positive cycle and the labels settle
+    within n + m rounds.
+    """
+    n, m = w.shape
+    cols = np.arange(m)
+    dist_l = np.where(match < 0, 0.0, -np.inf)
+    dist_r = np.full(m, -np.inf)
+    pred_r = np.full(m, -1, dtype=np.intp)
+    rows = np.flatnonzero(match < 0)
+    for _ in range(n + m + 1):
+        if rows.size == 0:
+            break
+        cand = dist_l[rows, None] + open_w[rows]
+        arg = cand.argmax(axis=0)
+        best = cand[arg, cols]
+        better = np.flatnonzero(best > dist_r + MATCH_TOL)
+        if better.size == 0:
+            break
+        dist_r[better] = best[better]
+        pred_r[better] = rows[arg[better]]
+        back = better[row_of[better] >= 0]
+        rows = row_of[back]
+        dist_l[rows] = dist_r[back] - w[rows, back]
+        rows.sort()
+    else:
+        raise RuntimeError("augmenting-path labels did not settle")
+
+    gain = np.where(row_of < 0, dist_r, -np.inf)
+    end = int(gain.argmax())
+    if not gain[end] > MATCH_TOL:
+        return None
+    path_rows, path_cols = [], []
+    j = end
+    while True:
+        i = int(pred_r[j])
+        path_rows.append(i)
+        path_cols.append(j)
+        j = int(match[i])
+        if j < 0:
+            break
+        if len(path_rows) > n:
+            raise RuntimeError("augmenting-path reconstruction cycled")
+    return np.array(path_rows), np.array(path_cols)
+
+
+def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
+    """The paper's exact route: the Charnes-Cooper LP, by dense simplex.
+
+    Kept as the cross-check of ``solve_mnl_wdp``.  Advertisers with
+    non-positive bids are excluded up front, as there, which also keeps the
+    LP's b >= 0, b != 0 precondition satisfied.  Raises ``SizeGuardError``
+    before building the tableau when the positive bidders times the
+    positions exceed ``linfrac.MAX_LP_CELLS``.  Under ties it returns the
+    optimal vertex Bland's rule reaches, which may differ from
+    ``solve_mnl_wdp``'s matching.
+    """
+    bids = _checked_bids(inst, bids, "solve_mnl_lp")
     keep = _positive_bidders(bids)
     if not keep:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
+    cells = len(keep) * inst.m
+    if cells > MAX_LP_CELLS:
+        raise SizeGuardError(
+            f"MNL LP on {len(keep)} positive bidders x {inst.m} positions ="
+            f" {cells} cells exceeds the limit of {MAX_LP_CELLS}"
+        )
 
     sub = Instance(
         n=len(keep), m=inst.m, k=inst.k, p=inst.p[keep, :], model=MNL
@@ -56,8 +240,7 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
         raise SimplexError(f"winner determination LP came back {sol.status}")
     sub_alloc = recover_allocation(sol)
     alloc = Allocation({keep[i]: j for i, j in sub_alloc.assignment.items()})
-    pi = mnl_ctr(inst, alloc)
-    return WdpResult(allocation=alloc, objective=float(bids @ pi), ctrs=pi)
+    return _result(inst, bids, alloc)
 
 
 def dinkelbach_check(inst: Instance, bids) -> WdpResult:

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from slotauction.cli import EXIT_AUDIT, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+import slotauction.cli as cli
+from slotauction.cli import (
+    EXIT_AUDIT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_USAGE,
+    main,
+)
 
 
 def write_json(path, payload):
@@ -57,6 +65,58 @@ def test_solve_model_mismatch_is_solver_error(tmp_path):
     vals = write_json(tmp_path / "v.json", [1.0])
     assert main(["solve", "--instance", inst, "--values", vals,
                  "--algorithm", "lp"]) == EXIT_SOLVER
+
+
+def test_solve_routes_lp_through_its_size_guard(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 50, "m": 25, "k": 25, "model": "mnl",
+         "p": rng.uniform(0.01, 0.5, (50, 25)).tolist()},
+    )
+    vals = write_json(tmp_path / "v.json", rng.uniform(0.1, 10, 50).tolist())
+    assert main(["solve", "--instance", inst, "--values", vals,
+                 "--algorithm", "lp"]) == EXIT_SOLVER
+    assert "exceeds the limit" in capsys.readouterr().err
+    out = tmp_path / "out.json"
+    assert main(["solve", "--instance", inst, "--values", vals,
+                 "--algorithm", "dinkelbach", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["allocation"]
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys,
+                                                lone_ad_files):
+    def broken(inst, bids):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(cli, "solve_mnl_wdp", broken)
+    inst, vals = lone_ad_files
+    assert main(["solve", "--instance", inst, "--values", vals,
+                 "--algorithm", "dinkelbach"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: kernel bug" in err
+    assert "solver error" not in err
+
+
+def test_malformed_inputs_are_usage_errors(tmp_path, lone_ad_files):
+    inst, vals = lone_ad_files
+    bad_vals = write_json(tmp_path / "bad.json", ["one"])
+    assert main(["solve", "--instance", inst, "--values", bad_vals,
+                 "--algorithm", "lp"]) == EXIT_USAGE
+    bad_cfg = write_json(tmp_path / "cfg.json", {"seed": "one"})
+    assert main(["solve", "--config", bad_cfg]) == EXIT_USAGE
+    bad_dist = write_json(tmp_path / "dist.json", [1.0])
+    assert main(["mechanism", "--instance", inst, "--values", vals,
+                 "--dist", bad_dist, "--mechanism", "myerson"]) == EXIT_USAGE
+    assert main(["solve", "--instance", str(tmp_path), "--values", vals,
+                 "--algorithm", "lp"]) == EXIT_USAGE
+
+
+def test_negative_values_are_solver_error(tmp_path, lone_ad_files):
+    inst, _vals = lone_ad_files
+    vals = write_json(tmp_path / "neg.json", [-1.0])
+    assert main(["mechanism", "--instance", inst, "--values", vals,
+                 "--mechanism", "vcg"]) == EXIT_SOLVER
 
 
 def test_solve_algorithms_agree_on_fixture_pack(tmp_path):

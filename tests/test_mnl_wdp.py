@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from slotauction.core import Instance, MNL, mnl_ctr
+import slotauction.mnl_wdp as mnl_wdp
+from slotauction.core import Instance, MNL, SizeGuardError, mnl_ctr
+from slotauction.linfrac import MAX_LP_CELLS
+from slotauction.mechanisms import exact_mnl_solver, vcg
 from slotauction.mnl_wdp import (
+    capped_matching,
     dinkelbach_check,
     max_weight_matching,
+    solve_mnl_lp,
     solve_mnl_wdp,
 )
 from slotauction.oracle import brute_force_wdp_mnl
@@ -104,6 +109,82 @@ def test_ctr_monotone_in_own_bid_small_sweep():
                 last = pi
 
 
+def test_ties_follow_the_documented_rule():
+    inst = Instance(n=3, m=2, k=2, p=np.full((3, 2), 0.4), model=MNL)
+    bids = np.array([2.0, 2.0, 2.0])
+    assert solve_mnl_wdp(inst, bids).allocation.assignment == {0: 0, 1: 1}
+    first = vcg(inst, bids, exact_mnl_solver())
+    again = vcg(inst, bids, exact_mnl_solver())
+    assert np.array_equal(first.payments, again.payments)
+    assert np.array_equal(first.ctrs, again.ctrs)
+
+
+def test_bid_equal_to_the_optimal_ratio_is_left_out():
+    # Alone, advertiser 0 earns 2 * 1/2 = 1; adding advertiser 1 (bid 1)
+    # gives (2 + 1) / 3 = 1 as well, so the bid equals the optimal ratio.
+    inst = Instance(n=2, m=2, k=2, p=np.full((2, 2), 0.5), model=MNL)
+    result = solve_mnl_wdp(inst, [2.0, 1.0])
+    assert result.allocation.assignment == {0: 0}
+    assert result.objective == 1.0
+
+
+def _repro(seed, n=50, m=25):
+    """k = m, p ~ U(0.01, 0.5), bids ~ U(0.1, 10): at 50x25 the Bland
+    simplex runs into its pivot cap on most seeds."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.01, 0.5, (n, m))
+    bids = rng.uniform(0.1, 10, n)
+    return Instance(n=n, m=m, k=m, p=p, model=MNL), bids
+
+
+def test_lp_route_guard_fires_before_the_tableau(monkeypatch):
+    inst, bids = _repro(0)
+    assert inst.n * inst.m > MAX_LP_CELLS
+
+    def no_tableau(*_args):
+        raise AssertionError("tableau built past the size guard")
+
+    monkeypatch.setattr(mnl_wdp, "build_charnes_cooper", no_tableau)
+    with pytest.raises(SizeGuardError):
+        solve_mnl_lp(inst, bids)
+    assert solve_mnl_wdp(inst, bids).allocation.size > 0
+
+
+def test_lp_route_guard_counts_positive_bidders_only():
+    inst, bids = _repro(0)
+    bids[8:] = 0.0  # 8 x 25 cells remain
+    lp = solve_mnl_lp(inst, bids)
+    assert lp.allocation == solve_mnl_wdp(inst, bids).allocation
+    assert max(lp.allocation.assignment) < 8
+
+
+def test_production_matches_lp_route():
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(40):
+        inst = rand_mnl_instance(rng, nmax=6, mmax=6)
+        cases.append((inst, rand_bids(rng, inst.n)))
+    cases += [_repro(seed, 20, 10) for seed in range(3)]
+    cases += [_repro(seed, 30, 15) for seed in range(2)]
+    for inst, bids in cases:
+        lp = solve_mnl_lp(inst, bids)
+        got = solve_mnl_wdp(inst, bids)
+        assert got.allocation == lp.allocation
+        assert got.objective == lp.objective
+
+
+@pytest.mark.parametrize("n,m,seed", [(50, 25, 0), (50, 25, 1),
+                                      (50, 25, 2), (200, 50, 0)],
+                         ids=["50x25-0", "50x25-1", "50x25-2", "200x50-0"])
+def test_production_matches_parametric_reference_past_lp_range(n, m, seed):
+    inst, bids = _repro(seed, n, m)
+    got = solve_mnl_wdp(inst, bids)
+    ref = dinkelbach_check(inst, bids)
+    assert got.allocation == ref.allocation
+    # the reference sums the CTRs in its own pair order: last-bit differences
+    assert got.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
 def _brute_matching(weights, cap):
     """Max-weight matching by enumerating edge subsets (tiny graphs only)."""
     edges = list(weights)
@@ -120,7 +201,24 @@ def _brute_matching(weights, cap):
     return best
 
 
-def test_max_weight_matching_matches_enumeration():
+def _dense_capped_matching(weights, cap):
+    """``capped_matching`` behind the dict interface of the reference."""
+    n = 1 + max((i for i, _ in weights), default=-1)
+    m = 1 + max((j for _, j in weights), default=-1)
+    dense = np.zeros((n, m))
+    for (i, j), w in weights.items():
+        dense[i, j] = w
+    match = capped_matching(dense, cap)
+    return {i: int(j) for i, j in enumerate(match) if j >= 0}
+
+
+KERNELS = pytest.mark.parametrize(
+    "kernel", [max_weight_matching, _dense_capped_matching],
+    ids=["max_weight_matching", "capped_matching"])
+
+
+@KERNELS
+def test_max_weight_matching_matches_enumeration(kernel):
     rng = np.random.default_rng(23)
     for _ in range(80):
         n = int(rng.integers(1, 5))
@@ -131,15 +229,16 @@ def test_max_weight_matching_matches_enumeration():
             for j in range(m):
                 if rng.random() < 0.7:
                     weights[(i, j)] = float(rng.uniform(0.05, 4.0))
-        got = max_weight_matching(weights, cap)
+        got = kernel(weights, cap)
         assert len(got) <= cap
         assert len(set(got.values())) == len(got)
         value = sum(weights[(i, j)] for i, j in got.items())
         assert value == pytest.approx(_brute_matching(weights, cap), abs=1e-9)
 
 
-def test_max_weight_matching_respects_cap():
+@KERNELS
+def test_max_weight_matching_respects_cap(kernel):
     weights = {(0, 0): 1.0, (1, 1): 0.9, (2, 2): 0.8}
-    assert max_weight_matching(weights, 1) == {0: 0}
-    got = max_weight_matching(weights, 2)
+    assert kernel(weights, 1) == {0: 0}
+    got = kernel(weights, 2)
     assert len(got) == 2 and got[0] == 0 and got[1] == 1
