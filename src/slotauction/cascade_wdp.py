@@ -68,8 +68,8 @@ def restricted_ctr(inst: Instance, alloc: Allocation, values) -> CtrVector:
     """Truncated no-cascade rates, evaluated in decreasing-value order:
     each matched advertiser keeps min(p, headroom) where headroom is one
     minus everything granted so far.  At most one advertiser can end up
-    strictly truncated yet positive; that is asserted here because the
-    guessing step of the PTAS depends on it."""
+    strictly truncated yet positive; the guessing step of the PTAS depends
+    on it, so a second one raises RuntimeError (a bug, not bad input)."""
     require_valid(inst)
     if inst.model != CASCADE:
         raise ValidationError("restricted rates are a cascade-model notion")
@@ -87,7 +87,8 @@ def restricted_ctr(inst: Instance, alloc: Allocation, values) -> CtrVector:
         headroom -= grant
         if 0.0 < grant < raw:
             discounted += 1
-    assert discounted <= 1, "truncation hit more than one advertiser"
+    if discounted > 1:
+        raise RuntimeError("truncation hit more than one advertiser")
     return pi
 
 

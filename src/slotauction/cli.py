@@ -4,7 +4,9 @@ Commands:
   solve      run one winner-determination algorithm on an instance + bids
   mechanism  run vcg or myerson once, write payments/utilities CSV
   simulate   Monte Carlo over sampled value profiles, write per-sample CSV
-  audit      property sweep over random instances; nonzero exit on violation
+  audit      property sweep over random instances with the checks of
+             slotauction.properties; on a violation, one JSON line per
+             violation to stderr and exit 3
 
 Every flag can also be supplied through a JSON config file (--config);
 command-line flags win.  All randomness flows from --seed, and each
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cascade_wdp, core, mechanisms, oracle
+from . import cascade_wdp, core, mechanisms, oracle, properties
 from .core import (
     CASCADE,
     InfeasibleAllocationError,
@@ -319,92 +321,53 @@ def cmd_simulate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _random_cascade_instance(rng: np.random.Generator,
-                             nmax: int = 4, mmax: int = 4) -> Instance:
-    n = int(rng.integers(1, nmax + 1))
-    m = int(rng.integers(1, mmax + 1))
-    k = int(rng.integers(1, m + 1))
-    return Instance(n=n, m=m, k=k, p=rng.uniform(0.01, 1.0, (n, m)),
-                    model=CASCADE)
-
-
-def _random_mnl_instance(rng: np.random.Generator,
-                         nmax: int = 4, mmax: int = 4) -> Instance:
-    n = int(rng.integers(1, nmax + 1))
-    m = int(rng.integers(1, mmax + 1))
-    k = int(rng.integers(1, m + 1))
-    return Instance(n=n, m=m, k=k, p=rng.uniform(0.01, 0.95, (n, m)),
-                    model=MNL)
-
-
 def cmd_audit(cfg: dict) -> int:
-    """Monotonicity sweeps plus welfare-ratio properties on random
-    instances.  Emits one CSV row per checked ratio; exits 3 on the first
-    violated property with the counterexample printed to stderr."""
+    """Monotonicity sweeps plus the cascade welfare bounds of
+    :mod:`slotauction.properties` on random instances.  Writes the measured
+    ratios as a histogram; stops after the first trial with a violated
+    property, prints each violation as one JSON line to stderr and exits 3."""
     rng = np.random.default_rng(cfg["seed"])
+    eps = cfg["epsilon"]
     failures: list[str] = []
-    ratio_rows: list[Sequence] = []
+    ratio_rows: list[tuple[str, float]] = []
+
+    def record(kind: str, checked: properties.Checked) -> bool:
+        ratio, violation = checked
+        ratio_rows.append((kind, ratio))
+        if violation is not None:
+            failures.append(violation)
+        return violation is not None
 
     mnl_solver = mechanisms.exact_mnl_solver()
     if cfg["planted_bug"]:
         mnl_solver = mechanisms.threshold_dropping_solver(mnl_solver, 5.0)
     sweep = np.linspace(0.25, 10.0, 8)
-    for t in range(20):
-        inst = _random_mnl_instance(rng)
+    for _ in range(20):
+        inst = properties.random_instance(rng, MNL, 4, 4)
         bids = rng.uniform(0.1, 10.0, inst.n)
         for i in range(inst.n):
-            hit = mechanisms.monotonicity_audit(mnl_solver, inst, bids, i, sweep)
-            if hit is not None:
-                failures.append(
-                    f"mnl monotonicity: trial {t} advertiser {i}: ctr"
-                    f" {hit[2]:.9f} -> {hit[3]:.9f} as bid {hit[0]} -> {hit[1]}"
-                )
+            violation = properties.monotonicity(
+                mnl_solver, inst, bids, i, sweep)
+            if violation is not None:
+                failures.append(violation)
         if failures:
             break
 
     if not failures:
-        for t in range(20):
-            inst = _random_cascade_instance(rng)
+        for _ in range(20):
+            inst = properties.random_instance(rng, CASCADE, 4, 4)
             values = rng.uniform(0.1, 10.0, inst.n)
-
-            # true vs restricted welfare never leaves the 4x sandwich
             for alloc in oracle.enumerate_matchings(inst):
-                chi = core.AugmentedAllocation(
-                    alloc, cascade_wdp.optimal_permutation(alloc, values))
-                w = welfare(values, core.cascade_ctr(inst, chi))
-                wr = welfare(
-                    values, cascade_wdp.restricted_ctr(inst, alloc, values))
-                ratio = wr / w if w > 0 else 1.0
-                ratio_rows.append([t, "restricted_over_cascade", repr(ratio)])
-                if not (w - 1e-9 <= wr <= 4.0 * w + 1e-9):
-                    failures.append(
-                        f"sandwich violated on trial {t}: welfare {w}"
-                        f" restricted {wr} alloc {alloc.assignment}")
+                if record("restricted_over_cascade",
+                          properties.sandwich(inst, alloc, values)):
                     break
-
-            # approximation ratios of the two cascade algorithms
-            _chi_opt, w_opt = oracle.brute_force_wdp_cascade(inst, values)
-            if w_opt > 0:
-                out = cascade_wdp.ptas_restricted_welfare(
-                    inst, values, cfg["epsilon"])
-                chi = core.AugmentedAllocation(
-                    out, cascade_wdp.optimal_permutation(out, values))
-                w_ptas = welfare(values, core.cascade_ctr(inst, chi))
-                ratio_rows.append([t, "ptas_over_opt", repr(w_ptas / w_opt)])
-                if w_ptas < (1.0 - cfg["epsilon"]) / 4.0 * w_opt - 1e-9:
-                    failures.append(
-                        f"restricted-search ratio violated on trial {t}:"
-                        f" {w_ptas} vs optimum {w_opt}")
-                cands = cascade_wdp.combined_cascade_candidates(inst, values)
-                avg = float(np.mean([
-                    welfare(values, core.cascade_ctr(inst, c)) for c in cands
-                ]))
-                bound = w_opt / (28.0 * math.log2(4 * inst.m))
-                ratio_rows.append([t, "bucket_avg_over_opt", repr(avg / w_opt)])
-                if avg < bound - 1e-9:
-                    failures.append(
-                        f"bucket-average ratio violated on trial {t}:"
-                        f" {avg} vs bound {bound}")
+            _chi_opt, opt = oracle.brute_force_wdp_cascade(inst, values)
+            if opt > 0:
+                out = cascade_wdp.ptas_restricted_welfare(inst, values, eps)
+                record("ptas_over_opt", properties.restricted_search(
+                    inst, values, out, eps, opt))
+                record("bucket_avg_over_opt",
+                       properties.bucket_average(inst, values, opt))
             if failures:
                 break
 
@@ -418,12 +381,12 @@ def cmd_audit(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _histogram_rows(ratio_rows: list[Sequence]) -> list[Sequence]:
+def _histogram_rows(ratio_rows: list[tuple[str, float]]) -> list[Sequence]:
     """Bin the collected ratios (width 0.25, range [0, 4.25)) per kind."""
     edges = [0.25 * b for b in range(18)]
     counts: dict[tuple[str, int], int] = {}
-    for _trial, kind, value in ratio_rows:
-        x = min(max(float(value), 0.0), edges[-1] - 1e-12)
+    for kind, value in ratio_rows:
+        x = min(max(value, 0.0), edges[-1] - 1e-12)
         b = int(x / 0.25)
         counts[(kind, b)] = counts.get((kind, b), 0) + 1
     return [

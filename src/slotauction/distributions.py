@@ -241,7 +241,10 @@ def sample(dist: ValueDistribution, rng: np.random.Generator) -> float:
     return dist.quantile(float(rng.random()))
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded because custom distributions hash by identity and would otherwise
+# stay alive for the life of the process; one mechanism call checks at most
+# n distributions, far fewer than this.
+@functools.lru_cache(maxsize=1024)
 def _regular_cached(dist: ValueDistribution, grid: int) -> bool:
     qs = np.arange(1, grid + 1) / (grid + 1)
     last = -math.inf
@@ -255,8 +258,8 @@ def _regular_cached(dist: ValueDistribution, grid: int) -> bool:
 
 def is_regular(dist: ValueDistribution, grid: int = REGULARITY_GRID) -> bool:
     """True when the virtual value is non-decreasing across ``grid`` interior
-    quantile points (tolerance 1e-9).  Results are cached per distribution,
-    so mechanisms can re-check freely."""
+    quantile points (tolerance 1e-9).  The latest 1024 results are cached
+    per (distribution, grid), so mechanisms can re-check freely."""
     return _regular_cached(dist, grid)
 
 

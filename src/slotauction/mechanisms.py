@@ -300,20 +300,23 @@ def monotonicity_audit(
     solver: SolverHandle, inst: Instance, bids_template, i: int, grid
 ) -> tuple[float, float, float, float] | None:
     """Sweep advertiser ``i``'s bid upward along ``grid`` and report the
-    first drop of its click-through rate beyond tolerance, if any.
+    first click-through rate that falls below the sweep's running maximum
+    by more than the tolerance, if any.
 
     Returns None on a clean sweep, else (bid_before, bid_after, ctr_before,
-    ctr_after).  Exact solvers pass by optimality; approximate solvers must
-    earn it.
+    ctr_after), where ctr_before is the running maximum and bid_before the
+    last bid that reached it.  Exact solvers pass by optimality;
+    approximate solvers must earn it.
     """
     bids = np.asarray(bids_template, dtype=float).copy()
-    prev_bid, prev_pi = None, None
+    top_bid, top_pi = None, -np.inf
     for b in sorted(float(g) for g in grid):
         bids[i] = b
         _chi, pi = solver.solve(inst, bids)
-        if prev_pi is not None and pi[i] < prev_pi - MONOTONE_TOL:
-            return (prev_bid, b, prev_pi, float(pi[i]))
-        prev_bid, prev_pi = b, float(pi[i])
+        if pi[i] < top_pi - MONOTONE_TOL:
+            return (top_bid, b, top_pi, float(pi[i]))
+        if pi[i] >= top_pi:
+            top_bid, top_pi = b, float(pi[i])
     return None
 
 

@@ -21,6 +21,7 @@ from .core import (
     MNL,
     Permutation,
     SizeGuardError,
+    ValidationError,
     cascade_ctr,
     mnl_ctr,
     require_valid,
@@ -86,7 +87,7 @@ def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
     require_valid(inst)
     _guard(inst)
     if inst.model != MNL:
-        raise ValueError("expected an MNL instance")
+        raise ValidationError("expected an MNL instance")
     bids = np.asarray(bids, dtype=float)
     expo = np.exp(inst.log_odds())
     weighted = bids[:, None] * expo
@@ -124,7 +125,7 @@ def brute_force_wdp_cascade(
     require_valid(inst)
     _guard(inst)
     if inst.model != CASCADE:
-        raise ValueError("expected a cascade instance")
+        raise ValidationError("expected a cascade instance")
     values = np.asarray(values, dtype=float)
     candidates = list(range(inst.n)) if active is None else sorted(active)
 
@@ -173,7 +174,7 @@ def brute_force_restricted(inst: Instance, values) -> tuple[Allocation, float]:
     require_valid(inst)
     _guard(inst)
     if inst.model != CASCADE:
-        raise ValueError("expected a cascade instance")
+        raise ValidationError("expected a cascade instance")
     values = np.asarray(values, dtype=float)
     order = sorted_view(values)
     p = inst.p

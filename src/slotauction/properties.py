@@ -1,0 +1,118 @@
+"""The paper's guarantees as checks, each written once for the CLI's
+``audit`` command and the test suites, plus the random instances they run on.
+
+A check returns ``None`` when its guarantee holds and otherwise a violation:
+one JSON line naming the property, with the instance (in
+``core.instance_to_dict`` form) and values that reproduce it.  The welfare
+checks also return the ratio they measured.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+
+from .cascade_wdp import (
+    combined_cascade_candidates,
+    optimal_permutation,
+    restricted_ctr,
+)
+from .core import (
+    Allocation,
+    AugmentedAllocation,
+    CASCADE,
+    Instance,
+    MNL,
+    cascade_ctr,
+    instance_to_dict,
+    welfare,
+)
+from .mechanisms import SolverHandle, monotonicity_audit
+
+TOL = 1e-9
+# Rates are drawn from U(0.01, high); MNL instances reject rates near 1.
+_P_HIGH = {MNL: 0.95, CASCADE: 1.0}
+
+Checked = tuple[float, str | None]
+
+
+def random_instance(
+    rng: np.random.Generator, model: str, nmax: int, mmax: int
+) -> Instance:
+    """Draw n in [1, nmax], m in [1, mmax], k in [1, m] and then the rate
+    matrix, in that order, so a seed always yields the same instance."""
+    n = int(rng.integers(1, nmax + 1))
+    m = int(rng.integers(1, mmax + 1))
+    k = int(rng.integers(1, m + 1))
+    p = rng.uniform(0.01, _P_HIGH[model], (n, m))
+    return Instance(n=n, m=m, k=k, p=p, model=model)
+
+
+def _violation(name: str, inst: Instance, values, **detail) -> str:
+    return json.dumps({"property": name, "instance": instance_to_dict(inst),
+                       "values": [float(v) for v in values], **detail},
+                      sort_keys=True)
+
+
+def cascade_welfare(inst: Instance, alloc: Allocation, values) -> float:
+    """Cascade welfare of ``alloc`` rendered in decreasing value order, the
+    best rendering order for a fixed matching."""
+    chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
+    return welfare(values, cascade_ctr(inst, chi))
+
+
+def sandwich(inst: Instance, alloc: Allocation, values) -> Checked:
+    """Restricted welfare w_r of ``alloc`` lies between its cascade welfare
+    w and 4 w; the ratio is w_r / w (1 when w is 0)."""
+    w = cascade_welfare(inst, alloc, values)
+    w_r = welfare(values, restricted_ctr(inst, alloc, values))
+    ratio = w_r / w if w > 0 else 1.0
+    if w - TOL <= w_r <= 4.0 * w + TOL:
+        return ratio, None
+    return ratio, _violation("sandwich", inst, values,
+                             allocation=alloc.pairs(), welfare=w,
+                             restricted_welfare=w_r)
+
+
+def restricted_search(
+    inst: Instance, values, alloc: Allocation, eps: float, opt: float
+) -> Checked:
+    """``alloc``, the restricted-welfare search's output at accuracy
+    ``eps``, has cascade welfare of at least (1 - eps)/4 of the cascade
+    optimum ``opt``; the ratio is welfare / opt (1 when opt is 0)."""
+    w = cascade_welfare(inst, alloc, values)
+    ratio = w / opt if opt > 0 else 1.0
+    if w >= (1.0 - eps) / 4.0 * opt - TOL:
+        return ratio, None
+    return ratio, _violation("restricted_search", inst, values, eps=eps,
+                             allocation=alloc.pairs(), welfare=w,
+                             optimum=opt)
+
+
+def bucket_average(inst: Instance, values, opt: float) -> Checked:
+    """Cascade welfare averaged over every bucket's greedy outcome is at
+    least opt / (28 log2(4m)) for the cascade optimum ``opt``; the ratio is
+    average / opt (1 when opt is 0)."""
+    avg = float(np.mean([welfare(values, cascade_ctr(inst, c))
+                         for c in combined_cascade_candidates(inst, values)]))
+    ratio = avg / opt if opt > 0 else 1.0
+    if avg >= opt / (28.0 * math.log2(4 * inst.m)) - TOL:
+        return ratio, None
+    return ratio, _violation("bucket_average", inst, values, average=avg,
+                             optimum=opt)
+
+
+def monotonicity(
+    solver: SolverHandle, inst: Instance, bids, i: int, grid
+) -> str | None:
+    """Advertiser ``i``'s CTR never falls along its bid ``grid``, checked by
+    :func:`slotauction.mechanisms.monotonicity_audit`, whose result is the
+    violation's ``drop``."""
+    grid = [float(g) for g in grid]
+    drop = monotonicity_audit(solver, inst, bids, i, grid)
+    if drop is None:
+        return None
+    return _violation("monotonicity", inst, bids, advertiser=int(i),
+                      grid=grid, drop=drop)

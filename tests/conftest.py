@@ -9,26 +9,19 @@ from __future__ import annotations
 import numpy as np
 
 from slotauction.core import Allocation, CASCADE, Instance, MNL
+from slotauction.properties import random_instance
 
 
 def rand_mnl_instance(
-    rng: np.random.Generator, nmax: int = 6, mmax: int = 6, pmax: float = 0.95
+    rng: np.random.Generator, nmax: int = 6, mmax: int = 6
 ) -> Instance:
-    n = int(rng.integers(1, nmax + 1))
-    m = int(rng.integers(1, mmax + 1))
-    k = int(rng.integers(1, m + 1))
-    p = rng.uniform(0.01, pmax, size=(n, m))
-    return Instance(n=n, m=m, k=k, p=p, model=MNL)
+    return random_instance(rng, MNL, nmax, mmax)
 
 
 def rand_cascade_instance(
     rng: np.random.Generator, nmax: int = 5, mmax: int = 5
 ) -> Instance:
-    n = int(rng.integers(1, nmax + 1))
-    m = int(rng.integers(1, mmax + 1))
-    k = int(rng.integers(1, m + 1))
-    p = rng.uniform(0.01, 1.0, size=(n, m))
-    return Instance(n=n, m=m, k=k, p=p, model=CASCADE)
+    return random_instance(rng, CASCADE, nmax, mmax)
 
 
 def rand_bids(rng: np.random.Generator, n: int, top: float = 10.0) -> np.ndarray:

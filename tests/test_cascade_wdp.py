@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from slotauction.core import (
     Instance,
     Permutation,
     SizeGuardError,
+    ValidationError,
     cascade_ctr,
     welfare,
 )
@@ -34,12 +34,12 @@ from slotauction.oracle import (
     brute_force_wdp_cascade,
     enumerate_matchings,
 )
+from slotauction.properties import (
+    bucket_average,
+    cascade_welfare,
+    restricted_search,
+)
 from conftest import rand_allocation, rand_cascade_instance
-
-
-def cascade_welfare_sorted(inst, alloc, values):
-    chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
-    return welfare(values, cascade_ctr(inst, chi))
 
 
 # --------------------------------------------------------------- permutation
@@ -61,7 +61,7 @@ def test_sorted_permutation_never_beaten_by_any_order():
         inst = rand_cascade_instance(rng, nmax=4, mmax=4)
         values = rng.uniform(0.0, 5.0, inst.n)
         alloc = rand_allocation(rng, inst)
-        best = cascade_welfare_sorted(inst, alloc, values)
+        best = cascade_welfare(inst, alloc, values)
         for perm in itertools.permutations(alloc.assignment.values()):
             sigma = Permutation({j: r + 1 for r, j in enumerate(perm)})
             w = welfare(
@@ -96,6 +96,10 @@ def test_restricted_prefix_sums_bounded():
         running = np.cumsum(pi[order])
         assert np.all(pi >= 0.0)
         assert np.all(running <= 1.0 + 1e-12)
+        # the restricted-welfare search relies on at most one partial grant
+        partial = [i for i, j in alloc.assignment.items()
+                   if 0.0 < pi[i] < inst.p[i, j]]
+        assert len(partial) <= 1
 
 
 def test_budgeted_rates_are_raw_sums():
@@ -219,12 +223,16 @@ def test_ptas_ratio_on_random_instances(eps):
         w = welfare(values, restricted_ctr(inst, out, values))
         _, opt = brute_force_restricted(inst, values)
         assert w >= (1.0 - eps) * opt - 1e-9
+        _, opt_cascade = brute_force_wdp_cascade(inst, values)
+        _ratio, violation = restricted_search(
+            inst, values, out, eps, opt_cascade)
+        assert violation is None, violation
 
 
 def test_ptas_rejects_bad_eps():
     inst = Instance(n=1, m=1, k=1, p=[[0.3]], model=CASCADE)
     for eps in (0.0, 1.0, -0.2):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             ptas_restricted_welfare(inst, [1.0], eps)
 
 
@@ -363,10 +371,9 @@ def test_bucket_average_clears_logarithmic_bound():
     for _ in range(25):
         inst = rand_cascade_instance(rng, nmax=4, mmax=6)
         values = rng.uniform(0.1, 5.0, inst.n)
-        cands = combined_cascade_candidates(inst, values)
-        avg = np.mean([welfare(values, cascade_ctr(inst, c)) for c in cands])
         _, opt = brute_force_wdp_cascade(inst, values)
-        assert avg >= opt / (28.0 * math.log2(4 * inst.m)) - 1e-9
+        _ratio, violation = bucket_average(inst, values, opt)
+        assert violation is None, violation
 
 
 def _capped_base_optimum(inst, values, edges, cap):

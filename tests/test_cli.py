@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 import slotauction.cli as cli
+from slotauction.core import instance_from_dict
+from slotauction.mechanisms import (
+    exact_mnl_solver,
+    monotonicity_audit,
+    threshold_dropping_solver,
+)
 from slotauction.cli import (
     EXIT_AUDIT,
     EXIT_INTERNAL,
@@ -269,4 +275,13 @@ def test_audit_clean_run(tmp_path):
 
 def test_audit_planted_bug_fails(capsys):
     assert main(["audit", "--seed", "0", "--planted-bug"]) == EXIT_AUDIT
-    assert "monotonicity" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    broken = threshold_dropping_solver(exact_mnl_solver(), 5.0)
+    for line in lines:  # each line alone replays its violation
+        found = json.loads(line)
+        assert found["property"] == "monotonicity"
+        drop = monotonicity_audit(
+            broken, instance_from_dict(found["instance"]), found["values"],
+            found["advertiser"], found["grid"])
+        assert list(drop) == found["drop"]

@@ -9,6 +9,7 @@ from slotauction.distributions import (
     Exponential,
     TruncatedNormal,
     Uniform,
+    _regular_cached,
     dist_from_dict,
     dist_to_dict,
     is_regular,
@@ -114,6 +115,18 @@ def bimodal_fixture():
 
 def test_bimodal_mixture_is_irregular():
     assert not is_regular(bimodal_fixture(), grid=2001)
+
+
+def test_regularity_cache_is_bounded():
+    # custom distributions hash by identity, so each one is a new entry
+    u = Uniform(0.0, 1.0)
+    limit = _regular_cached.cache_info().maxsize
+    assert limit is not None
+    for _ in range(limit + 1):
+        custom = CustomDistribution(u.cdf, u.pdf, u.quantile, lo=0.0, hi=1.0,
+                                    probe_points=2)
+        assert is_regular(custom, grid=3)
+    assert _regular_cached.cache_info().currsize <= limit
 
 
 def test_custom_distribution_validates_triple():

@@ -13,6 +13,7 @@ from slotauction.mnl_wdp import (
     solve_mnl_wdp,
 )
 from slotauction.oracle import brute_force_wdp_mnl
+from slotauction.properties import monotonicity
 from conftest import rand_bids, rand_mnl_instance
 
 
@@ -100,13 +101,9 @@ def test_ctr_monotone_in_own_bid_small_sweep():
         inst = rand_mnl_instance(rng, nmax=4, mmax=4)
         bids = rand_bids(rng, inst.n)
         for i in range(inst.n):
-            last = -1.0
-            for b in np.linspace(0.25, 10.0, 8):
-                bids_i = bids.copy()
-                bids_i[i] = b
-                pi = solve_mnl_wdp(inst, bids_i).ctrs[i]
-                assert pi >= last - 1e-9
-                last = pi
+            violation = monotonicity(
+                exact_mnl_solver(), inst, bids, i, np.linspace(0.25, 10.0, 8))
+            assert violation is None, violation
 
 
 def test_ties_follow_the_documented_rule():

@@ -6,6 +6,7 @@ from slotauction.core import (
     Instance,
     MNL,
     SizeGuardError,
+    ValidationError,
 )
 from slotauction.oracle import (
     brute_force_restricted,
@@ -106,3 +107,14 @@ def test_oracles_invariant_to_index_relabeling():
     )
     _, w_shuffled = brute_force_wdp_cascade(shuffled, values[perm])
     assert w == pytest.approx(w_shuffled, abs=1e-12)
+
+
+def test_model_mismatch_is_validation_error():
+    mnl = Instance(1, 1, 1, [[0.5]], MNL)
+    cascade = Instance(1, 1, 1, [[0.5]], CASCADE)
+    with pytest.raises(ValidationError):
+        brute_force_wdp_mnl(cascade, [1.0])
+    with pytest.raises(ValidationError):
+        brute_force_wdp_cascade(mnl, [1.0])
+    with pytest.raises(ValidationError):
+        brute_force_restricted(mnl, [1.0])
