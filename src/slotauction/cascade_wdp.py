@@ -19,6 +19,12 @@ through two standard relaxations of the realized welfare:
 The greedy path deliberately renders positions in the order edges were
 picked, not in value order: re-sorting would break monotonicity, which the
 payment rules in :mod:`slotauction.mechanisms` rely on.
+
+The bucket path works on arrays, because envelope pricing probes it hundreds
+of times per auction: ``bucket_levels`` computes every edge's dyadic level
+once per instance, and one greedy scan (``greedy_picks``) serves
+``greedy_bucket``, both ``combined_cascade_*`` functions and the mechanisms'
+greedy solver, which build frozen outcome objects only for what they return.
 """
 
 from __future__ import annotations
@@ -241,63 +247,120 @@ def bucket_count(m: int) -> int:
     return max(1, math.ceil(math.log2(4 * m)))
 
 
+def _bucket_caps(inst: Instance) -> dict[int, int]:
+    """How many edges the greedy may take in each bucket level."""
+    return {
+        level: min(2 ** level, inst.m, inst.k)
+        for level in range(1, bucket_count(inst.m) + 1)
+    }
+
+
+def bucket_levels(inst: Instance) -> np.ndarray:
+    """The bucket level of every edge: 0 where p is 0, otherwise the
+    smallest level L with p > 2^-L, clipped to ``bucket_count(m)``.
+
+    The dyadic thresholds are exact floats, so counting the ones p sits at
+    or below lands every boundary exactly.  Instances are frozen, so the
+    read-only matrix is computed once per instance.
+    """
+    levels = getattr(inst, "_bucket_levels", None)
+    if levels is not None:
+        return levels
+    require_valid(inst)
+    if inst.model != CASCADE:
+        raise ValidationError("bucketization is a cascade-model notion")
+    thresholds = np.ldexp(1.0, -np.arange(1, bucket_count(inst.m)))
+    levels = 1 + (inst.p[:, :, None] <= thresholds).sum(axis=2)
+    levels[inst.p <= 0.0] = 0
+    levels.flags.writeable = False
+    object.__setattr__(inst, "_bucket_levels", levels)
+    return levels
+
+
 def bucketize(inst: Instance) -> list[Bucket]:
-    """Partition positive-CTR edges into dyadic buckets.
+    """Partition positive-CTR edges into dyadic buckets, each bucket's
+    edges in row-major order.
 
     The count is ceil(log2(4m)), which reduces to the usual log2(4m) when m
     is a power of two; the thresholds generalize directly and the last
     bucket still sits at or below 1/(2m).
     """
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError("bucketization is a cascade-model notion")
-    count = bucket_count(inst.m)
-    edges: list[list[tuple[int, int, float]]] = [[] for _ in range(count)]
-    for i in range(inst.n):
-        for j in range(inst.m):
-            p = float(inst.p[i, j])
-            if p <= 0.0:
+    levels = bucket_levels(inst)
+    buckets = []
+    for level, cap in _bucket_caps(inst).items():
+        ii, jj = np.nonzero(levels == level)
+        edges = zip(ii.tolist(), jj.tolist(), inst.p[ii, jj].tolist())
+        buckets.append(Bucket(index=level, edges=tuple(edges), cap=cap))
+    return buckets
+
+
+def _greedy_scan(
+    ii, jj, pp, lv, values, caps
+) -> dict[int, list[tuple[int, int]]]:
+    """The greedy matching inside every bucket that has edges, given as
+    arrays: edge t joins advertiser ii[t] and position jj[t] at rate pp[t]
+    and lies in bucket level lv[t]; ``caps`` maps a level to its cap.
+
+    Within a bucket, edges are scanned by weight v_i * p descending with the
+    deterministic lexicographic (advertiser, position) tie-break; an edge is
+    taken when both endpoints are free, and the scan stops at the cap.
+    Returns each populated level's pairs in the order taken, levels
+    ascending.
+    """
+    if len(lv) == 0:
+        return {}
+    order = np.lexsort((jj, ii, -(values[ii] * pp), lv))
+    lv = lv[order]
+    starts = [0, *(np.flatnonzero(np.diff(lv)) + 1).tolist(), len(lv)]
+    ii, jj, lv = ii[order].tolist(), jj[order].tolist(), lv.tolist()
+    picks = {}
+    for lo, hi in zip(starts, starts[1:]):
+        cap = caps[lv[lo]]
+        taken: list[tuple[int, int]] = []
+        used_adv: set[int] = set()
+        used_pos: set[int] = set()
+        for t in range(lo, hi):
+            i, j = ii[t], jj[t]
+            if i in used_adv or j in used_pos:
                 continue
-            # Smallest level with p > 2^-level, clipped to the last bucket;
-            # dyadic powers are exact floats so boundaries land exactly.
-            level = 1
-            while level < count and p <= 2.0 ** -level:
-                level += 1
-            edges[level - 1].append((i, j, p))
-    return [
-        Bucket(
-            index=level,
-            edges=tuple(edges[level - 1]),
-            cap=min(2 ** level, inst.m, inst.k),
+            taken.append((i, j))
+            used_adv.add(i)
+            used_pos.add(j)
+            if len(taken) >= cap:
+                break
+        picks[lv[lo]] = taken
+    return picks
+
+
+def greedy_picks(
+    inst: Instance, levels: np.ndarray, values
+) -> dict[int, list[tuple[int, int]]]:
+    """Run the per-bucket greedy over a level matrix (``bucket_levels``,
+    possibly with rows zeroed to leave advertisers out): each populated
+    level's matched pairs in the order taken, levels ascending."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (inst.n,):
+        raise ValidationError(
+            f"expected {inst.n} values, got shape {values.shape}"
         )
-        for level in range(1, count + 1)
-    ]
+    ii, jj = np.nonzero(levels)
+    return _greedy_scan(
+        ii, jj, inst.p[ii, jj], levels[ii, jj], values, _bucket_caps(inst)
+    )
 
 
 def greedy_bucket(bucket: Bucket, values) -> AugmentedAllocation:
-    """Greedy maximal matching inside one bucket, heaviest edges first.
-
-    Edges are scanned by weight v_i * p descending with the deterministic
-    lexicographic (advertiser, position) tie-break; an edge is taken when
-    both endpoints are free, and the scan stops at the bucket cap.  Matched
-    positions are rendered in the order edges were taken.
-    """
-    values = np.asarray(values, dtype=float)
-    ranked = sorted(
-        bucket.edges, key=lambda e: (-values[e[0]] * e[2], e[0], e[1])
+    """Greedy maximal matching inside one bucket, heaviest edges first (the
+    scan of ``greedy_picks``).  Matched positions are rendered in the order
+    edges were taken."""
+    if not bucket.edges:
+        return AugmentedAllocation.from_pairs([])
+    ii, jj, pp = (np.array(column) for column in zip(*bucket.edges))
+    picks = _greedy_scan(
+        ii, jj, pp, np.full(len(ii), bucket.index),
+        np.asarray(values, dtype=float), {bucket.index: bucket.cap},
     )
-    assignment: dict[int, int] = {}
-    rank: dict[int, int] = {}
-    used_pos: set[int] = set()
-    for i, j, _p in ranked:
-        if i in assignment or j in used_pos:
-            continue
-        assignment[i] = j
-        used_pos.add(j)
-        rank[j] = len(rank) + 1
-        if len(assignment) >= bucket.cap:
-            break
-    return AugmentedAllocation(Allocation(assignment), Permutation(rank))
+    return AugmentedAllocation.from_pairs(picks[bucket.index])
 
 
 def combined_cascade_candidates(
@@ -305,7 +368,11 @@ def combined_cascade_candidates(
 ) -> list[AugmentedAllocation]:
     """Deterministic variant: the greedy outcome of every bucket, in bucket
     order, empty buckets included.  Exact-expectation tests average these."""
-    return [greedy_bucket(b, values) for b in bucketize(inst)]
+    picks = greedy_picks(inst, bucket_levels(inst), values)
+    return [
+        AugmentedAllocation.from_pairs(picks.get(level, []))
+        for level in range(1, bucket_count(inst.m) + 1)
+    ]
 
 
 def combined_cascade_solver(
@@ -318,9 +385,9 @@ def combined_cascade_solver(
     values, so the mixture inherits the per-bucket monotonicity of each
     advertiser's click-through rate in its own value.
     """
-    buckets = bucketize(inst)
-    candidates = combined_cascade_candidates(inst, values)
-    populated = [c for b, c in zip(buckets, candidates) if b.edges]
+    populated = list(greedy_picks(inst, bucket_levels(inst), values).values())
     if not populated:
-        return AugmentedAllocation(Allocation({}), Permutation({}))
-    return populated[int(rng.integers(len(populated)))]
+        return AugmentedAllocation.from_pairs([])
+    return AugmentedAllocation.from_pairs(
+        populated[int(rng.integers(len(populated)))]
+    )

@@ -165,6 +165,8 @@ def _load_values(cfg: dict, n: int) -> np.ndarray:
         raise UsageError(f"values must be numbers: {exc}") from exc
     if vals.shape != (n,):
         raise UsageError(f"expected {n} values, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"values must be finite, got {vals.tolist()}")
     return vals
 
 

@@ -133,6 +133,15 @@ class AugmentedAllocation:
                 "permutation must rank exactly the matched positions"
             )
 
+    @classmethod
+    def from_pairs(cls, pairs) -> AugmentedAllocation:
+        """The matching of (advertiser, position) ``pairs``, rendered in the
+        order listed."""
+        return cls(
+            Allocation(dict(pairs)),
+            Permutation({j: r + 1 for r, (_i, j) in enumerate(pairs)}),
+        )
+
 
 def validate_instance(inst: Instance) -> str | None:
     """Return None when every instance invariant holds, else the first
@@ -208,11 +217,20 @@ def cascade_ctr(inst: Instance, chi: AugmentedAllocation) -> CtrVector:
         raise ValidationError(f"cascade_ctr needs a {CASCADE!r} instance")
     check_feasible(inst, chi.allocation)
     by_position = {j: i for i, j in chi.allocation.assignment.items()}
-    pi = np.zeros(inst.n)
+    return cascade_rates(
+        inst.p, [(by_position[j], j) for j in chi.permutation.order()], inst.n
+    )
+
+
+def cascade_rates(p: np.ndarray, pairs, n: int) -> CtrVector:
+    """The cascade recurrence on arrays: ``pairs`` lists matched
+    (advertiser, position) pairs in rendering order, and each advertiser
+    keeps p[i, j] times the no-click probability of everything before it.
+    Unvalidated; callers check the instance and the matching."""
+    pi = np.zeros(n)
     survive = 1.0
-    for j in chi.permutation.order():
-        i = by_position[j]
-        pij = inst.p[i, j]
+    for i, j in pairs:
+        pij = p[i, j]
         pi[i] = survive * pij
         survive *= 1.0 - pij
     return pi

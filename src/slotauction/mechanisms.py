@@ -25,15 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    Allocation,
     AugmentedAllocation,
     CtrVector,
     Instance,
     Permutation,
     ValidationError,
     cascade_ctr,
+    cascade_rates,
 )
-from .cascade_wdp import bucketize, combined_cascade_candidates
+from .cascade_wdp import bucket_levels, greedy_picks
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp
 from .oracle import brute_force_wdp_cascade
@@ -56,6 +56,13 @@ def _clip_dust(payment: float, tol: float = 1e-9) -> float:
     """Zero out sub-tolerance negative payments (leave-one-out subtraction
     dust); anything genuinely negative stays visible."""
     return 0.0 if -tol < payment < 0.0 else payment
+
+
+def _finite_values(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"values must be finite, got {values.tolist()}")
+    return values
 
 
 class NonMonotoneSolverError(ValueError):
@@ -112,27 +119,23 @@ def brute_cascade_solver() -> SolverHandle:
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
     """Randomized bucket solver wrapped for mechanism use: CTRs are the
     deterministic uniform mixture over populated buckets, and the returned
-    allocation is one bucket's outcome sampled via ``rng``."""
+    allocation is one bucket's outcome sampled via ``rng``.  Advertisers
+    bidding at most 0 are left out of every bucket."""
 
     def solve(inst: Instance, bids: np.ndarray):
         bids = np.asarray(bids, dtype=float)
-        clipped = np.where(bids > 0.0, bids, 0.0)
-        masked = Instance(
-            n=inst.n, m=inst.m, k=inst.k,
-            p=np.where((clipped > 0.0)[:, None], inst.p, 0.0),
-            model=inst.model,
+        active = bids > 0.0
+        levels = np.where(active[:, None], bucket_levels(inst), 0)
+        picks = list(
+            greedy_picks(inst, levels, np.where(active, bids, 0.0)).values()
         )
-        buckets = bucketize(masked)
-        candidates = combined_cascade_candidates(masked, clipped)
-        populated = [c for b, c in zip(buckets, candidates) if b.edges]
-        if not populated:
-            empty = AugmentedAllocation(Allocation({}), Permutation({}))
-            return empty, np.zeros(inst.n)
+        if not picks:
+            return AugmentedAllocation.from_pairs([]), np.zeros(inst.n)
         mixture = np.mean(
-            [cascade_ctr(masked, c) for c in populated], axis=0
+            [cascade_rates(inst.p, pairs, inst.n) for pairs in picks], axis=0
         )
-        pick = populated[int(rng.integers(len(populated)))]
-        return pick, mixture
+        pick = picks[int(rng.integers(len(picks)))]
+        return AugmentedAllocation.from_pairs(pick), mixture
 
     return SolverHandle(solve=solve, kind=GREEDY_CASCADE)
 
@@ -165,7 +168,7 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    values = np.asarray(values, dtype=float)
+    values = _finite_values(values)
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     chi, pi = solver.solve(inst, values)
@@ -217,7 +220,7 @@ def myerson(
     mechanism is individually rational exactly and incentive compatible up
     to roughly v_max / grid_size.
     """
-    values = np.asarray(values, dtype=float)
+    values = _finite_values(values)
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")

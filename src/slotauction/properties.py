@@ -15,7 +15,10 @@ import math
 import numpy as np
 
 from .cascade_wdp import (
+    Bucket,
+    budgeted_ctr,
     combined_cascade_candidates,
+    greedy_bucket,
     optimal_permutation,
     restricted_ctr,
 )
@@ -30,6 +33,7 @@ from .core import (
     welfare,
 )
 from .mechanisms import SolverHandle, monotonicity_audit
+from .oracle import enumerate_matchings
 
 TOL = 1e-9
 # Rates are drawn from U(0.01, high); MNL instances reject rates near 1.
@@ -102,6 +106,30 @@ def bucket_average(inst: Instance, values, opt: float) -> Checked:
         return ratio, None
     return ratio, _violation("bucket_average", inst, values, average=avg,
                              optimum=opt)
+
+
+def greedy_bucket_constants(
+    inst: Instance, values, bucket: Bucket
+) -> str | None:
+    """The greedy outcome of ``bucket`` has base welfare (raw matched rates)
+    of at least 1/2 of the best base welfare of any matching of at most
+    ``bucket.cap`` of the bucket's edges, found by enumeration, and cascade
+    welfare of at least 1/14 of its own base welfare."""
+    chi = greedy_bucket(bucket, values)
+    cascade = welfare(values, cascade_ctr(inst, chi))
+    base = welfare(values, budgeted_ctr(inst, chi.allocation))
+    p = np.zeros_like(inst.p)
+    for i, j, pij in bucket.edges:
+        p[i, j] = pij
+    capped = Instance(n=inst.n, m=inst.m, k=bucket.cap, p=p, model=CASCADE)
+    best_base = max(welfare(values, budgeted_ctr(capped, alloc))
+                    for alloc in enumerate_matchings(capped))
+    if base >= 0.5 * best_base - TOL and cascade >= base / 14.0 - TOL:
+        return None
+    return _violation("greedy_bucket_constants", inst, values,
+                      bucket=bucket.index, cap=bucket.cap,
+                      allocation=chi.allocation.pairs(), base_welfare=base,
+                      cascade_welfare=cascade, best_base_welfare=best_base)
 
 
 def monotonicity(

@@ -36,3 +36,21 @@ def rand_allocation(rng: np.random.Generator, inst: Instance) -> Allocation:
     return Allocation(
         {int(advertisers[t]): int(positions[t]) for t in range(size)}
     )
+
+
+def tie_heavy_cascade_case(
+    rng: np.random.Generator,
+) -> tuple[Instance, np.ndarray]:
+    """A small cascade instance whose rates repeat and sit on dyadic
+    boundaries or at 0, and values that repeat or are 0 or negative, so
+    greedy weights tie often."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    k = int(rng.integers(1, m + 1))
+    rates = [0.0, 1.0, 0.5, 0.25, 0.125, 0.3, 0.6,
+             np.nextafter(0.5, 1.0), np.nextafter(0.25, 0.0)]
+    p = np.where(rng.random((n, m)) < 0.5, rng.choice(rates, (n, m)),
+                 rng.uniform(0.01, 1.0, (n, m)))
+    values = np.where(rng.random(n) < 0.5,
+                      rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n),
+                      rng.uniform(-1.0, 5.0, n))
+    return Instance(n=n, m=m, k=k, p=p, model=CASCADE), values

@@ -6,7 +6,6 @@ the whole suite is seeded and deterministic.
 
 import functools
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from slotauction.core import (
 )
 from slotauction.cascade_wdp import (
     bucketize,
-    budgeted_ctr,
     combined_cascade_candidates,
     greedy_bucket,
     optimal_permutation,
@@ -45,6 +43,7 @@ from slotauction.oracle import (
 from slotauction.properties import (
     bucket_average,
     cascade_welfare,
+    greedy_bucket_constants,
     monotonicity,
     restricted_search,
     sandwich,
@@ -174,21 +173,11 @@ def test_c06_greedy_bucket_constants():
 
         populated = [b for b in bucketize(inst) if b.edges]
         assert len(populated) == 1
-        bucket = populated[0]
-        chi = greedy_bucket(bucket, values)
-
-        greedy_cascade = welfare(values, cascade_ctr(inst, chi))
-        greedy_base = welfare(values, budgeted_ctr(inst, chi.allocation))
-        # cascade welfare keeps a constant share of its own base welfare
-        assert greedy_cascade >= greedy_base / 14.0 - 1e-9
-        # base welfare is half of the best cap-limited base welfare
-        capped = replace(inst, k=bucket.cap)
-        best_base = max(
-            welfare(values, budgeted_ctr(capped, alloc))
-            for alloc in enumerate_matchings(capped)
-        )
-        assert greedy_base >= 0.5 * best_base - 1e-9
+        violation = greedy_bucket_constants(inst, values, populated[0])
+        assert violation is None, violation
         # and therefore a 1/28 share of the bucket's cascade optimum
+        chi = greedy_bucket(populated[0], values)
+        greedy_cascade = welfare(values, cascade_ctr(inst, chi))
         _chi_opt, opt_cascade = brute_force_wdp_cascade(inst, values)
         assert greedy_cascade >= opt_cascade / 28.0 - 1e-9
 

@@ -17,6 +17,7 @@ from slotauction.core import (
 from slotauction.cascade_wdp import (
     Bucket,
     bucket_count,
+    bucket_levels,
     bucketize,
     budgeted_ctr,
     combined_cascade_candidates,
@@ -37,9 +38,14 @@ from slotauction.oracle import (
 from slotauction.properties import (
     bucket_average,
     cascade_welfare,
+    greedy_bucket_constants,
     restricted_search,
 )
-from conftest import rand_allocation, rand_cascade_instance
+from conftest import (
+    rand_allocation,
+    rand_cascade_instance,
+    tie_heavy_cascade_case,
+)
 
 
 # --------------------------------------------------------------- permutation
@@ -308,6 +314,38 @@ def test_buckets_partition_positive_edges():
                     assert p > 2.0 ** -b.index
 
 
+def _loop_level(p, count):
+    """The per-edge level loop bucket_levels replaced, kept as reference."""
+    if p <= 0.0:
+        return 0
+    level = 1
+    while level < count and p <= 2.0 ** -level:
+        level += 1
+    return level
+
+
+def test_bucket_levels_match_the_level_loop_at_every_boundary():
+    for m in (1, 2, 3, 5, 8, 16, 100):
+        count = bucket_count(m)
+        probes = [0.0, 1.0, np.nextafter(1.0, 0.0)]
+        for t in range(1, count + 3):
+            x = 2.0 ** -t
+            probes += [x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+        p = np.zeros((len(probes), m))
+        p[:, m - 1] = probes
+        inst = Instance(n=len(probes), m=m, k=1, p=p, model=CASCADE)
+        expected = [[_loop_level(x, count) for x in row] for row in p]
+        assert bucket_levels(inst).tolist() == expected
+
+
+def test_combined_candidates_equal_greedy_of_each_bucket():
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        inst, values = tie_heavy_cascade_case(rng)
+        expected = [greedy_bucket(b, values) for b in bucketize(inst)]
+        assert combined_cascade_candidates(inst, values) == expected
+
+
 def test_bucket_caps_respect_global_limit():
     inst = Instance(n=6, m=4, k=2, p=np.full((6, 4), 0.9), model=CASCADE)
     for b in bucketize(inst):
@@ -376,44 +414,23 @@ def test_bucket_average_clears_logarithmic_bound():
         assert violation is None, violation
 
 
-def _capped_base_optimum(inst, values, edges, cap):
-    """Best base welfare using only ``edges`` and at most ``cap`` of them."""
-    masked = np.zeros_like(np.asarray(inst.p))
-    for i, j, p in edges:
-        masked[i, j] = p
-    sub = Instance(n=inst.n, m=inst.m, k=cap, p=masked, model=CASCADE)
-    best = 0.0
-    for alloc in enumerate_matchings(sub):
-        best = max(best, welfare(values, budgeted_ctr(sub, alloc)))
-    return best
+def _check_greedy_bucket_constants(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        inst = rand_cascade_instance(rng, nmax=4, mmax=4)
+        values = rng.uniform(0.1, 5.0, inst.n)
+        for bucket in bucketize(inst):
+            if bucket.edges:
+                violation = greedy_bucket_constants(inst, values, bucket)
+                assert violation is None, violation
 
 
 def test_greedy_base_welfare_two_approximation():
-    rng = np.random.default_rng(71)
-    for _ in range(30):
-        inst = rand_cascade_instance(rng, nmax=4, mmax=4)
-        values = rng.uniform(0.1, 5.0, inst.n)
-        for bucket in bucketize(inst):
-            if not bucket.edges:
-                continue
-            chi = greedy_bucket(bucket, values)
-            base = welfare(values, budgeted_ctr(inst, chi.allocation))
-            opt = _capped_base_optimum(inst, values, bucket.edges, bucket.cap)
-            assert base >= 0.5 * opt - 1e-9
+    _check_greedy_bucket_constants(71)
 
 
 def test_greedy_cascade_within_constant_of_its_base():
-    rng = np.random.default_rng(73)
-    for _ in range(30):
-        inst = rand_cascade_instance(rng, nmax=4, mmax=4)
-        values = rng.uniform(0.1, 5.0, inst.n)
-        for bucket in bucketize(inst):
-            if not bucket.edges:
-                continue
-            chi = greedy_bucket(bucket, values)
-            cascade = welfare(values, cascade_ctr(inst, chi))
-            base = welfare(values, budgeted_ctr(inst, chi.allocation))
-            assert cascade >= base / 14.0 - 1e-9
+    _check_greedy_bucket_constants(73)
 
 
 def test_greedy_per_bucket_ctr_monotone_in_own_value():

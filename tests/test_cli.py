@@ -125,6 +125,25 @@ def test_negative_values_are_solver_error(tmp_path, lone_ad_files):
                  "--mechanism", "vcg"]) == EXIT_SOLVER
 
 
+def test_non_finite_values_are_usage_errors(tmp_path):
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 2, "m": 1, "k": 1, "model": "cascade", "p": [[1.0], [1.0]]},
+    )
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    runs = [
+        (["mechanism", "--mechanism", "vcg"], float("nan")),
+        (["mechanism", "--mechanism", "myerson", "--dist", dist],
+         float("inf")),
+        (["solve", "--algorithm", "greedy"], float("nan")),
+    ]
+    for argv, bad in runs:
+        vals = write_json(tmp_path / "vals.json", [bad, 0.7])
+        assert main([*argv, "--instance", inst, "--values", vals]) \
+            == EXIT_USAGE, argv
+
+
 def test_solve_algorithms_agree_on_fixture_pack(tmp_path):
     rng = np.random.default_rng(5)
     for t in range(5):

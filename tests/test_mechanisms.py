@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slotauction.core import CASCADE, Instance, MNL
+from slotauction.cascade_wdp import bucket_count
+from slotauction.core import CASCADE, Instance, MNL, ValidationError
 from slotauction.distributions import Exponential, Uniform
 from slotauction.mechanisms import (
     IrregularDistributionError,
@@ -16,7 +17,12 @@ from slotauction.mechanisms import (
     vcg,
     virtual_value,
 )
-from conftest import rand_bids, rand_cascade_instance, rand_mnl_instance
+from conftest import (
+    rand_bids,
+    rand_cascade_instance,
+    rand_mnl_instance,
+    tie_heavy_cascade_case,
+)
 from test_distributions import bimodal_fixture
 
 
@@ -56,6 +62,16 @@ def test_vcg_rejects_non_exact_solver():
     greedy = greedy_cascade_solver(np.random.default_rng(0))
     with pytest.raises(NonMonotoneSolverError):
         vcg(inst, np.ones(inst.n), greedy)
+
+
+def test_mechanisms_reject_non_finite_values():
+    inst = textbook_slot()
+    dists = [Uniform(0.0, 1.0)] * 2
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            vcg(inst, [bad, 0.7], brute_cascade_solver())
+        with pytest.raises(ValidationError):
+            myerson(inst, [bad, 0.7], dists, brute_cascade_solver())
 
 
 def test_vcg_truthful_on_random_instances():
@@ -223,6 +239,72 @@ def test_audit_passes_greedy_cascade():
         bids = rand_bids(rng, inst.n, top=5.0)
         for i in range(inst.n):
             assert monotonicity_audit(solver, inst, bids, i, grid) is None
+
+
+def _object_path_greedy_solve(inst, bids, rng):
+    """The greedy solver as it was before the array kernel, kept as the
+    reference: a masked instance, a level loop per edge, a sorted scan per
+    bucket building frozen outcomes, and the cascade recurrence per outcome.
+    """
+    clipped = np.where(bids > 0.0, bids, 0.0)
+    p = np.where((clipped > 0.0)[:, None], inst.p, 0.0)
+    count = bucket_count(inst.m)
+    buckets = [[] for _ in range(count)]
+    for i in range(inst.n):
+        for j in range(inst.m):
+            pij = float(p[i, j])
+            if pij <= 0.0:
+                continue
+            level = 1
+            while level < count and pij <= 2.0 ** -level:
+                level += 1
+            buckets[level - 1].append((i, j, pij))
+    populated = []
+    for level, edges in enumerate(buckets, start=1):
+        if not edges:
+            continue
+        cap = min(2 ** level, inst.m, inst.k)
+        assignment, rank = {}, {}
+        for i, j, _p in sorted(
+            edges, key=lambda e: (-clipped[e[0]] * e[2], e[0], e[1])
+        ):
+            if i in assignment or j in rank:
+                continue
+            assignment[i] = j
+            rank[j] = len(rank) + 1
+            if len(assignment) >= cap:
+                break
+        populated.append((assignment, rank))
+    if not populated:
+        return {}, {}, np.zeros(inst.n)
+    ctrs = []
+    for assignment, _rank in populated:
+        pi, survive = np.zeros(inst.n), 1.0
+        for i, j in assignment.items():  # insertion order is rank order
+            pi[i] = survive * p[i, j]
+            survive *= 1.0 - p[i, j]
+        ctrs.append(pi)
+    assignment, rank = populated[int(rng.integers(len(populated)))]
+    return assignment, rank, np.mean(ctrs, axis=0)
+
+
+def test_greedy_solver_equals_object_path():
+    rng = np.random.default_rng(89)
+    for case in range(200):
+        inst, bids = tie_heavy_cascade_case(rng)
+        solver_rng = np.random.default_rng(case)
+        solver = greedy_cascade_solver(solver_rng)
+        reference_rng = np.random.default_rng(case)
+        for sweep in range(3):
+            bids = bids if sweep == 0 else rng.permutation(bids)
+            chi, ctrs = solver.solve(inst, bids)
+            assignment, rank, expected = _object_path_greedy_solve(
+                inst, bids, reference_rng)
+            assert chi.allocation.assignment == assignment
+            assert chi.permutation.rank == rank
+            assert np.array_equal(ctrs, expected)
+        assert (solver_rng.bit_generator.state
+                == reference_rng.bit_generator.state)
 
 
 def test_audit_catches_planted_bug():
