@@ -25,12 +25,18 @@ of times per auction: ``bucket_levels`` computes every edge's dyadic level
 once per instance, and one greedy scan (``greedy_picks``) serves
 ``greedy_bucket``, both ``combined_cascade_*`` functions and the mechanisms'
 greedy solver, which build frozen outcome objects only for what they return.
+``OwnBidCurves`` reuses the same take rule to give each advertiser's mixture
+CTR as an exact function of its own bid (its critical values, in the sense
+of Lehmann, O'Callaghan and Shoham), so the mechanisms audit and price the
+greedy without re-solving it per bid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,6 +300,38 @@ def bucketize(inst: Instance) -> list[Bucket]:
     return buckets
 
 
+def _scan_order(ii, jj, weights, lv) -> np.ndarray:
+    """The greedy's scan order over edge arrays: bucket level ascending,
+    then weight v_i * p descending, ties by (advertiser, position)."""
+    return np.lexsort((jj, ii, -weights, lv))
+
+
+def _level_starts(lv: np.ndarray) -> list[int]:
+    """Bounds of the runs of equal levels in a level-sorted array."""
+    return [0, *(np.flatnonzero(np.diff(lv)) + 1).tolist(), len(lv)]
+
+
+def _take_free_pairs(ii, jj, lo: int, hi: int, cap: int,
+                     skip: int = -1) -> list[int]:
+    """Scan edges lo..hi-1, already in scan order, and return the indices of
+    those taken: an edge is taken when neither its advertiser nor its
+    position is used yet, and the scan stops after ``cap`` takes.  Edges of
+    advertiser ``skip`` are passed over, as if it were absent."""
+    taken: list[int] = []
+    used_adv = {skip}
+    used_pos: set[int] = set()
+    for t in range(lo, hi):
+        i, j = ii[t], jj[t]
+        if i in used_adv or j in used_pos:
+            continue
+        taken.append(t)
+        used_adv.add(i)
+        used_pos.add(j)
+        if len(taken) >= cap:
+            break
+    return taken
+
+
 def _greedy_scan(
     ii, jj, pp, lv, values, caps
 ) -> dict[int, list[tuple[int, int]]]:
@@ -309,27 +347,24 @@ def _greedy_scan(
     """
     if len(lv) == 0:
         return {}
-    order = np.lexsort((jj, ii, -(values[ii] * pp), lv))
+    order = _scan_order(ii, jj, values[ii] * pp, lv)
     lv = lv[order]
-    starts = [0, *(np.flatnonzero(np.diff(lv)) + 1).tolist(), len(lv)]
+    starts = _level_starts(lv)
     ii, jj, lv = ii[order].tolist(), jj[order].tolist(), lv.tolist()
     picks = {}
     for lo, hi in zip(starts, starts[1:]):
-        cap = caps[lv[lo]]
-        taken: list[tuple[int, int]] = []
-        used_adv: set[int] = set()
-        used_pos: set[int] = set()
-        for t in range(lo, hi):
-            i, j = ii[t], jj[t]
-            if i in used_adv or j in used_pos:
-                continue
-            taken.append((i, j))
-            used_adv.add(i)
-            used_pos.add(j)
-            if len(taken) >= cap:
-                break
-        picks[lv[lo]] = taken
+        taken = _take_free_pairs(ii, jj, lo, hi, caps[lv[lo]])
+        picks[lv[lo]] = [(ii[t], jj[t]) for t in taken]
     return picks
+
+
+def _bid_vector(inst: Instance, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (inst.n,):
+        raise ValidationError(
+            f"expected {inst.n} values, got shape {values.shape}"
+        )
+    return values
 
 
 def greedy_picks(
@@ -338,15 +373,151 @@ def greedy_picks(
     """Run the per-bucket greedy over a level matrix (``bucket_levels``,
     possibly with rows zeroed to leave advertisers out): each populated
     level's matched pairs in the order taken, levels ascending."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (inst.n,):
-        raise ValidationError(
-            f"expected {inst.n} values, got shape {values.shape}"
-        )
+    values = _bid_vector(inst, values)
     ii, jj = np.nonzero(levels)
     return _greedy_scan(
         ii, jj, inst.p[ii, jj], levels[ii, jj], values, _bucket_caps(inst)
     )
+
+
+def bucket_mixture(terms):
+    """The uniform average over populated buckets, summed in level order:
+    one rule for the solver's CTR vectors and the curve's scalars."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total / len(terms)
+
+
+@dataclass(frozen=True)
+class _OthersScan:
+    """One bucket's greedy over the other advertisers, cut at the cap: each
+    pick's scan key (-weight, advertiser), the pick index at which each
+    position became used, and the survival product before each pick."""
+
+    cap: int
+    keys: list[tuple[float, int]]
+    used_at: dict[int, int]
+    survive: list[float]
+
+
+class _Run(NamedTuple):
+    """One bucket's slice lo..hi of the template's sorted edges, the rows
+    with edges in it, and the template's greedy scan there."""
+
+    lo: int
+    hi: int
+    rows: set[int]
+    scan: _OthersScan
+
+
+class OwnBidCurves:
+    """Every advertiser's mixture CTR under the bucket greedy as an exact
+    function of its own bid, all other bids fixed at ``bids``.
+
+    Inside a bucket, the greedy with advertiser i present scans exactly like
+    the greedy without i until i takes an edge, so one scan of the others
+    per bucket prices every own bid: edge (i, j) at bid b is reached after
+    the picks whose scan key (-w, advertiser) sorts before (-b * p_ij, i),
+    and i takes its first edge, in (-b * p_ij, j) order, whose position is
+    still free while the pick count is below the cap.  Its CTR there is the
+    survival product of the picks before it times p_ij, as in
+    ``core.cascade_rates``.  Which buckets are populated depends only on
+    which rows bid above 0.
+
+    The template's edges are sorted and scanned once.  Advertiser i's own
+    row is left out of a bucket's scan by rescanning only the buckets where
+    the template's greedy picked it; elsewhere its edges were passed over
+    and the template's scan already is the others' scan.
+    """
+
+    def __init__(self, inst: Instance, bids) -> None:
+        self.inst = inst
+        self.bids = _bid_vector(inst, bids)
+        self._levels = bucket_levels(inst)
+        self._caps = _bucket_caps(inst)
+        ii, jj = np.nonzero(
+            np.where((self.bids > 0.0)[:, None], self._levels, 0))
+        pp, lv = inst.p[ii, jj], self._levels[ii, jj]
+        weights = self.bids[ii] * pp
+        order = _scan_order(ii, jj, weights, lv)
+        self._ii, self._jj = ii[order].tolist(), jj[order].tolist()
+        self._pp, self._w = pp[order].tolist(), weights[order].tolist()
+        lv = lv[order]
+        starts = _level_starts(lv)
+        self._runs: dict[int, _Run] = {}
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            if lo < hi:
+                level = int(lv[lo])
+                self._runs[level] = _Run(lo, hi, set(self._ii[lo:hi]),
+                                         self._scan(lo, hi, level))
+
+    def _scan(self, lo: int, hi: int, level: int,
+              skip: int = -1) -> _OthersScan:
+        cap = self._caps[level]
+        taken = _take_free_pairs(self._ii, self._jj, lo, hi, cap, skip)
+        survive = [1.0]
+        for t in taken:
+            survive.append(survive[-1] * (1.0 - self._pp[t]))
+        return _OthersScan(
+            cap=cap,
+            keys=[(-self._w[t], self._ii[t]) for t in taken],
+            used_at={self._jj[t]: q for q, t in enumerate(taken)},
+            survive=survive,
+        )
+
+    def of(self, i: int):
+        """Advertiser i's curve: own bid -> (mixture CTR, number of
+        populated buckets the solver draws its sampled outcome from)."""
+        own_levels, own_p = self._levels[i], self.inst.p[i]
+        without, buckets = 0, []
+        for level, cap in self._caps.items():
+            js = np.flatnonzero(own_levels == level)
+            own = sorted(zip(own_p[js].tolist(), js.tolist()),
+                         key=lambda pj: (-pj[0], pj[1]))
+            run = self._runs.get(level)
+            if run is not None and len(run.rows) > (i in run.rows):
+                without += 1  # someone other than i has edges here
+                scan = run.scan
+                if any(adv == i for _w, adv in scan.keys):
+                    scan = self._scan(run.lo, run.hi, level, skip=i)
+            elif own:
+                scan = _OthersScan(cap, [], {}, [1.0])
+            else:
+                continue
+            buckets.append((scan, own))
+
+        def ctr(b: float) -> tuple[float, int]:
+            if not b > 0.0:
+                return 0.0, without
+            if not buckets:
+                return 0.0, 0
+            return bucket_mixture(
+                [_first_take(scan, own, i, b) for scan, own in buckets]
+            ), len(buckets)
+
+        return ctr
+
+
+def _first_take(scan: _OthersScan, own, i: int, b: float) -> float:
+    """Advertiser i's CTR in one bucket at own bid b: ``own`` lists its
+    (p, position) edges there sorted by (-p, position).  Equal weights b * p
+    share a scan rank, and among them the lower position comes first."""
+    t = 0
+    while t < len(own):
+        wb = b * own[t][0]
+        c = bisect_left(scan.keys, (-wb, i))
+        if c >= scan.cap:
+            return 0.0
+        best = None
+        while t < len(own) and b * own[t][0] == wb:
+            p, j = own[t]
+            if scan.used_at.get(j, c) >= c and (best is None or j < best[1]):
+                best = (p, j)
+            t += 1
+        if best is not None:
+            return scan.survive[c] * best[0]
+    return 0.0
 
 
 def greedy_bucket(bucket: Bucket, values) -> AugmentedAllocation:

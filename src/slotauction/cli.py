@@ -144,6 +144,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["planted_bug"] = True
     if not 0.0 < merged["epsilon"] < 1.0:
         raise UsageError(f"epsilon must lie in (0, 1), got {merged['epsilon']}")
+    for key in ("samples", "grid"):
+        if merged[key] < 1:
+            raise UsageError(f"{key} must be at least 1, got {merged[key]}")
     return merged
 
 

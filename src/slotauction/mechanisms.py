@@ -15,6 +15,14 @@ conceding only an O(v_max / grid_size) incentive slack.
 
 Exact solvers are monotone automatically; approximate ones are admitted
 only after a monotonicity audit.
+
+Both the audit and the envelope sum need one advertiser's CTR at many own
+bids.  A handle whose ``curve`` is set (only ``greedy_cascade_solver``'s)
+answers those from an exact own-bid curve built once per bid template;
+every other handle (exact MNL, brute cascade, the planted-bug fixture) is
+probed with one ``solve`` per bid.  Both paths give the same CTRs and
+consume the same random draws; the outcome itself always comes from one
+real ``solve``.
 """
 
 from __future__ import annotations
@@ -33,7 +41,12 @@ from .core import (
     cascade_ctr,
     cascade_rates,
 )
-from .cascade_wdp import bucket_levels, greedy_picks
+from .cascade_wdp import (
+    OwnBidCurves,
+    bucket_levels,
+    bucket_mixture,
+    greedy_picks,
+)
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp
 from .oracle import brute_force_wdp_cascade
@@ -46,6 +59,7 @@ DEFAULT_GRID_SIZE = 1024
 MONOTONE_TOL = 1e-9
 
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
+CurveFn = Callable[[Instance, np.ndarray, int], Callable[[float], float]]
 
 
 class IrregularDistributionError(ValueError):
@@ -58,8 +72,10 @@ def _clip_dust(payment: float, tol: float = 1e-9) -> float:
     return 0.0 if -tol < payment < 0.0 else payment
 
 
-def _finite_values(values) -> np.ndarray:
+def _finite_values(values, n: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValidationError(f"expected {n} values, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"values must be finite, got {values.tolist()}")
     return values
@@ -77,10 +93,16 @@ class SolverHandle:
     non-positive, must be deterministic in its reported CTR curve, and for
     the greedy cascade kind the CTRs are the uniform average over the
     per-bucket outcomes (the sampled allocation is representative only).
+
+    ``curve(inst, bids, i)``, when set, returns advertiser i's CTR as a
+    function of its own bid, the others fixed at ``bids``: equal to what
+    ``solve`` reports, and consuming the same random draws.  The audit and
+    the envelope pricing read it in place of one ``solve`` per bid.
     """
 
     solve: SolveFn
     kind: str
+    curve: CurveFn | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -120,7 +142,11 @@ def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
     """Randomized bucket solver wrapped for mechanism use: CTRs are the
     deterministic uniform mixture over populated buckets, and the returned
     allocation is one bucket's outcome sampled via ``rng``.  Advertisers
-    bidding at most 0 are left out of every bucket."""
+    bidding at most 0 are left out of every bucket.
+
+    Its ``curve`` reads :class:`~slotauction.cascade_wdp.OwnBidCurves`,
+    built once per bid template, and replays the draw ``solve`` would make
+    at each bid, so ``rng`` ends in the same state either way."""
 
     def solve(inst: Instance, bids: np.ndarray):
         bids = np.asarray(bids, dtype=float)
@@ -131,13 +157,29 @@ def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
         )
         if not picks:
             return AugmentedAllocation.from_pairs([]), np.zeros(inst.n)
-        mixture = np.mean(
-            [cascade_rates(inst.p, pairs, inst.n) for pairs in picks], axis=0
+        mixture = bucket_mixture(
+            [cascade_rates(inst.p, pairs, inst.n) for pairs in picks]
         )
         pick = picks[int(rng.integers(len(picks)))]
         return AugmentedAllocation.from_pairs(pick), mixture
 
-    return SolverHandle(solve=solve, kind=GREEDY_CASCADE)
+    template: list[OwnBidCurves] = []
+
+    def curve(inst: Instance, bids: np.ndarray, i: int):
+        if not (template and template[0].inst is inst
+                and np.array_equal(template[0].bids, bids)):
+            template[:] = [OwnBidCurves(inst, bids)]
+        own_bid = template[0].of(i)
+
+        def ctr(b: float) -> float:
+            value, populated = own_bid(b)
+            if populated:
+                rng.integers(populated)
+            return float(value)
+
+        return ctr
+
+    return SolverHandle(solve=solve, kind=GREEDY_CASCADE, curve=curve)
 
 
 def threshold_dropping_solver(
@@ -168,7 +210,7 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    values = _finite_values(values)
+    values = _finite_values(values, inst.n)
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     chi, pi = solver.solve(inst, values)
@@ -220,7 +262,7 @@ def myerson(
     mechanism is individually rational exactly and incentive compatible up
     to roughly v_max / grid_size.
     """
-    values = _finite_values(values)
+    values = _finite_values(values, inst.n)
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
@@ -240,24 +282,18 @@ def myerson(
         0.0,
     )
 
-    def solve_with_report(i: int | None, z: float):
-        if i is None:
-            return solver.solve(inst, base_bids)
-        bids = base_bids.copy()
-        bids[i] = max(_virtual_or_excluded(dists[i], z), 0.0)
-        return solver.solve(inst, bids)
-
-    chi, pi = solve_with_report(None, 0.0)
+    chi, pi = solver.solve(inst, base_bids)
 
     payments = np.zeros(inst.n)
     for i in range(inst.n):
         if pi[i] <= 0.0 or values[i] <= 0.0:
             continue  # monotone curve below a zero endpoint integrates to 0
         step = values[i] / grid_size
+        ctr_at = _own_bid_ctr(solver, inst, base_bids, i)
 
-        def curve(g: int, _i=i, _step=step) -> float:
-            _chi, pi_g = solve_with_report(_i, g * _step)
-            return float(pi_g[_i])
+        def curve(g: int, _i=i, _step=step, _ctr_at=ctr_at) -> float:
+            return _ctr_at(
+                max(_virtual_or_excluded(dists[_i], g * _step), 0.0))
 
         area = step * monotone_grid_sum(curve, grid_size, hi_value=float(pi[i]))
         payments[i] = _clip_dust(values[i] * pi[i] - area)
@@ -311,16 +347,34 @@ def monotonicity_audit(
     last bid that reached it.  Exact solvers pass by optimality;
     approximate solvers must earn it.
     """
-    bids = np.asarray(bids_template, dtype=float).copy()
+    ctr_at = _own_bid_ctr(solver, inst, bids_template, i)
     top_bid, top_pi = None, -np.inf
     for b in sorted(float(g) for g in grid):
+        pi_i = ctr_at(b)
+        if pi_i < top_pi - MONOTONE_TOL:
+            return (top_bid, b, top_pi, pi_i)
+        if pi_i >= top_pi:
+            top_bid, top_pi = b, pi_i
+    return None
+
+
+def _own_bid_ctr(
+    solver: SolverHandle, inst: Instance, bids_template, i: int
+) -> Callable[[float], float]:
+    """Advertiser i's reported CTR as a function of its own bid, the others
+    bidding ``bids_template``: read from the handle's curve when it has
+    one, else probed with one ``solve`` per bid."""
+    # A copy: the probe writes bid i into it, and a curve may keep it.
+    bids = np.array(bids_template, dtype=float)
+    if solver.curve is not None:
+        return solver.curve(inst, bids, i)
+
+    def probe(b: float) -> float:
         bids[i] = b
         _chi, pi = solver.solve(inst, bids)
-        if pi[i] < top_pi - MONOTONE_TOL:
-            return (top_bid, b, top_pi, float(pi[i]))
-        if pi[i] >= top_pi:
-            top_bid, top_pi = b, float(pi[i])
-    return None
+        return float(pi[i])
+
+    return probe
 
 
 def _audit_or_raise(solver: SolverHandle, inst: Instance, values) -> None:

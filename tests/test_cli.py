@@ -239,6 +239,22 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
         assert entry["vcg"] >= entry["myerson"] - 1e-12, sample_id
 
 
+def test_simulate_rejects_non_positive_samples_and_grid(tmp_path, capsys):
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 1, "m": 1, "k": 1, "model": "cascade", "p": [[1.0]]},
+    )
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    base = ["simulate", "--instance", inst, "--dist", dist,
+            "--mechanism", "myerson", "--out", str(tmp_path / "s.csv")]
+    for flag, bad in (("--samples", "0"), ("--samples", "-3"),
+                      ("--grid", "0"), ("--grid", "-1")):
+        assert main([*base, flag, bad]) == EXIT_USAGE, (flag, bad)
+        assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_simulate_different_seed_changes_output(tmp_path):
     inst = write_json(
         tmp_path / "inst.json",

@@ -7,6 +7,7 @@ from slotauction.distributions import Exponential, Uniform
 from slotauction.mechanisms import (
     IrregularDistributionError,
     NonMonotoneSolverError,
+    SolverHandle,
     brute_cascade_solver,
     exact_mnl_solver,
     greedy_cascade_solver,
@@ -72,6 +73,18 @@ def test_mechanisms_reject_non_finite_values():
             vcg(inst, [bad, 0.7], brute_cascade_solver())
         with pytest.raises(ValidationError):
             myerson(inst, [bad, 0.7], dists, brute_cascade_solver())
+
+
+def test_mechanisms_reject_wrong_length_values():
+    inst = textbook_slot(3)
+    dists = [Uniform(0.0, 1.0)] * 3
+    with pytest.raises(ValidationError):
+        myerson(inst, [0.9, 0.7], dists, brute_cascade_solver())
+    with pytest.raises(ValidationError):
+        myerson(inst, [0.9, 0.7, 0.5, 0.3], dists,
+                greedy_cascade_solver(np.random.default_rng(0)))
+    with pytest.raises(ValidationError):
+        vcg(inst, [[0.9, 0.7, 0.5]], brute_cascade_solver())
 
 
 def test_vcg_truthful_on_random_instances():
@@ -305,6 +318,82 @@ def test_greedy_solver_equals_object_path():
             assert np.array_equal(ctrs, expected)
         assert (solver_rng.bit_generator.state
                 == reference_rng.bit_generator.state)
+
+
+def _curve_test_bids(inst, values, i):
+    """Own bids for advertiser i: non-positive, a few fixed ones, every
+    other advertiser's bid, and every exact tie point v_k p_kl / p_ij.  The
+    subnormal bids round distinct rates to equal weights, so i's own edges
+    tie and the lower position must win."""
+    bids = {-1.0, 0.0, 5e-324, 1e-320, 0.5, 1.0, 2.0}
+    for k in range(inst.n):
+        if k == i:
+            continue
+        bids.add(float(values[k]))
+        if values[k] <= 0.0:
+            continue
+        for j in np.flatnonzero(inst.p[i] > 0.0):
+            bids.update((values[k] * inst.p[k] / inst.p[i, j]).tolist())
+    return sorted(bids)
+
+
+def test_greedy_curve_equals_probes():
+    rng = np.random.default_rng(137)
+    for case in range(200):
+        inst, values = tie_heavy_cascade_case(rng)
+        curve_rng = np.random.default_rng(case)
+        handle = greedy_cascade_solver(curve_rng)
+        probe_rng = np.random.default_rng(case)
+        probe = greedy_cascade_solver(probe_rng)
+        for i in range(inst.n):
+            ctr_at = handle.curve(inst, values, i)
+            for b in _curve_test_bids(inst, values, i):
+                bids = values.copy()
+                bids[i] = b
+                _chi, pi = probe.solve(inst, bids)
+                assert ctr_at(b) == pi[i], (case, i, b)
+                assert (curve_rng.bit_generator.state
+                        == probe_rng.bit_generator.state), (case, i, b)
+
+
+def _auction_cases(rng):
+    """cascade_auction-shaped instances alternating with tie-heavy ones."""
+    for case in range(60):
+        if case % 2:
+            inst, values = tie_heavy_cascade_case(rng)
+            values = np.abs(values)
+            yield inst, values, [Uniform(0.0, 5.0)] * inst.n
+            continue
+        n, m = int(rng.integers(8, 25)), int(rng.integers(4, 9))
+        inst = Instance(n=n, m=m, k=int(rng.integers(3, min(6, m) + 1)),
+                        p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
+        yield inst, rng.uniform(0.0, 10.0, n), [Uniform(0.0, 10.0)] * n
+
+
+def test_myerson_over_curve_equals_probe_path():
+    rng = np.random.default_rng(139)
+    for case, (inst, values, dists) in enumerate(_auction_cases(rng)):
+        curve_rng = np.random.default_rng(case)
+        handle = greedy_cascade_solver(curve_rng)
+        probe_rng = np.random.default_rng(case)
+        probed = greedy_cascade_solver(probe_rng)
+        probed = SolverHandle(solve=probed.solve, kind=probed.kind)
+        fast = myerson(inst, values, dists, handle, grid_size=256)
+        slow = myerson(inst, values, dists, probed, grid_size=256)
+        assert (fast.augmented.allocation.assignment
+                == slow.augmented.allocation.assignment)
+        assert fast.augmented.permutation.rank == slow.augmented.permutation.rank
+        assert np.array_equal(fast.ctrs, slow.ctrs)
+        assert np.array_equal(fast.payments, slow.payments)
+        assert curve_rng.bit_generator.state == probe_rng.bit_generator.state
+
+
+def test_only_the_honest_greedy_carries_a_curve():
+    greedy = greedy_cascade_solver(np.random.default_rng(0))
+    assert greedy.curve is not None
+    assert threshold_dropping_solver(greedy).curve is None
+    assert exact_mnl_solver().curve is None
+    assert brute_cascade_solver().curve is None
 
 
 def test_audit_catches_planted_bug():
