@@ -58,6 +58,15 @@ ZERO_CTR_TOL = 1e-12
 MAX_EXACT_EDGES = 24
 
 
+def _bid_vector(inst: Instance, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (inst.n,):
+        raise ValidationError(
+            f"expected {inst.n} values, got shape {values.shape}"
+        )
+    return values
+
+
 def sorted_view(values) -> list[int]:
     """Advertiser indices in decreasing value order, ties index-ascending."""
     values = np.asarray(values, dtype=float)
@@ -85,7 +94,7 @@ def restricted_ctr(inst: Instance, alloc: Allocation, values) -> CtrVector:
     require_valid(inst)
     if inst.model != CASCADE:
         raise ValidationError("restricted rates are a cascade-model notion")
-    values = np.asarray(values, dtype=float)
+    values = _bid_vector(inst, values)
     pi = np.zeros(inst.n)
     headroom = 1.0
     discounted = 0
@@ -142,7 +151,7 @@ def exact_budgeted_matching(
     approximation scheme behind the same interface.
     """
     require_valid(inst)
-    values = np.asarray(values, dtype=float)
+    values = _bid_vector(inst, values)
     scaled_p = np.asarray(scaled_p, dtype=float)
     cap = inst.k if cap is None else min(cap, inst.k)
 
@@ -213,7 +222,7 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
         raise ValidationError("the restricted-welfare search is cascade-only")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    values = np.asarray(values, dtype=float)
+    values = _bid_vector(inst, values)
 
     grid = [g * eps / 2.0 for g in range(1, int(2.0 / eps + 1e-12) + 1)]
     if not grid or grid[-1] < 1.0 - 1e-12:
@@ -356,15 +365,6 @@ def _greedy_scan(
         taken = _take_free_pairs(ii, jj, lo, hi, caps[lv[lo]])
         picks[lv[lo]] = [(ii[t], jj[t]) for t in taken]
     return picks
-
-
-def _bid_vector(inst: Instance, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (inst.n,):
-        raise ValidationError(
-            f"expected {inst.n} values, got shape {values.shape}"
-        )
-    return values
 
 
 def greedy_picks(

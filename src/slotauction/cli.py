@@ -80,6 +80,24 @@ class UsageError(Exception):
     pass
 
 
+# Every flag once: config key -> (type, default, help).  The table builds the
+# parser, the allowed config keys, the defaults and the command-line
+# overrides.  A config value must already have the flag's JSON type.
+_FLAGS = {
+    "instance": (str, None, "instance JSON path"),
+    "values": (str, None, "values JSON path (array of floats)"),
+    "dist": (str, None, "distribution config JSON path"),
+    "algorithm": (str, None, "solve: lp | dinkelbach | greedy | ptas | brute"),
+    "mechanism": (str, "both", "vcg | myerson | both"),
+    "epsilon": (float, 0.1, "ptas and audit accuracy, in (0, 1)"),
+    "grid": (int, 1024, "myerson envelope grid size"),
+    "samples": (int, 1000, "simulate: number of value profiles"),
+    "seed": (int, 0, "seed of every random draw"),
+    "out": (str, None, "output path (JSON or CSV)"),
+    "planted_bug": (bool, False, "audit: swap in the broken fixture solver"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slotauction",
@@ -88,60 +106,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=["solve", "mechanism", "simulate", "audit"])
     parser.add_argument("--config", help="JSON file with flag defaults")
-    parser.add_argument("--instance", help="instance JSON path")
-    parser.add_argument("--values", help="values JSON path (array of floats)")
-    parser.add_argument("--dist", help="distribution config JSON path")
-    parser.add_argument("--algorithm",
-                        help="solve: lp | dinkelbach | greedy | ptas | brute")
-    parser.add_argument("--mechanism", dest="mechanism_name",
-                        help="vcg | myerson | both")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output path (JSON or CSV)")
-    parser.add_argument("--planted-bug", action="store_true",
-                        help="audit: swap in the broken fixture solver")
+    for key, (kind, _default, text) in _FLAGS.items():
+        options = ({"action": "store_true", "default": None} if kind is bool
+                   else {"type": kind})
+        parser.add_argument("--" + key.replace("_", "-"), help=text, **options)
     return parser
 
 
-_CONFIG_KEYS = {
-    "instance": str, "values": str, "dist": str, "algorithm": str,
-    "mechanism": str, "epsilon": float, "grid": int, "samples": int,
-    "seed": int, "out": str, "planted_bug": bool,
-}
+def _fits(kind: type, value) -> bool:
+    """Whether a JSON config value has the flag's type: bools are neither
+    ints nor floats, and ints are also floats."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = {
-        "epsilon": 0.1, "grid": 1024, "samples": 1000, "seed": 0,
-        "mechanism": "both", "planted_bug": False,
-        "instance": None, "values": None, "dist": None, "algorithm": None,
-        "out": None,
-    }
+    merged = {key: default for key, (_kind, default, _text) in _FLAGS.items()}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise UsageError("config must be a JSON object")
         for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _FLAGS:
                 raise UsageError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _CONFIG_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-    overrides = {
-        "instance": args.instance, "values": args.values, "dist": args.dist,
-        "algorithm": args.algorithm, "mechanism": args.mechanism_name,
-        "epsilon": args.epsilon, "grid": args.grid, "samples": args.samples,
-        "seed": args.seed, "out": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    if args.planted_bug:
-        merged["planted_bug"] = True
+            kind = _FLAGS[key][0]
+            if not _fits(kind, value):
+                raise UsageError(
+                    f"config key {key!r} needs a {kind.__name__},"
+                    f" got {value!r}")
+            merged[key] = kind(value)
+    for key in _FLAGS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if not 0.0 < merged["epsilon"] < 1.0:
         raise UsageError(f"epsilon must lie in (0, 1), got {merged['epsilon']}")
     for key in ("samples", "grid"):

@@ -266,20 +266,28 @@ def is_regular(dist: ValueDistribution, grid: int = REGULARITY_GRID) -> bool:
 def dist_from_dict(data: dict) -> ValueDistribution:
     """Build a distribution from the JSON fragments used in CLI configs,
     e.g. {"family": "uniform", "a": 0, "b": 1}."""
-    try:
-        family = str(data["family"]).lower()
-        if family == "uniform":
-            return Uniform(a=float(data["a"]), b=float(data["b"]))
-        if family == "exponential":
-            return Exponential(rate=float(data["rate"]))
-        if family in ("truncated_normal", "truncnorm"):
-            return TruncatedNormal(
-                mu=float(data["mu"]), sigma=float(data["sigma"]),
-                lo=float(data["lo"]), hi=float(data["hi"]),
-            )
-    except KeyError as exc:
-        raise DistributionError(f"missing parameter: {exc}") from exc
-    raise DistributionError(f"unknown family {data.get('family')!r}")
+
+    def param(key: str):
+        if key not in data:
+            raise DistributionError(f"missing parameter: {key!r}")
+        try:
+            return float(data[key])
+        except (TypeError, ValueError) as exc:
+            raise DistributionError(
+                f"parameter {key!r} must be a number, got {data[key]!r}"
+            ) from exc
+
+    if "family" not in data:
+        raise DistributionError("missing parameter: 'family'")
+    family = str(data["family"]).lower()
+    if family == "uniform":
+        return Uniform(a=param("a"), b=param("b"))
+    if family == "exponential":
+        return Exponential(rate=param("rate"))
+    if family in ("truncated_normal", "truncnorm"):
+        return TruncatedNormal(mu=param("mu"), sigma=param("sigma"),
+                               lo=param("lo"), hi=param("hi"))
+    raise DistributionError(f"unknown family {data['family']!r}")
 
 
 def dist_to_dict(dist: ValueDistribution) -> dict:

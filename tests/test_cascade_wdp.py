@@ -198,6 +198,18 @@ def test_exact_budgeted_size_guard():
         exact_budgeted_matching(inst, np.ones(5), inst.p)
 
 
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_restricted_entry_points_check_the_value_count(length):
+    inst = Instance(n=3, m=2, k=2, p=np.full((3, 2), 0.5), model=CASCADE)
+    values = [5.0] * length
+    with pytest.raises(ValidationError):
+        restricted_ctr(inst, Allocation({1: 0}), values)
+    with pytest.raises(ValidationError):
+        ptas_restricted_welfare(inst, values, 0.25)
+    with pytest.raises(ValidationError):
+        exact_budgeted_matching(inst, values, inst.p)
+
+
 # --------------------------------------------------- restricted-welfare PTAS
 
 

@@ -320,3 +320,42 @@ def test_audit_planted_bug_fails(capsys):
             broken, instance_from_dict(found["instance"]), found["values"],
             found["advertiser"], found["grid"])
         assert list(drop) == found["drop"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("planted_bug", "false"), ("planted_bug", 0), ("grid", 2.9),
+    ("grid", "2"), ("samples", True), ("seed", 1.5), ("epsilon", "0.1"),
+    ("epsilon", False), ("out", 3), ("mechanism", None),
+])
+def test_config_values_must_have_the_flag_type(tmp_path, key, value, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {key: value})
+    assert main(["audit", "--config", cfg, "--seed", "0"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_values_of_the_flag_type_are_taken(tmp_path, lone_ad_files):
+    inst, vals = lone_ad_files
+    out = tmp_path / "out.json"
+    cfg = write_json(tmp_path / "cfg.json", {
+        "instance": inst, "values": vals, "algorithm": "lp", "epsilon": 0.5,
+        "grid": 2, "samples": 3, "seed": 4, "planted_bug": False,
+        "out": str(out)})
+    assert main(["solve", "--config", cfg]) == EXIT_OK
+    assert json.loads(out.read_text())["algorithm"] == "lp"
+
+
+def test_planted_bug_from_config(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"planted_bug": True})
+    assert main(["audit", "--config", cfg, "--seed", "0"]) == EXIT_AUDIT
+
+
+def test_non_numeric_distribution_parameter_is_solver_error(tmp_path):
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 1, "m": 1, "k": 1, "model": "cascade", "p": [[1.0]]},
+    )
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": "x", "b": 1})
+    assert main(["simulate", "--instance", inst, "--dist", dist,
+                 "--samples", "2", "--out", str(tmp_path / "s.csv")]
+                ) == EXIT_SOLVER

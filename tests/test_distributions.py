@@ -143,3 +143,13 @@ def test_json_fragments_round_trip():
         dist_from_dict({"family": "zipf", "s": 2})
     with pytest.raises(DistributionError):
         dist_from_dict({"family": "uniform", "a": 0})
+
+
+@pytest.mark.parametrize("data", [
+    {"family": "uniform", "a": "x", "b": 1},
+    {"family": "exponential", "rate": None},
+    {"family": "truncated_normal", "mu": 0, "sigma": [1], "lo": 0, "hi": 1},
+])
+def test_non_numeric_parameters_are_distribution_errors(data):
+    with pytest.raises(DistributionError, match="must be a number"):
+        dist_from_dict(data)

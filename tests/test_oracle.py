@@ -1,20 +1,30 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from slotauction.cascade_wdp import sorted_view
 from slotauction.core import (
+    Allocation,
+    AugmentedAllocation,
     CASCADE,
     Instance,
     MNL,
+    Permutation,
     SizeGuardError,
     ValidationError,
+    cascade_ctr,
+    welfare,
 )
 from slotauction.oracle import (
+    MAX_CELLS,
+    _matching_table,
     brute_force_restricted,
     brute_force_wdp_cascade,
     brute_force_wdp_mnl,
     enumerate_matchings,
 )
-from conftest import rand_bids, rand_cascade_instance
+from conftest import rand_bids, rand_cascade_instance, tie_heavy_cascade_case
 
 
 def count(inst):
@@ -49,6 +59,13 @@ def test_active_filter_restricts_advertisers():
     inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
     for alloc in enumerate_matchings(inst, active={1}):
         assert set(alloc.assignment) <= {1}
+
+
+def test_repeated_active_advertisers_count_once():
+    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
+    repeated = enumerate_matchings(inst, [2, 0, 1, 0])
+    assert sum(1 for _ in repeated) == count(inst)
+    assert sum(1 for _ in enumerate_matchings(inst, [0, 0])) == 3
 
 
 def test_mnl_brute_lone_ad():
@@ -118,3 +135,186 @@ def test_model_mismatch_is_validation_error():
         brute_force_wdp_cascade(mnl, [1.0])
     with pytest.raises(ValidationError):
         brute_force_restricted(mnl, [1.0])
+
+
+def test_active_outside_the_instance_is_validation_error():
+    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
+    with pytest.raises(ValidationError):
+        next(iter(enumerate_matchings(inst, active={5})))
+    with pytest.raises(ValidationError):
+        next(iter(enumerate_matchings(inst, active={-1, 0})))
+    cascade = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
+    with pytest.raises(ValidationError):
+        brute_force_wdp_cascade(cascade, [1.0, 1.0, 1.0], active={3})
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_value_count_must_match_advertisers(length):
+    cascade = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
+    mnl = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
+    values = [1.0] * length
+    with pytest.raises(ValidationError):
+        brute_force_wdp_cascade(cascade, values)
+    with pytest.raises(ValidationError):
+        brute_force_wdp_cascade(cascade, values, paranoid=True)
+    with pytest.raises(ValidationError):
+        brute_force_restricted(cascade, values)
+    with pytest.raises(ValidationError):
+        brute_force_wdp_mnl(mnl, values)
+
+
+# The search as it was written before the matching table: a recursive
+# generator over one reused advertiser -> position dict, and one
+# best-so-far loop per oracle.  The table and the tie rule must reproduce
+# it exactly.
+
+def _reference_matchings(n, m, k, candidates):
+    def recurse(j, used):
+        if j == m:
+            yield used
+            return
+        yield from recurse(j + 1, used)
+        if len(used) < k:
+            for i in candidates:
+                if i not in used:
+                    used[i] = j
+                    yield from recurse(j + 1, used)
+                    del used[i]
+
+    yield from recurse(0, {})
+
+
+def _reference_mnl(inst, bids):
+    bids = np.asarray(bids, dtype=float)
+    expo = np.exp(inst.log_odds())
+    weighted = bids[:, None] * expo
+    best_obj, best = 0.0, {}
+    for raw in _reference_matchings(inst.n, inst.m, inst.k, range(inst.n)):
+        num, den = 0.0, 1.0
+        for i, j in raw.items():
+            num += weighted[i, j]
+            den += expo[i, j]
+        obj = float(num / den)
+        if obj > best_obj + 1e-15:
+            best_obj, best = obj, dict(raw)
+    return best, best_obj
+
+
+def _reference_cascade(inst, values, candidates):
+    order, p = sorted_view(values), inst.p
+    best_w, best = 0.0, {}
+    for raw in _reference_matchings(inst.n, inst.m, inst.k, candidates):
+        survive, w = 1.0, 0.0
+        for i in order:
+            j = raw.get(i)
+            if j is None:
+                continue
+            pij = p[i, j]
+            w += values[i] * pij * survive
+            survive *= 1.0 - pij
+        if w > best_w + 1e-15:
+            best_w, best = float(w), dict(raw)
+    return best, best_w
+
+
+def _reference_paranoid(inst, values):
+    empty = AugmentedAllocation(Allocation({}), Permutation({}))
+    best = (empty, 0.0)
+    for raw in _reference_matchings(inst.n, inst.m, inst.k, range(inst.n)):
+        alloc = Allocation(dict(raw))
+        for perm in itertools.permutations(alloc.assignment.values()):
+            sigma = Permutation({j: r + 1 for r, j in enumerate(perm)})
+            chi = AugmentedAllocation(alloc, sigma)
+            w = welfare(values, cascade_ctr(inst, chi))
+            if w > best[1] + 1e-15:
+                best = (chi, w)
+    return best
+
+
+def _reference_restricted(inst, values):
+    order, p = sorted_view(values), inst.p
+    best_w, best = 0.0, {}
+    for raw in _reference_matchings(inst.n, inst.m, inst.k, range(inst.n)):
+        headroom, w = 1.0, 0.0
+        for i in order:
+            j = raw.get(i)
+            if j is None:
+                continue
+            grant = min(p[i, j], headroom)
+            w += values[i] * grant
+            headroom -= grant
+        if w > best_w + 1e-15:
+            best_w, best = float(w), dict(raw)
+    return best
+
+
+def _items(alloc):
+    return list(alloc.assignment.items())
+
+
+def test_table_order_equals_the_recursive_generator():
+    rng = np.random.default_rng(401)
+    for n in range(1, MAX_CELLS + 1):
+        for m in range(1, MAX_CELLS // n + 1):
+            subset = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
+            for k in range(1, m + 1):
+                for active in (tuple(range(n)), subset):
+                    expected = [
+                        tuple(raw.get(i, -1) for i in range(n))
+                        for raw in _reference_matchings(n, m, k, active)
+                    ]
+                    assert list(_matching_table(n, m, k, active)) == expected
+
+
+def test_oracles_equal_the_reference_loops():
+    """Two thirds of the cases are tie-heavy; draws above the guard check
+    that it still raises.  The streamed order is compared up to 16 cells and
+    every rendering order up to 9, which keeps the test to a few seconds."""
+    rng = np.random.default_rng(409)
+    compared = tie_heavy = 0
+    for case in range(1200):
+        if case % 3:
+            inst, values = tie_heavy_cascade_case(rng)
+        else:
+            inst = rand_cascade_instance(rng)
+            values = rand_bids(rng, inst.n, top=5.0)
+        if inst.n * inst.m > MAX_CELLS:
+            with pytest.raises(SizeGuardError):
+                brute_force_wdp_cascade(inst, values)
+            continue
+        compared += 1
+        tie_heavy += bool(case % 3)
+
+        positive = {i for i in range(inst.n) if values[i] > 0.0}
+        for active in (None, positive):
+            candidates = range(inst.n) if active is None else sorted(active)
+            best, best_w = _reference_cascade(inst, values, candidates)
+            chi, w = brute_force_wdp_cascade(inst, values, active=active)
+            assert _items(chi.allocation) == list(best.items()), case
+            assert w == best_w, case
+            if inst.n * inst.m <= 16:
+                streamed = [_items(a)
+                            for a in enumerate_matchings(inst, active)]
+                assert streamed == [
+                    list(raw.items()) for raw in _reference_matchings(
+                        inst.n, inst.m, inst.k, candidates)
+                ], case
+
+        alloc, w = brute_force_restricted(inst, values)
+        assert _items(alloc) == list(
+            _reference_restricted(inst, values).items()), case
+
+        if inst.n * inst.m <= 9:
+            chi, w = brute_force_wdp_cascade(inst, values, paranoid=True)
+            ref_chi, ref_w = _reference_paranoid(inst, values)
+            assert _items(chi.allocation) == _items(ref_chi.allocation), case
+            assert chi.permutation == ref_chi.permutation, case
+            assert w == ref_w, case
+
+        mnl = Instance(inst.n, inst.m, inst.k,
+                       np.clip(inst.p, 0.01, 0.6), MNL)
+        result = brute_force_wdp_mnl(mnl, values)
+        best, best_obj = _reference_mnl(mnl, values)
+        assert _items(result.allocation) == list(best.items()), case
+        assert result.objective == best_obj, case
+    assert compared >= 1000 and 2 * tie_heavy >= compared
