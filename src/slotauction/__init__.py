@@ -52,7 +52,6 @@ from .mechanisms import (
     monotonicity_audit,
     myerson,
     vcg,
-    virtual_value,
 )
 from .mnl_wdp import WdpResult, dinkelbach_check, solve_mnl_lp, solve_mnl_wdp
 from .oracle import (

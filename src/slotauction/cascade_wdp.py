@@ -49,6 +49,8 @@ from .core import (
     Permutation,
     SizeGuardError,
     ValidationError,
+    bid_vector,
+    check_feasible,
     require_valid,
     welfare,
 )
@@ -56,15 +58,6 @@ from .core import (
 # Cumulative float dust from the truncation recurrence; see zero_suppress.
 ZERO_CTR_TOL = 1e-12
 MAX_EXACT_EDGES = 24
-
-
-def _bid_vector(inst: Instance, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (inst.n,):
-        raise ValidationError(
-            f"expected {inst.n} values, got shape {values.shape}"
-        )
-    return values
 
 
 def sorted_view(values) -> list[int]:
@@ -91,10 +84,9 @@ def restricted_ctr(inst: Instance, alloc: Allocation, values) -> CtrVector:
     minus everything granted so far.  At most one advertiser can end up
     strictly truncated yet positive; the guessing step of the PTAS depends
     on it, so a second one raises RuntimeError (a bug, not bad input)."""
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError("restricted rates are a cascade-model notion")
-    values = _bid_vector(inst, values)
+    require_valid(inst, CASCADE)
+    values = bid_vector(inst, values)
+    check_feasible(inst, alloc)
     pi = np.zeros(inst.n)
     headroom = 1.0
     discounted = 0
@@ -116,9 +108,8 @@ def restricted_ctr(inst: Instance, alloc: Allocation, values) -> CtrVector:
 def budgeted_ctr(inst: Instance, alloc: Allocation) -> CtrVector:
     """Raw matched standalone rates (no truncation, no cascading).  The sum
     may exceed 1; pairing with values gives the base welfare."""
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError("base rates are a cascade-model notion")
+    require_valid(inst, CASCADE)
+    check_feasible(inst, alloc)
     pi = np.zeros(inst.n)
     for i, j in alloc.assignment.items():
         pi[i] = inst.p[i, j]
@@ -151,8 +142,11 @@ def exact_budgeted_matching(
     approximation scheme behind the same interface.
     """
     require_valid(inst)
-    values = _bid_vector(inst, values)
+    values = bid_vector(inst, values)
     scaled_p = np.asarray(scaled_p, dtype=float)
+    if scaled_p.shape != inst.p.shape:
+        raise ValidationError(
+            f"scaled rates of shape {scaled_p.shape}, expected {inst.p.shape}")
     cap = inst.k if cap is None else min(cap, inst.k)
 
     edges = [
@@ -217,12 +211,10 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
     matching for the guess, and keeps whichever candidate scores best under
     the true (unscaled) restricted welfare.
     """
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError("the restricted-welfare search is cascade-only")
+    require_valid(inst, CASCADE)
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    values = _bid_vector(inst, values)
+    values = bid_vector(inst, values)
 
     grid = [g * eps / 2.0 for g in range(1, int(2.0 / eps + 1e-12) + 1)]
     if not grid or grid[-1] < 1.0 - 1e-12:
@@ -278,12 +270,10 @@ def bucket_levels(inst: Instance) -> np.ndarray:
     or below lands every boundary exactly.  Instances are frozen, so the
     read-only matrix is computed once per instance.
     """
+    require_valid(inst, CASCADE)
     levels = getattr(inst, "_bucket_levels", None)
     if levels is not None:
         return levels
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError("bucketization is a cascade-model notion")
     thresholds = np.ldexp(1.0, -np.arange(1, bucket_count(inst.m)))
     levels = 1 + (inst.p[:, :, None] <= thresholds).sum(axis=2)
     levels[inst.p <= 0.0] = 0
@@ -373,7 +363,8 @@ def greedy_picks(
     """Run the per-bucket greedy over a level matrix (``bucket_levels``,
     possibly with rows zeroed to leave advertisers out): each populated
     level's matched pairs in the order taken, levels ascending."""
-    values = _bid_vector(inst, values)
+    require_valid(inst, CASCADE)
+    values = bid_vector(inst, values)
     ii, jj = np.nonzero(levels)
     return _greedy_scan(
         ii, jj, inst.p[ii, jj], levels[ii, jj], values, _bucket_caps(inst)
@@ -432,9 +423,9 @@ class OwnBidCurves:
     """
 
     def __init__(self, inst: Instance, bids) -> None:
-        self.inst = inst
-        self.bids = _bid_vector(inst, bids)
         self._levels = bucket_levels(inst)
+        self.inst = inst
+        self.bids = bid_vector(inst, bids)
         self._caps = _bucket_caps(inst)
         ii, jj = np.nonzero(
             np.where((self.bids > 0.0)[:, None], self._levels, 0))

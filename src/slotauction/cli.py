@@ -64,6 +64,8 @@ EXIT_SOLVER = 2
 EXIT_AUDIT = 3
 EXIT_INTERNAL = 4
 
+MECHANISMS = ("vcg", "myerson")
+
 # The library's own error classes; anything else escaping a command is a bug.
 LIBRARY_ERRORS = (
     ValidationError,
@@ -261,18 +263,14 @@ def _run_mechanism(
               else mechanisms.brute_cascade_solver())
     if name == "vcg":
         return mechanisms.vcg(inst, values, solver)
-    if name == "myerson":
-        if dists is None:
-            raise UsageError("myerson requires --dist")
-        return mechanisms.myerson(inst, values, dists, solver, grid_size=grid)
-    raise UsageError(f"unknown mechanism {name!r}")
+    return mechanisms.myerson(inst, values, dists, solver, grid_size=grid)
 
 
 def cmd_mechanism(cfg: dict) -> int:
     inst = _load_instance(cfg)
     values = _load_values(cfg, inst.n)
     name = cfg["mechanism"]
-    if name not in ("vcg", "myerson"):
+    if name not in MECHANISMS:
         raise UsageError("mechanism command needs --mechanism vcg|myerson")
     dists = _load_dists(cfg, inst.n) if name == "myerson" else None
     outcome = _run_mechanism(name, inst, values, dists, cfg["grid"])
@@ -292,8 +290,8 @@ def cmd_simulate(cfg: dict) -> int:
     inst = _load_instance(cfg)
     dists = _load_dists(cfg, inst.n)
     which = cfg["mechanism"]
-    names = ["vcg", "myerson"] if which == "both" else [which]
-    if any(n not in ("vcg", "myerson") for n in names):
+    names = list(MECHANISMS) if which == "both" else [which]
+    if any(n not in MECHANISMS for n in names):
         raise UsageError(f"unknown mechanism {which!r}")
 
     rows = []

@@ -164,19 +164,33 @@ def validate_instance(inst: Instance) -> str | None:
     return None
 
 
-def require_valid(inst: Instance) -> None:
+def require_valid(inst: Instance, model: str | None = None) -> None:
+    """Raise ``ValidationError`` unless every instance invariant holds and,
+    when ``model`` is given, the instance uses that behavior model."""
     # Instances are frozen and p is read-only, so one successful check
     # holds for the instance's lifetime; hot paths re-enter constantly.
-    if getattr(inst, "_validated", False):
-        return
-    msg = validate_instance(inst)
-    if msg is not None:
-        raise ValidationError(msg)
-    object.__setattr__(inst, "_validated", True)
+    if not getattr(inst, "_validated", False):
+        msg = validate_instance(inst)
+        if msg is not None:
+            raise ValidationError(msg)
+        object.__setattr__(inst, "_validated", True)
+    if model is not None and inst.model != model:
+        raise ValidationError(
+            f"expected a {model!r} instance, got {inst.model!r}")
+
+
+def bid_vector(inst: Instance, values) -> np.ndarray:
+    """``values`` as a float array of one entry per advertiser."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (inst.n,):
+        raise ValidationError(
+            f"expected {inst.n} values, got shape {values.shape}")
+    return values
 
 
 def check_feasible(inst: Instance, alloc: Allocation) -> None:
     """Raise unless ``alloc`` is a feasible matching for ``inst``."""
+    require_valid(inst)
     if alloc.size > inst.k:
         raise InfeasibleAllocationError(
             f"{alloc.size} matched pairs exceed K={inst.k}"
@@ -193,9 +207,7 @@ def mnl_ctr(inst: Instance, alloc: Allocation) -> CtrVector:
     with rho the log-odds of the standalone CTR.  A lone matched ad recovers
     its standalone rate exactly; unmatched advertisers get 0.
     """
-    require_valid(inst)
-    if inst.model != MNL:
-        raise ValidationError(f"mnl_ctr needs an {MNL!r} instance")
+    require_valid(inst, MNL)
     check_feasible(inst, alloc)
     weights = {}
     for i, j in alloc.assignment.items():
@@ -212,9 +224,7 @@ def cascade_ctr(inst: Instance, chi: AugmentedAllocation) -> CtrVector:
     """Click-through rates when the user scans slots in rendering order and
     leaves at the first click: each matched ad keeps its standalone rate
     times the product of (1 - p) over everything rendered before it."""
-    require_valid(inst)
-    if inst.model != CASCADE:
-        raise ValidationError(f"cascade_ctr needs a {CASCADE!r} instance")
+    require_valid(inst, CASCADE)
     check_feasible(inst, chi.allocation)
     by_position = {j: i for i, j in chi.allocation.assignment.items()}
     return cascade_rates(
@@ -265,6 +275,7 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    require_valid(inst)
     return {
         "n": inst.n,
         "m": inst.m,

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, Instance, MNL, ValidationError
+from .core import (
+    Allocation, Instance, MNL, ValidationError, bid_vector, require_valid,
+)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,11 +95,8 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
     the cardinality row sum y <= K z, and the normalization
     sum y_ij exp(rho_ij) + z = 1.  Objective: sum b_i y_ij exp(rho_ij).
     """
-    if inst.model != MNL:
-        raise ValidationError("transformation applies to MNL instances only")
-    bids = np.asarray(bids, dtype=float)
-    if bids.shape != (inst.n,):
-        raise ValidationError(f"expected {inst.n} bids, got {bids.shape}")
+    require_valid(inst, MNL)
+    bids = bid_vector(inst, bids)
     if np.any(bids < 0.0):
         raise ValidationError("bids must be non-negative")
     if not np.any(bids > 0.0):

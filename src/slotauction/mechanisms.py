@@ -27,6 +27,7 @@ real ``solve``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,12 +35,15 @@ import numpy as np
 
 from .core import (
     AugmentedAllocation,
+    CASCADE,
     CtrVector,
     Instance,
     Permutation,
     ValidationError,
+    bid_vector,
     cascade_ctr,
     cascade_rates,
+    require_valid,
 )
 from .cascade_wdp import (
     OwnBidCurves,
@@ -72,10 +76,8 @@ def _clip_dust(payment: float, tol: float = 1e-9) -> float:
     return 0.0 if -tol < payment < 0.0 else payment
 
 
-def _finite_values(values, n: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
-        raise ValidationError(f"expected {n} values, got shape {values.shape}")
+def _finite_values(inst: Instance, values) -> np.ndarray:
+    values = bid_vector(inst, values)
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"values must be finite, got {values.tolist()}")
     return values
@@ -130,7 +132,8 @@ def exact_mnl_solver() -> SolverHandle:
 
 def brute_cascade_solver() -> SolverHandle:
     def solve(inst: Instance, bids: np.ndarray):
-        bids = np.asarray(bids, dtype=float)
+        require_valid(inst, CASCADE)
+        bids = bid_vector(inst, bids)
         active = {i for i in range(inst.n) if bids[i] > 0.0}
         chi, _w = brute_force_wdp_cascade(inst, bids, active=active)
         return chi, cascade_ctr(inst, chi)
@@ -149,9 +152,10 @@ def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
     at each bid, so ``rng`` ends in the same state either way."""
 
     def solve(inst: Instance, bids: np.ndarray):
-        bids = np.asarray(bids, dtype=float)
+        levels = bucket_levels(inst)
+        bids = bid_vector(inst, bids)
         active = bids > 0.0
-        levels = np.where(active[:, None], bucket_levels(inst), 0)
+        levels = np.where(active[:, None], levels, 0)
         picks = list(
             greedy_picks(inst, levels, np.where(active, bids, 0.0)).values()
         )
@@ -190,7 +194,8 @@ def threshold_dropping_solver(
     audit must catch it; never use for payments."""
 
     def solve(inst: Instance, bids: np.ndarray):
-        bids = np.asarray(bids, dtype=float).copy()
+        require_valid(inst)
+        bids = bid_vector(inst, bids).copy()
         top = int(np.argmax(bids))
         if bids[top] > threshold:
             bids[top] = 0.0
@@ -206,11 +211,12 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
         - (others' welfare at the chosen allocation),
     which is non-negative and never exceeds v_i * pi_i.
     """
+    require_valid(inst)
     if not solver.is_exact:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    values = _finite_values(values, inst.n)
+    values = _finite_values(inst, values)
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     chi, pi = solver.solve(inst, values)
@@ -229,11 +235,6 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
     return MechanismOutcome(
         augmented=chi, payments=payments, ctrs=pi, utilities=utilities
     )
-
-
-def virtual_value(dist: ValueDistribution, v: float) -> float:
-    """phi(v) = v - (1 - F(v)) / f(v); errors on zero density."""
-    return dist.virtual_value(v)
 
 
 def _virtual_or_excluded(dist: ValueDistribution, v: float) -> float:
@@ -262,12 +263,16 @@ def myerson(
     mechanism is individually rational exactly and incentive compatible up
     to roughly v_max / grid_size.
     """
-    values = _finite_values(values, inst.n)
+    require_valid(inst)
+    values = _finite_values(inst, values)
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
-    if grid_size < 1:
-        raise ValidationError("grid_size must be positive")
+    if not (isinstance(grid_size, numbers.Real) and grid_size >= 1
+            and float(grid_size).is_integer()):
+        raise ValidationError(
+            f"grid_size must be a positive integer, got {grid_size!r}")
+    grid_size = int(grid_size)
     for dist in dists:
         if not is_regular(dist):
             raise IrregularDistributionError(
@@ -347,6 +352,9 @@ def monotonicity_audit(
     last bid that reached it.  Exact solvers pass by optimality;
     approximate solvers must earn it.
     """
+    require_valid(inst)
+    if not 0 <= i < inst.n:
+        raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
     ctr_at = _own_bid_ctr(solver, inst, bids_template, i)
     top_bid, top_pi = None, -np.inf
     for b in sorted(float(g) for g in grid):
@@ -365,7 +373,7 @@ def _own_bid_ctr(
     bidding ``bids_template``: read from the handle's curve when it has
     one, else probed with one ``solve`` per bid."""
     # A copy: the probe writes bid i into it, and a curve may keep it.
-    bids = np.array(bids_template, dtype=float)
+    bids = bid_vector(inst, bids_template).copy()
     if solver.curve is not None:
         return solver.curve(inst, bids, i)
 

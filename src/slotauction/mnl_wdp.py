@@ -33,8 +33,9 @@ from .core import (
     Instance,
     MNL,
     SizeGuardError,
-    ValidationError,
+    bid_vector,
     mnl_ctr,
+    require_valid,
 )
 from .linfrac import (
     MAX_LP_CELLS,
@@ -59,19 +60,6 @@ class WdpResult:
     ctrs: CtrVector
 
 
-def _positive_bidders(bids: np.ndarray) -> list[int]:
-    return [i for i in range(bids.shape[0]) if bids[i] > 0.0]
-
-
-def _checked_bids(inst: Instance, bids, caller: str) -> np.ndarray:
-    if inst.model != MNL:
-        raise ValidationError(f"{caller} needs an MNL instance")
-    bids = np.asarray(bids, dtype=float)
-    if bids.shape != (inst.n,):
-        raise ValidationError(f"expected {inst.n} bids, got {bids.shape}")
-    return bids
-
-
 def _result(inst: Instance, bids: np.ndarray, alloc: Allocation) -> WdpResult:
     pi = mnl_ctr(inst, alloc)
     return WdpResult(allocation=alloc, objective=float(bids @ pi), ctrs=pi)
@@ -94,7 +82,8 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
     leaves the ratio unchanged either way and is left out: at the last step
     its weights are zero, and a zero weight is no edge.
     """
-    bids = _checked_bids(inst, bids, "solve_mnl_wdp")
+    require_valid(inst, MNL)
+    bids = bid_vector(inst, bids)
     keep = np.flatnonzero(bids > 0.0)
     if keep.size == 0:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
@@ -220,8 +209,9 @@ def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
     optimal vertex Bland's rule reaches, which may differ from
     ``solve_mnl_wdp``'s matching.
     """
-    bids = _checked_bids(inst, bids, "solve_mnl_lp")
-    keep = _positive_bidders(bids)
+    require_valid(inst, MNL)
+    bids = bid_vector(inst, bids)
+    keep = np.flatnonzero(bids > 0.0).tolist()
     if not keep:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
     cells = len(keep) * inst.m
@@ -252,10 +242,9 @@ def dinkelbach_check(inst: Instance, bids) -> WdpResult:
     sum b_i x e^rho / (1 + sum x e^rho).  The guess increases strictly until
     it fixes at the optimum, which happens after finitely many steps.
     """
-    if inst.model != MNL:
-        raise ValidationError("dinkelbach_check needs an MNL instance")
-    bids = np.asarray(bids, dtype=float)
-    keep = _positive_bidders(bids)
+    require_valid(inst, MNL)
+    bids = bid_vector(inst, bids)
+    keep = np.flatnonzero(bids > 0.0).tolist()
     if not keep:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
     expo = np.exp(inst.log_odds())

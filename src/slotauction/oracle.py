@@ -21,12 +21,10 @@ import numpy as np
 
 from .core import (
     Allocation, AugmentedAllocation, CASCADE, Instance, MNL, Permutation,
-    SizeGuardError, ValidationError, cascade_ctr, mnl_ctr, require_valid,
-    welfare,
+    SizeGuardError, ValidationError, bid_vector, cascade_ctr, mnl_ctr,
+    require_valid, welfare,
 )
-from .cascade_wdp import (
-    _bid_vector, optimal_permutation, restricted_ctr, sorted_view,
-)
+from .cascade_wdp import optimal_permutation, restricted_ctr, sorted_view
 from .mnl_wdp import WdpResult
 
 # Acceptance packs draw n, m up to 6, so the guard admits 36 edges.
@@ -64,16 +62,14 @@ def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]):
 def _matchings(inst: Instance, model, values, active):
     """The entry check every oracle makes; returns the matching table and
     the values as an array (None when no values are given)."""
-    require_valid(inst)
+    require_valid(inst, model)
     if inst.n * inst.m > MAX_CELLS:
         raise SizeGuardError(
             f"{inst.n}x{inst.m} exceeds the exhaustive-search guard"
             f" ({MAX_CELLS} cells)"
         )
-    if model is not None and inst.model != model:
-        raise ValidationError(f"expected a {model!r} instance")
     if values is not None:
-        values = _bid_vector(inst, values)
+        values = bid_vector(inst, values)
     key = range(inst.n) if active is None else sorted({*active})
     return _matching_table(inst.n, inst.m, inst.k, tuple(key)), values
 

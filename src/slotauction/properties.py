@@ -28,8 +28,10 @@ from .core import (
     CASCADE,
     Instance,
     MNL,
+    bid_vector,
     cascade_ctr,
     instance_to_dict,
+    require_valid,
     welfare,
 )
 from .mechanisms import SolverHandle, monotonicity_audit
@@ -63,6 +65,8 @@ def _violation(name: str, inst: Instance, values, **detail) -> str:
 def cascade_welfare(inst: Instance, alloc: Allocation, values) -> float:
     """Cascade welfare of ``alloc`` rendered in decreasing value order, the
     best rendering order for a fixed matching."""
+    require_valid(inst, CASCADE)
+    values = bid_vector(inst, values)
     chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
     return welfare(values, cascade_ctr(inst, chi))
 
@@ -115,6 +119,8 @@ def greedy_bucket_constants(
     of at least 1/2 of the best base welfare of any matching of at most
     ``bucket.cap`` of the bucket's edges, found by enumeration, and cascade
     welfare of at least 1/14 of its own base welfare."""
+    require_valid(inst, CASCADE)
+    values = bid_vector(inst, values)
     chi = greedy_bucket(bucket, values)
     cascade = welfare(values, cascade_ctr(inst, chi))
     base = welfare(values, budgeted_ctr(inst, chi.allocation))

@@ -93,15 +93,19 @@ def test_c01_lp_integrality_and_exactness():
 
 @criterion(2, "exact-solver click-through monotone in own bid")
 def test_c02_exact_solver_monotonicity():
-    rng = np.random.default_rng(1002)
     solver = exact_mnl_solver()
-    for _ in range(100):
-        inst = rand_mnl_instance(rng, nmax=6, mmax=6)
-        bids = rand_bids(rng, inst.n, top=10.0)
-        for i in range(inst.n):
-            violation = monotonicity(
-                solver, inst, bids, i, np.linspace(0.1, 10.0, 16))
-            assert violation is None, violation
+    # (seed, instances, largest n and m, own-bid grid)
+    sweeps = [(1002, 100, 6, np.linspace(0.1, 10.0, 16)),
+              (17, 15, 4, np.linspace(0.25, 10.0, 8)),
+              (127, 1, 4, np.linspace(0.25, 10.0, 10))]
+    for seed, count, size, grid in sweeps:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            inst = rand_mnl_instance(rng, nmax=size, mmax=size)
+            bids = rand_bids(rng, inst.n, top=10.0)
+            for i in range(inst.n):
+                violation = monotonicity(solver, inst, bids, i, grid)
+                assert violation is None, violation
 
 
 @criterion(3, "value-sorted rendering order is never beaten")

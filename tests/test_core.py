@@ -18,6 +18,21 @@ from slotauction.core import (
     validate_instance,
     welfare,
 )
+from slotauction import mnl_wdp
+from slotauction.cascade_wdp import (
+    budgeted_ctr,
+    exact_budgeted_matching,
+    greedy_picks,
+    restricted_ctr,
+)
+from slotauction.mechanisms import (
+    brute_cascade_solver,
+    exact_mnl_solver,
+    monotonicity_audit,
+    vcg,
+)
+from slotauction.mnl_wdp import dinkelbach_check, solve_mnl_lp, solve_mnl_wdp
+from slotauction.oracle import brute_force_wdp_cascade
 from conftest import rand_cascade_instance, rand_mnl_instance, rand_allocation
 
 
@@ -190,3 +205,60 @@ def test_instance_matrix_is_read_only():
     inst = Instance(n=1, m=1, k=1, p=[[0.5]], model=MNL)
     with pytest.raises(ValueError):
         inst.p[0, 0] = 0.9
+
+
+# -------------------------------------------------------------- entry check
+
+_CERTAIN_MNL = Instance(2, 2, 2, [[1.0, 0.5], [0.5, 0.5]], MNL)
+_MNL3 = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
+_CASCADE3 = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
+_CAPPED = Instance(2, 2, 1, np.full((2, 2), 0.5), CASCADE)
+_CASES = {
+    "solve_mnl_wdp-certain-click":
+        (ValidationError, lambda: solve_mnl_wdp(_CERTAIN_MNL, [1.0, 1.0])),
+    "solve_mnl_lp-certain-click":
+        (ValidationError, lambda: solve_mnl_lp(_CERTAIN_MNL, [1.0, 1.0])),
+    "dinkelbach_check-certain-click":
+        (ValidationError, lambda: dinkelbach_check(_CERTAIN_MNL, [1.0, 1.0])),
+    "vcg-certain-click": (ValidationError, lambda: vcg(
+        _CERTAIN_MNL, [1.0, 1.0], exact_mnl_solver())),
+    "dinkelbach_check-2-bids":
+        (ValidationError, lambda: dinkelbach_check(_MNL3, [1.0] * 2)),
+    "dinkelbach_check-4-bids":
+        (ValidationError, lambda: dinkelbach_check(_MNL3, [1.0] * 4)),
+    "restricted_ctr-out-of-range": (InfeasibleAllocationError, lambda:
+        restricted_ctr(_CAPPED, Allocation({0: 5}), [1.0, 1.0])),
+    "restricted_ctr-over-cap": (InfeasibleAllocationError, lambda:
+        restricted_ctr(_CAPPED, Allocation({0: 0, 1: 1}), [1.0, 1.0])),
+    "budgeted_ctr-out-of-range": (InfeasibleAllocationError, lambda:
+        budgeted_ctr(_CAPPED, Allocation({0: 5}))),
+    "budgeted_ctr-over-cap": (InfeasibleAllocationError, lambda:
+        budgeted_ctr(_CAPPED, Allocation({0: 0, 1: 1}))),
+    "brute_cascade_solver-short-bids": (ValidationError, lambda:
+        brute_cascade_solver().solve(_CASCADE3, np.ones(2))),
+    "exact_budgeted_matching-scaled-shape": (ValidationError, lambda:
+        exact_budgeted_matching(_CAPPED, [1.0, 1.0], np.ones((2, 1)))),
+    "monotonicity_audit-advertiser-n": (ValidationError, lambda:
+        monotonicity_audit(exact_mnl_solver(), _MNL3, np.ones(3), 3, [1.0])),
+    "greedy_picks-mnl": (ValidationError, lambda:
+        greedy_picks(_MNL3, np.ones((3, 2), dtype=int), np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_entry_points_check_their_input_before_any_work(case, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the entry check")
+
+    for kernel in ("capped_matching", "build_charnes_cooper",
+                   "max_weight_matching"):
+        monkeypatch.setattr(mnl_wdp, kernel, no_work)
+    error, call = _CASES[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_model_mismatch_is_reported_ahead_of_the_size_guard():
+    big = Instance(7, 7, 7, np.full((7, 7), 0.5), MNL)
+    with pytest.raises(ValidationError):
+        brute_force_wdp_cascade(big, np.ones(7))

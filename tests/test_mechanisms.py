@@ -16,7 +16,6 @@ from slotauction.mechanisms import (
     myerson,
     threshold_dropping_solver,
     vcg,
-    virtual_value,
 )
 from conftest import (
     rand_bids,
@@ -108,12 +107,6 @@ def test_vcg_truthful_on_random_instances():
 # ------------------------------------------------------------ virtual values
 
 
-def test_virtual_value_closed_forms():
-    assert virtual_value(Uniform(0.0, 1.0), 0.75) == pytest.approx(0.5)
-    assert virtual_value(Uniform(0.0, 1.0), 0.5) == pytest.approx(0.0)
-    assert virtual_value(Exponential(1.0), 2.0) == pytest.approx(1.0)
-
-
 # -------------------------------------------------------------------- grids
 
 
@@ -166,6 +159,18 @@ def test_myerson_two_bidders_price_at_second_or_reserve():
     out = myerson(inst, [0.9, 0.3], dists, brute_cascade_solver(), 2048)
     assert abs(out.payments[0] - 0.5) <= 0.9 / 2048
     assert out.payments[1] == 0.0
+
+
+def test_myerson_grid_size_must_be_integral():
+    inst, values = textbook_slot(2), [0.9, 0.7]
+    dists = [Uniform(0.0, 1.0)] * 2
+    want = myerson(inst, values, dists, brute_cascade_solver(), 8).payments
+    for grid in (np.int64(8), 8.0):
+        got = myerson(inst, values, dists, brute_cascade_solver(), grid)
+        assert np.array_equal(got.payments, want)
+    for grid in (2.5, 1.5, 0.0, float("nan"), float("inf"), "8"):
+        with pytest.raises(ValidationError):
+            myerson(inst, values, dists, brute_cascade_solver(), grid)
 
 
 def test_myerson_is_individually_rational():
