@@ -66,12 +66,30 @@ def sorted_view(values) -> list[int]:
     return sorted(range(values.shape[0]), key=lambda i: (-values[i], i))
 
 
+def _values_cover(advertisers, values) -> np.ndarray:
+    """``values`` as a float array, checked to have an entry for every one
+    of ``advertisers``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError(
+            f"values of shape {values.shape}, expected a vector")
+    for i in advertisers:
+        if not 0 <= i < values.shape[0]:
+            raise ValidationError(
+                f"advertiser {i} has no value among {values.shape[0]}")
+    return values
+
+
 def optimal_permutation(alloc: Allocation, values) -> Permutation:
     """Rank matched positions by their matched advertiser's value, highest
     first (ties by advertiser index).  For a fixed matching this rendering
     order maximizes cascade welfare: swapping any adjacent out-of-order pair
-    changes welfare by a positive multiple of the value difference."""
-    values = np.asarray(values, dtype=float)
+    changes welfare by a positive multiple of the value difference.
+
+    A matched advertiser outside ``0..len(values) - 1`` raises
+    ``ValidationError``; surplus values cannot be detected without an
+    instance."""
+    values = _values_cover(alloc.assignment, values)
     matched = sorted(
         alloc.assignment.items(), key=lambda ij: (-values[ij[0]], ij[0])
     )
@@ -209,7 +227,8 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
     guesses that advertiser k and a discount level alpha on a grid of
     eps/2 steps, scales row k's rates by alpha, solves the budget-capped
     matching for the guess, and keeps whichever candidate scores best under
-    the true (unscaled) restricted welfare.
+    the true (unscaled) restricted welfare.  Alpha = 1 scales no row, so that
+    guess is solved once, for k = 0.
     """
     require_valid(inst, CASCADE)
     if not 0.0 < eps < 1.0:
@@ -224,6 +243,8 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
     best_welfare = 0.0
     for k in range(inst.n):
         for alpha in grid:
+            if alpha == 1.0 and k > 0:
+                continue  # unscaled: the same candidate as k = 0 gave
             scaled = np.array(inst.p)
             scaled[k] *= alpha
             cand = exact_budgeted_matching(
@@ -514,13 +535,18 @@ def _first_take(scan: _OthersScan, own, i: int, b: float) -> float:
 def greedy_bucket(bucket: Bucket, values) -> AugmentedAllocation:
     """Greedy maximal matching inside one bucket, heaviest edges first (the
     scan of ``greedy_picks``).  Matched positions are rendered in the order
-    edges were taken."""
+    edges were taken.
+
+    An edge advertiser outside ``0..len(values) - 1`` raises
+    ``ValidationError``; surplus values cannot be detected without an
+    instance."""
+    values = _values_cover((i for i, _j, _p in bucket.edges), values)
     if not bucket.edges:
         return AugmentedAllocation.from_pairs([])
     ii, jj, pp = (np.array(column) for column in zip(*bucket.edges))
     picks = _greedy_scan(
         ii, jj, pp, np.full(len(ii), bucket.index),
-        np.asarray(values, dtype=float), {bucket.index: bucket.cap},
+        values, {bucket.index: bucket.cap},
     )
     return AugmentedAllocation.from_pairs(picks[bucket.index])
 

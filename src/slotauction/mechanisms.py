@@ -17,12 +17,12 @@ Exact solvers are monotone automatically; approximate ones are admitted
 only after a monotonicity audit.
 
 Both the audit and the envelope sum need one advertiser's CTR at many own
-bids.  A handle whose ``curve`` is set (only ``greedy_cascade_solver``'s)
-answers those from an exact own-bid curve built once per bid template;
-every other handle (exact MNL, brute cascade, the planted-bug fixture) is
-probed with one ``solve`` per bid.  Both paths give the same CTRs and
-consume the same random draws; the outcome itself always comes from one
-real ``solve``.
+bids.  A handle whose ``curve`` is set (``greedy_cascade_solver``'s and
+``brute_cascade_solver``'s) answers those from an exact own-bid curve built
+once per bid template; every other handle (exact MNL, the planted-bug
+fixture) is probed with one ``solve`` per bid.  Both paths give the same
+CTRs, and for a randomized handle (the greedy) the same random draws; the
+outcome itself always comes from one real ``solve``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .cascade_wdp import (
 )
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp
-from .oracle import brute_force_wdp_cascade
+from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -97,9 +97,11 @@ class SolverHandle:
     per-bucket outcomes (the sampled allocation is representative only).
 
     ``curve(inst, bids, i)``, when set, returns advertiser i's CTR as a
-    function of its own bid, the others fixed at ``bids``: equal to what
-    ``solve`` reports, and consuming the same random draws.  The audit and
-    the envelope pricing read it in place of one ``solve`` per bid.
+    function of its own bid, the others fixed at ``bids``: bit-equal to what
+    ``solve`` reports and, for a randomized handle, consuming the same random
+    draws.  The audit and the envelope pricing read it in place of one
+    ``solve`` per bid.  The greedy and brute cascade handles set it; the
+    exact MNL handle and ``threshold_dropping_solver`` do not.
     """
 
     solve: SolveFn
@@ -130,7 +132,28 @@ def exact_mnl_solver() -> SolverHandle:
     return SolverHandle(solve=solve, kind=EXACT_MNL)
 
 
+def _per_template(build):
+    """``build(inst, bids)``, kept until a call brings another instance or
+    other bids: one bid template serves every advertiser's curve.  It is
+    built from a copy, so a caller who edits its bids in place gets a new
+    one."""
+    cached: list = []
+
+    def get(inst: Instance, bids: np.ndarray):
+        if not (cached and cached[0].inst is inst
+                and np.array_equal(cached[0].bids, bids)):
+            cached[:] = [build(inst, np.array(bids, dtype=float))]
+        return cached[0]
+
+    return get
+
+
 def brute_cascade_solver() -> SolverHandle:
+    """Exhaustive cascade search over the advertisers bidding above 0.
+
+    Its ``curve`` reads :class:`~slotauction.oracle.BruteOwnBidCurves`,
+    built once per bid template."""
+
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
         bids = bid_vector(inst, bids)
@@ -138,7 +161,12 @@ def brute_cascade_solver() -> SolverHandle:
         chi, _w = brute_force_wdp_cascade(inst, bids, active=active)
         return chi, cascade_ctr(inst, chi)
 
-    return SolverHandle(solve=solve, kind=BRUTE_CASCADE)
+    template = _per_template(BruteOwnBidCurves)
+
+    def curve(inst: Instance, bids: np.ndarray, i: int):
+        return template(inst, bids).of(i)
+
+    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curve=curve)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
@@ -167,13 +195,10 @@ def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
         pick = picks[int(rng.integers(len(picks)))]
         return AugmentedAllocation.from_pairs(pick), mixture
 
-    template: list[OwnBidCurves] = []
+    template = _per_template(OwnBidCurves)
 
     def curve(inst: Instance, bids: np.ndarray, i: int):
-        if not (template and template[0].inst is inst
-                and np.array_equal(template[0].bids, bids)):
-            template[:] = [OwnBidCurves(inst, bids)]
-        own_bid = template[0].of(i)
+        own_bid = template(inst, bids).of(i)
 
         def ctr(b: float) -> float:
             value, populated = own_bid(b)

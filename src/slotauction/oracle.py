@@ -9,13 +9,19 @@ fixed order: positions ascending, each one first left empty, then given to
 the free active advertisers in ascending order; the first row is the empty
 matching.  Ties follow one rule: the first row whose score beats the
 running best, starting from the empty matching's 0.0, by more than 1e-15.
+
+``BruteOwnBidCurves`` scores a table on arrays, with the cascade oracle's
+own arithmetic, to give each advertiser's CTR as an exact function of its
+own bid; the mechanisms price the brute handle from it without re-solving.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
+import math
+from bisect import bisect_left
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -159,6 +165,111 @@ def brute_force_wdp_cascade(
     alloc = _allocation(row)
     chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
     return chi, best_w
+
+
+def _turn(survive, weight, p):
+    """One advertiser's turn in ``scored()``'s recurrence above, on every
+    row at once: the term ``weight * survive`` that ``w`` adds, and the
+    survival after it.  On rows where the advertiser is unmatched, weight
+    and p are 0.0, so the term is 0.0 and the survival is unchanged."""
+    return weight * survive, survive * (1.0 - p)
+
+
+class _Segment(NamedTuple):
+    """Every row's recurrence around advertiser i for one place of i in
+    value order: the welfare and survival before i, the terms after it,
+    and i's CTR."""
+
+    prefix: np.ndarray
+    survive: np.ndarray
+    tail: list[np.ndarray]
+    ctr: list[float]
+
+
+class BruteOwnBidCurves:
+    """Every advertiser's CTR under ``brute_force_wdp_cascade`` over the
+    advertisers bidding above 0, as the mechanisms' brute handle solves it,
+    as an exact function of its own bid, all other bids fixed at ``bids``.
+
+    At own bid b <= 0 advertiser i is never matched.  At any b > 0 the
+    active set is the template's positive bidders plus i, so one matching
+    table serves every such b.  Value order puts i where (-b, i) falls among
+    the others' (-v_t, t), which leaves at most n segments.  Within one, each
+    row's welfare is a b-free prefix, then ``w += (b * p_ij) * survive``,
+    then b-free terms added in turn: the same IEEE operations in the same
+    order as the full solve, so the same first-better rule picks the same
+    row, and i's CTR there is its survival times p_ij, as in
+    ``core.cascade_rates``.  Segments are scored lazily, on every row at once.
+
+    A NaN among ``bids`` raises ``ValidationError``: with one, the solver's
+    value sort is no order, and its outcome no function of the bids.
+    """
+
+    def __init__(self, inst: Instance, bids) -> None:
+        require_valid(inst, CASCADE)
+        self.inst = inst
+        self.bids = bid_vector(inst, bids)
+        v = self.bids.tolist()
+        if any(x != x for x in v):
+            raise ValidationError(f"bids must not be NaN, got {v}")
+        self._positive = {t for t in range(inst.n) if v[t] > 0.0}
+        self._keys = sorted((-v[t], t) for t in self._positive)
+        self._columns: dict[tuple[int, ...], tuple] = {}
+        self._table(self._positive)  # the oracle's checks, before any work
+
+    def _table(self, active: set[int]):
+        """Per advertiser, over the rows of ``active``'s matching table:
+        the template's weight v_t * p and p, both 0.0 where unmatched, and
+        whether it is matched."""
+        key = tuple(sorted(active))
+        if key not in self._columns:
+            rows, values = _matchings(self.inst, CASCADE, self.bids, key)
+            pos = np.array(rows).T
+            matched = pos >= 0
+            p = np.where(
+                matched, self.inst.p[np.arange(self.inst.n)[:, None], pos], 0.0)
+            # Never v * 0.0 off the matched rows, which is nan at v = inf.
+            weight = np.multiply(values[:, None], p, out=np.zeros(p.shape),
+                                 where=matched)
+            self._columns[key] = weight, p, matched
+        return self._columns[key]
+
+    def of(self, i: int):
+        """Advertiser i's curve: own bid -> CTR."""
+        weight, p, matched = self._table(self._positive | {i})
+        keys = [key for key in self._keys if key[1] != i]
+        others = [t for _, t in keys]
+        own_p, own_matched = p[i], matched[i]
+        segments: dict[int, _Segment] = {}
+
+        def segment(c: int) -> _Segment:
+            w, survive = np.zeros(own_p.shape), np.ones(own_p.shape)
+            for t in others[:c]:
+                term, survive = _turn(survive, weight[t], p[t])
+                w = w + term
+            own = survive
+            _, survive = _turn(own, own_p, own_p)  # i's term waits for b
+            tail = []
+            for t in others[c:]:
+                term, survive = _turn(survive, weight[t], p[t])
+                tail.append(term)
+            return _Segment(w, own, tail, (own * own_p).tolist())
+
+        def ctr(b: float) -> float:
+            if not b > 0.0:
+                return 0.0
+            c = bisect_left(keys, (-b, i))
+            seg = segments.get(c) or segments.setdefault(c, segment(c))
+            weight_b = b * own_p
+            if b == math.inf:  # inf * 0.0 is nan off the matched rows
+                weight_b[~own_matched] = 0.0
+            w = seg.prefix + weight_b * seg.survive
+            for term in seg.tail:
+                w += term
+            row, _w = _first_best(zip(w.tolist(), itertools.count()))
+            return seg.ctr[row]
+
+        return ctr
 
 
 def _every_rendering(inst, values, rows):

@@ -61,6 +61,18 @@ def test_optimal_permutation_tie_breaks_by_advertiser_index():
     assert perm.rank == {7: 1, 2: 2}
 
 
+def test_permutation_and_greedy_need_a_value_per_advertiser():
+    for alloc in (Allocation({2: 0}), Allocation({-1: 0})):
+        with pytest.raises(ValidationError):
+            optimal_permutation(alloc, [1.0, 2.0])
+    for i in (2, -1):
+        bucket = Bucket(index=1, edges=((0, 0, 0.5), (i, 1, 0.5)), cap=2)
+        with pytest.raises(ValidationError):
+            greedy_bucket(bucket, [1.0, 2.0])
+    with pytest.raises(ValidationError):
+        optimal_permutation(Allocation({0: 0}), 1.0)
+
+
 def test_sorted_permutation_never_beaten_by_any_order():
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -245,6 +257,24 @@ def test_ptas_ratio_on_random_instances(eps):
         _ratio, violation = restricted_search(
             inst, values, out, eps, opt_cascade)
         assert violation is None, violation
+
+
+def test_ptas_solves_the_unscaled_guess_once(monkeypatch):
+    import slotauction.cascade_wdp as cascade_wdp
+
+    inst = Instance(n=3, m=2, k=2, p=np.full((3, 2), 0.6), model=CASCADE)
+    want = ptas_restricted_welfare(inst, [3.0, 2.0, 1.0], 0.25)
+    calls = []
+
+    def counted(inst, values, scaled_p, **kwargs):
+        calls.append(scaled_p)
+        return exact_budgeted_matching(inst, values, scaled_p, **kwargs)
+
+    monkeypatch.setattr(cascade_wdp, "exact_budgeted_matching", counted)
+    got = ptas_restricted_welfare(inst, [3.0, 2.0, 1.0], 0.25)
+    assert got == want
+    assert len(calls) == 3 * 8 - 2  # 8 alphas per advertiser, one is 1.0
+    assert sum(np.array_equal(p, inst.p) for p in calls) == 1
 
 
 def test_ptas_rejects_bad_eps():

@@ -393,12 +393,175 @@ def test_myerson_over_curve_equals_probe_path():
         assert curve_rng.bit_generator.state == probe_rng.bit_generator.state
 
 
-def test_only_the_honest_greedy_carries_a_curve():
+def _brute_curve_test_bids(values, i):
+    """Own bids for advertiser i: non-positive, a tiny positive one, every
+    other advertiser's value and its float neighbours, where i's place in
+    value order changes, and one above every value."""
+    bids = {-1.0, 0.0, 1e-300, float(np.max(values)) + 1.0}
+    for k in range(len(values)):
+        if k != i:
+            v = float(values[k])
+            bids.update((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
+    return sorted(float(b) for b in bids)
+
+
+def test_brute_curve_equals_probes():
+    rng = np.random.default_rng(149)
+    handle = brute_cascade_solver()
+    cases = 0
+    while cases < 300:
+        inst, values = tie_heavy_cascade_case(rng)
+        if inst.n * inst.m > 36:  # the oracle's size guard
+            continue
+        cases += 1
+        for i in range(inst.n):
+            ctr_at = handle.curve(inst, values, i)
+            for b in _brute_curve_test_bids(values, i):
+                bids = values.copy()
+                bids[i] = b
+                _chi, pi = handle.solve(inst, bids)
+                assert ctr_at(b) == pi[i], (cases, i, b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_brute_curve_equals_probes_at_infinite_bids():
+    rng = np.random.default_rng(163)
+    handle = brute_cascade_solver()
+    for case in range(100):
+        inst, values = tie_heavy_cascade_case(rng)
+        if inst.n * inst.m > 36:
+            continue
+        if case % 2:  # someone else bids inf
+            values[rng.integers(inst.n)] = np.inf
+        for i in range(inst.n):
+            ctr_at = handle.curve(inst, values, i)
+            for b in (1.0, np.inf):
+                bids = values.copy()
+                bids[i] = b
+                _chi, pi = handle.solve(inst, bids)
+                assert ctr_at(b) == pi[i], (case, i, b)
+
+
+def test_brute_curve_rejects_a_nan_template():
+    inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
+    handle = brute_cascade_solver()
+    with pytest.raises(ValidationError):
+        handle.curve(inst, np.array([1.0, np.nan, 2.0]), 0)
+    assert handle.curve(inst, np.array([1.0, 3.0, 2.0]), 0)(np.nan) == 0.0
+
+
+def _float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _adjacent_steps(ctr_at, bids):
+    """Pairs of adjacent floats between which the curve changes value, one
+    per change between consecutive ``bids`` (all positive), found by
+    bisection over the floats' bit patterns, which order positive floats."""
+    for a, z in zip(bids, bids[1:]):
+        below = ctr_at(a)
+        if below == ctr_at(z):
+            continue
+        lo, hi = _float_bits(a), _float_bits(z)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ctr_at(float(np.int64(mid).view(np.float64))) == below:
+                lo = mid
+            else:
+                hi = mid
+        yield tuple(float(np.int64(t).view(np.float64)) for t in (lo, hi))
+
+
+def test_brute_curve_steps_at_the_probes_last_bit():
+    """Random rates and values make every welfare sum round, so a curve
+    that rounded in another order than the solver would step one float
+    early or late somewhere; probe both floats at every step."""
+    rng = np.random.default_rng(157)
+    handle = brute_cascade_solver()
+    steps = 0
+    for _ in range(200):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
+                        p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
+        values = rng.uniform(0.0, 1.0, n)
+        for i in range(n):
+            ctr_at = handle.curve(inst, values, i)
+            grid = {*np.geomspace(1e-3, 4.0, 24).tolist(),
+                    *np.delete(values, i).tolist()}
+            for pair in _adjacent_steps(ctr_at, sorted(grid)):
+                for b in pair:
+                    bids = values.copy()
+                    bids[i] = b
+                    _chi, pi = handle.solve(inst, bids)
+                    assert ctr_at(b) == pi[i], (inst, values, i, b)
+                    steps += 1
+    assert steps > 1000
+
+
+def _brute_auction_cases(rng):
+    """cli_simulate-shaped 4x3 instances, then the textbook 2x1 slot of
+    c10 with its uniform values."""
+    for _ in range(40):
+        inst = Instance(n=4, m=3, k=2, p=rng.uniform(0.01, 1.0, (4, 3)),
+                        model=CASCADE)
+        yield inst, rng.uniform(0.0, 1.0, 4), [Uniform(0.0, 1.0)] * 4
+    for _ in range(200):
+        yield textbook_slot(), rng.uniform(0.0, 1.0, 2), [Uniform(0.0, 1.0)] * 2
+
+
+def test_myerson_over_brute_curve_equals_probe_path():
+    rng = np.random.default_rng(151)
+    handle = brute_cascade_solver()
+    probed = SolverHandle(solve=handle.solve, kind=handle.kind)
+    for inst, values, dists in _brute_auction_cases(rng):
+        fast = myerson(inst, values, dists, handle)
+        slow = myerson(inst, values, dists, probed)
+        assert (fast.augmented.allocation.assignment
+                == slow.augmented.allocation.assignment)
+        assert fast.augmented.permutation.rank == slow.augmented.permutation.rank
+        assert np.array_equal(fast.ctrs, slow.ctrs)
+        assert np.array_equal(fast.payments, slow.payments)
+
+
+def test_curves_only_on_the_greedy_and_brute_handles():
     greedy = greedy_cascade_solver(np.random.default_rng(0))
-    assert greedy.curve is not None
+    brute = brute_cascade_solver()
+    assert greedy.curve is not None and brute.curve is not None
     assert threshold_dropping_solver(greedy).curve is None
+    assert threshold_dropping_solver(brute).curve is None
     assert exact_mnl_solver().curve is None
-    assert brute_cascade_solver().curve is None
+
+
+def test_curves_follow_bids_edited_in_place():
+    inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=CASCADE)
+    for handle in (greedy_cascade_solver(np.random.default_rng(0)),
+                   brute_cascade_solver()):
+        bids = np.array([1.0, 2.0])
+        assert handle.curve(inst, bids, 0)(1.5) == 0.0
+        bids[1] = 1.0
+        assert handle.curve(inst, bids, 0)(1.5) == 0.5
+
+
+def test_planted_bug_over_brute_is_probed():
+    inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=CASCADE)
+    brute = brute_cascade_solver()
+    calls = []
+
+    def counted(inst, bids):
+        calls.append(1)
+        return brute.solve(inst, bids)
+
+    broken = threshold_dropping_solver(
+        SolverHandle(solve=counted, kind=brute.kind, curve=brute.curve),
+        threshold=0.5)
+    values = np.array([0.9, 0.6])
+    myerson(inst, values, [Uniform(0.0, 1.0)] * 2, broken)
+    assert len(calls) > 1  # the outcome's solve, then one probe per bid
+    hit = monotonicity_audit(
+        broken, inst, np.array([0.2, 0.1]), 0, [0.3, 0.4, 0.6])
+    assert hit == (0.4, 0.6, 0.5, 0.0)
+    assert monotonicity_audit(
+        brute, inst, np.array([0.2, 0.1]), 0, [0.3, 0.4, 0.6]) is None
 
 
 def test_audit_catches_planted_bug():

@@ -57,3 +57,39 @@ def test_rebuilt_handles_still_solve(spans):
         _chi, got = rebuilt.solve(inst, bids)
         assert np.array_equal(got, want), name
         assert rebuilt.is_exact == handle.is_exact
+
+
+def test_rebuilt_handles_price_as_their_curves(spans):
+    """Traced runs drop ``curve`` and price by probing; the outcome must be
+    the one untraced runs get from the curve, so both pass the same gate."""
+    rng = np.random.default_rng(11)
+    inst = Instance(4, 3, 2, rng.uniform(0.01, 1.0, (4, 3)), CASCADE)
+    values = rng.uniform(0.0, 1.0, 4)
+    dists = [distributions.Uniform(0.0, 1.0)] * 4
+    with_curve = 0
+    for name in spans.HANDLE_FACTORIES:
+        args, model = FACTORY_ARGS[name]
+        if getattr(mechanisms, name)(*args).curve is None:
+            continue
+        with_curve += 1
+        # Each outcome gets a fresh handle, so the greedy's generator
+        # starts from the same seed for both.
+        handle = getattr(mechanisms, name)(*_fresh(args))
+        probed = getattr(mechanisms, name)(*_fresh(args))
+        rebuilt = mechanisms.SolverHandle(solve=probed.solve, kind=probed.kind)
+        fast = mechanisms.myerson(inst, values, dists, handle)
+        slow = mechanisms.myerson(inst, values, dists, rebuilt)
+        assert (fast.augmented.allocation.assignment
+                == slow.augmented.allocation.assignment), name
+        assert (fast.augmented.permutation.rank
+                == slow.augmented.permutation.rank), name
+        assert np.array_equal(fast.payments, slow.payments), name
+        assert np.array_equal(fast.ctrs, slow.ctrs), name
+    assert with_curve == 2
+
+
+def _fresh(args):
+    """The factory arguments with any generator replaced by a new one
+    seeded 0, as ``FACTORY_ARGS`` seeds it."""
+    return tuple(np.random.default_rng(0)
+                 if isinstance(a, np.random.Generator) else a for a in args)
