@@ -8,7 +8,8 @@ through two standard relaxations of the realized welfare:
   For any matching it sandwiches the true cascade welfare within a factor
   of 4, and it can be searched to within (1 - eps) by guessing which single
   advertiser gets truncated and by how much, then solving a budget-capped
-  matching for each guess (``ptas_restricted_welfare``).
+  matching for each guess (``ptas_restricted_welfare``), all guesses at
+  once on the oracle's matching table, up to its 36-cell guard.
 * base welfare: raw sum of matched standalone rates, no truncation at all.
   Splitting edges into dyadic CTR buckets and running a cardinality-capped
   greedy matching per bucket gives a per-bucket constant factor, and picking
@@ -47,7 +48,6 @@ from .core import (
     CtrVector,
     Instance,
     Permutation,
-    SizeGuardError,
     ValidationError,
     bid_vector,
     check_feasible,
@@ -57,7 +57,8 @@ from .core import (
 
 # Cumulative float dust from the truncation recurrence; see zero_suppress.
 ZERO_CTR_TOL = 1e-12
-MAX_EXACT_EDGES = 24
+# Rates the restricted-welfare search scores at once: 8 MB per temporary.
+SCORE_BLOCK = 1 << 20
 
 
 def sorted_view(values) -> list[int]:
@@ -153,71 +154,35 @@ def exact_budgeted_matching(
     cap: int | None = None,
 ) -> Allocation:
     """Maximize sum of v_i * scaled_p[i, j] over matchings whose matched
-    scaled rates total at most ``budget``, with at most ``cap`` edges.
-
-    Exhaustive branch-and-bound over matchings; fine at desk scale, guarded
-    at MAX_EXACT_EDGES positive-weight edges.  Stands in for a polynomial
-    approximation scheme behind the same interface.
+    scaled rates total at most ``budget``, with at most ``cap`` edges, each
+    of positive weight v_i * scaled_p[i, j].  Exhaustive over the oracle's
+    matching table, with its tie rule and its size guard; the one-guess
+    case of ``ptas_restricted_welfare``'s search.
     """
-    require_valid(inst)
-    values = bid_vector(inst, values)
+    from . import oracle  # oracle imports this module
+
+    table, values = oracle._matchings(inst, None, values, None)
     scaled_p = np.asarray(scaled_p, dtype=float)
     if scaled_p.shape != inst.p.shape:
         raise ValidationError(
             f"scaled rates of shape {scaled_p.shape}, expected {inst.p.shape}")
     cap = inst.k if cap is None else min(cap, inst.k)
+    scores = _budgeted_scores(
+        table, values, table.rates(scaled_p)[None], budget, cap)
+    return Allocation(dict(table.pairs[oracle._first_best_rows(scores)[0]]))
 
-    edges = [
-        (i, j)
-        for i in range(inst.n)
-        for j in range(inst.m)
-        if values[i] * scaled_p[i, j] > 0.0
-    ]
-    if len(edges) > MAX_EXACT_EDGES:
-        raise SizeGuardError(
-            f"{len(edges)} edges exceed the exact-search guard"
-            f" ({MAX_EXACT_EDGES}); reduce the instance or use the greedy path"
-        )
 
-    by_adv: dict[int, list[int]] = {}
-    for i, j in edges:
-        by_adv.setdefault(i, []).append(j)
-    # Branch on advertisers in decreasing best-edge weight for tight bounds.
-    advs = sorted(
-        by_adv,
-        key=lambda i: -max(values[i] * scaled_p[i, j] for j in by_adv[i]),
-    )
-    best_w = {i: max(values[i] * scaled_p[i, j] for j in by_adv[i]) for i in advs}
-    suffix_bound = [0.0] * (len(advs) + 1)
-    for t in range(len(advs) - 1, -1, -1):
-        suffix_bound[t] = suffix_bound[t + 1] + best_w[advs[t]]
-
-    best = {"welfare": 0.0, "assignment": {}}
-
-    def recurse(t: int, used_pos: set[int], spent: float, gained: float,
-                chosen: dict[int, int]) -> None:
-        if gained > best["welfare"] + 1e-15:
-            best["welfare"] = gained
-            best["assignment"] = dict(chosen)
-        if t == len(advs) or gained + suffix_bound[t] <= best["welfare"] + 1e-15:
-            return
-        i = advs[t]
-        recurse(t + 1, used_pos, spent, gained, chosen)  # skip advertiser i
-        if len(chosen) >= cap:
-            return
-        for j in by_adv[i]:
-            cost = scaled_p[i, j]
-            if j in used_pos or spent + cost > budget + 1e-9:
-                continue
-            used_pos.add(j)
-            chosen[i] = j
-            recurse(t + 1, used_pos, spent + cost, gained + values[i] * cost,
-                    chosen)
-            del chosen[i]
-            used_pos.remove(j)
-
-    recurse(0, set(), 0.0, 0.0, {})
-    return Allocation(best["assignment"])
+def _budgeted_scores(table, values, rates: np.ndarray, budget: float,
+                     cap: int) -> np.ndarray:
+    """Per guess g and table row, the row's weight sum v_i * rates[g] if
+    its rates total at most ``budget`` + 1e-9, it has at most ``cap``
+    edges and each weighs more than 0; otherwise -inf, which never beats."""
+    matched = table.positions >= 0
+    weight = table.weights(values, rates)
+    feasible = ((rates.sum(axis=2) <= budget + 1e-9)
+                & ~(matched & ~(weight > 0.0)).any(axis=2)
+                & (matched.sum(axis=1) <= cap))
+    return np.where(feasible, weight.sum(axis=2), -np.inf)
 
 
 def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
@@ -227,33 +192,41 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
     guesses that advertiser k and a discount level alpha on a grid of
     eps/2 steps, scales row k's rates by alpha, solves the budget-capped
     matching for the guess, and keeps whichever candidate scores best under
-    the true (unscaled) restricted welfare.  Alpha = 1 scales no row, so that
-    guess is solved once, for k = 0.
+    the true (unscaled) restricted welfare.  Alpha = 1 scales no row, so
+    that guess is made once, for k = 0.  All guesses are scored on one
+    matching table (``SCORE_BLOCK`` rates at a time), as
+    ``exact_budgeted_matching`` scores one.
     """
-    require_valid(inst, CASCADE)
+    from . import oracle  # oracle imports this module
+
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    values = bid_vector(inst, values)
+    table, values = oracle._matchings(inst, CASCADE, values, None)
 
     grid = [g * eps / 2.0 for g in range(1, int(2.0 / eps + 1e-12) + 1)]
     if not grid or grid[-1] < 1.0 - 1e-12:
         grid.append(1.0)
+    guesses = [(k, alpha) for k in range(inst.n) for alpha in grid
+               if not (alpha == 1.0 and k > 0)]
+    rates = table.rates(inst.p)
+    block = max(1, SCORE_BLOCK // rates.size)
+    picks = []
+    for lo in range(0, len(guesses), block):
+        ks, alphas = (np.array(column)
+                      for column in zip(*guesses[lo:lo + block]))
+        stack = np.repeat(rates[None], len(ks), axis=0)
+        stack[np.arange(len(ks)), :, ks] *= alphas[:, None]
+        scores = _budgeted_scores(table, values, stack, 1.0, inst.k)
+        picks.extend(oracle._first_best_rows(scores).tolist())
 
     best_alloc = Allocation({})
     best_welfare = 0.0
-    for k in range(inst.n):
-        for alpha in grid:
-            if alpha == 1.0 and k > 0:
-                continue  # unscaled: the same candidate as k = 0 gave
-            scaled = np.array(inst.p)
-            scaled[k] *= alpha
-            cand = exact_budgeted_matching(
-                inst, values, scaled, budget=1.0, cap=inst.k
-            )
-            w = welfare(values, restricted_ctr(inst, cand, values))
-            if w > best_welfare + 1e-15:
-                best_welfare = w
-                best_alloc = cand
+    for row in dict.fromkeys(picks):  # a repeated pick scores the same
+        cand = Allocation(dict(table.pairs[row]))
+        w = welfare(values, restricted_ctr(inst, cand, values))
+        if w > best_welfare + 1e-15:
+            best_welfare = w
+            best_alloc = cand
     return best_alloc
 
 

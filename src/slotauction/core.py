@@ -21,6 +21,7 @@ operations are pure functions, so concurrent read access is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,11 +181,16 @@ def require_valid(inst: Instance, model: str | None = None) -> None:
 
 
 def bid_vector(inst: Instance, values) -> np.ndarray:
-    """``values`` as a float array of one entry per advertiser."""
+    """``values`` as a float array of one entry per advertiser, none NaN:
+    solvers sort by value, and NaN has no place in that order (+-inf do).
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (inst.n,):
         raise ValidationError(
             f"expected {inst.n} values, got shape {values.shape}")
+    # v . v is NaN exactly when an entry is: squares are >= 0 or +inf
+    if math.isnan(np.dot(values, values)):
+        raise ValidationError(f"values must not be NaN, got {values.tolist()}")
     return values
 
 

@@ -35,12 +35,43 @@ from .mnl_wdp import WdpResult
 
 # Acceptance packs draw n, m up to 6, so the guard admits 36 edges.
 MAX_CELLS = 36
-# A 6x6 table holds 13 327 rows (~1.4 MB), so the cache stays under ~45 MB.
+# A 6x6 table of 13 327 rows takes ~3.1 MB with its views: cache < 100 MB.
 TABLE_CACHE = 32
 
 
+class _Table(tuple):
+    """A matching table's rows, with views of them cached on first use."""
+
+    @functools.cached_property
+    def pairs(self) -> list[tuple[tuple[int, int], ...]]:
+        """Each row's (advertiser, position) pairs in position order, rows
+        sharing one tuple per pair (~1.1 MB at 6x6)."""
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        return [tuple(shared.setdefault((i, j), (i, j)) for j, i in sorted(
+                    (j, i) for i, j in enumerate(row) if j >= 0))
+                for row in self]
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """The rows as a read-only int array, shared by every caller."""
+        positions = np.array(self, dtype=np.intp)
+        positions.flags.writeable = False
+        return positions
+
+    def rates(self, p: np.ndarray) -> np.ndarray:
+        """Per row and advertiser, p at its position, 0.0 if unmatched."""
+        pos = self.positions
+        return np.where(pos >= 0, p[np.arange(p.shape[0]), pos], 0.0)
+
+    def weights(self, values: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """v_i * rates, 0.0 where unmatched: never v * 0.0, which is nan at
+        v = +-inf."""
+        return np.multiply(values, rates, out=np.zeros(rates.shape),
+                           where=self.positions >= 0)
+
+
 @functools.lru_cache(maxsize=TABLE_CACHE)
-def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]):
+def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]) -> _Table:
     """Every matching of ``active`` (sorted) as rows; the active set is
     checked here, so a cached table is one that passed."""
     if not set(active).issubset(range(n)):
@@ -62,7 +93,7 @@ def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]):
                     row[i] = -1
 
     fill(0, 0)
-    return tuple(rows)
+    return _Table(rows)
 
 
 def _matchings(inst: Instance, model, values, active):
@@ -92,10 +123,23 @@ def _first_best(scored):
     return best, best_score
 
 
-def _allocation(row: tuple[int, ...]) -> Allocation:
-    """A table row as an Allocation, pairs in position order."""
-    pairs = sorted((j, i) for i, j in enumerate(row) if j >= 0)
-    return Allocation({i: j for j, i in pairs})
+def _first_best_rows(scores: np.ndarray) -> np.ndarray:
+    """The index ``_first_best`` picks in each row of a 2-D score array
+    without NaN.  From a pick (b, s) the next is the first index after b
+    scoring above s + 1e-15; indices 1..b all score at most that, so it is
+    the first where the running maximum over indices 1.. does."""
+    running = np.maximum.accumulate(scores[:, 1:], axis=1)
+    best = np.zeros(scores.shape[0], dtype=np.intp)
+    live = np.arange(scores.shape[0])
+    threshold = np.full(live.shape, 1e-15)  # 0.0 + 1e-15
+    while live.size:
+        # running is non-decreasing: count the indices not past threshold
+        after = (running[live] <= threshold[:, None]).sum(axis=1)
+        found = after < running.shape[1]
+        live, pick = live[found], after[found] + 1
+        best[live] = pick
+        threshold = scores[live, pick] + 1e-15
+    return best
 
 
 def enumerate_matchings(
@@ -103,29 +147,29 @@ def enumerate_matchings(
 ) -> Iterator[Allocation]:
     """Yield every feasible matching exactly once, in the table's order.
     ``active`` optionally restricts which advertisers may be matched."""
-    rows, _ = _matchings(inst, None, None, active)
-    for row in rows:
-        yield _allocation(row)
+    table, _ = _matchings(inst, None, None, active)
+    for pairs in table.pairs:
+        yield Allocation(dict(pairs))
 
 
 def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
     """Exact argmax of the bid-weighted MNL click-through over all matchings.
     Rendering order is irrelevant under MNL, so only matchings vary."""
-    rows, bids = _matchings(inst, MNL, bids, None)
+    table, bids = _matchings(inst, MNL, bids, None)
     expo = np.exp(inst.log_odds())
     weighted = (bids[:, None] * expo).tolist()
     expo = expo.tolist()
 
     def scored():
-        for row in rows:
+        for pairs in table.pairs:
             num, den = 0.0, 1.0
-            for j, i in sorted((j, i) for i, j in enumerate(row) if j >= 0):
+            for i, j in pairs:
                 num += weighted[i][j]
                 den += expo[i][j]
-            yield num / den, row
+            yield num / den, pairs
 
-    row, objective = _first_best(scored())
-    alloc = _allocation(row)
+    pairs, objective = _first_best(scored())
+    alloc = Allocation(dict(pairs))
     return WdpResult(
         allocation=alloc, objective=objective, ctrs=mnl_ctr(inst, alloc)
     )
@@ -143,14 +187,14 @@ def brute_force_wdp_cascade(
     value, which is welfare-maximal for a fixed matching.  ``paranoid``
     re-derives that by scoring every permutation of matched positions.
     """
-    rows, values = _matchings(inst, CASCADE, values, active)
+    table, values = _matchings(inst, CASCADE, values, active)
     if paranoid:
-        return _first_best(_every_rendering(inst, values, rows))
+        return _first_best(_every_rendering(inst, values, table))
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 
     def scored():
-        for row in rows:
+        for r, row in enumerate(table):
             w, survive = 0.0, 1.0
             for i in order:
                 j = row[i]
@@ -159,10 +203,10 @@ def brute_force_wdp_cascade(
                 pij = p[i][j]
                 w += v[i] * pij * survive
                 survive *= 1.0 - pij
-            yield w, row
+            yield w, r
 
-    row, best_w = _first_best(scored())
-    alloc = _allocation(row)
+    r, best_w = _first_best(scored())
+    alloc = Allocation(dict(table.pairs[r]))
     chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
     return chi, best_w
 
@@ -210,8 +254,6 @@ class BruteOwnBidCurves:
         self.inst = inst
         self.bids = bid_vector(inst, bids)
         v = self.bids.tolist()
-        if any(x != x for x in v):
-            raise ValidationError(f"bids must not be NaN, got {v}")
         self._positive = {t for t in range(inst.n) if v[t] > 0.0}
         self._keys = sorted((-v[t], t) for t in self._positive)
         self._columns: dict[tuple[int, ...], tuple] = {}
@@ -223,15 +265,10 @@ class BruteOwnBidCurves:
         whether it is matched."""
         key = tuple(sorted(active))
         if key not in self._columns:
-            rows, values = _matchings(self.inst, CASCADE, self.bids, key)
-            pos = np.array(rows).T
-            matched = pos >= 0
-            p = np.where(
-                matched, self.inst.p[np.arange(self.inst.n)[:, None], pos], 0.0)
-            # Never v * 0.0 off the matched rows, which is nan at v = inf.
-            weight = np.multiply(values[:, None], p, out=np.zeros(p.shape),
-                                 where=matched)
-            self._columns[key] = weight, p, matched
+            table, values = _matchings(self.inst, CASCADE, self.bids, key)
+            p = table.rates(self.inst.p)
+            self._columns[key] = (table.weights(values, p).T, p.T,
+                                  table.positions.T >= 0)
         return self._columns[key]
 
     def of(self, i: int):
@@ -272,10 +309,10 @@ class BruteOwnBidCurves:
         return ctr
 
 
-def _every_rendering(inst, values, rows):
+def _every_rendering(inst, values, table):
     """(welfare, chi) for every rendering order of every row."""
-    for row in rows:
-        alloc = _allocation(row)
+    for pairs in table.pairs:
+        alloc = Allocation(dict(pairs))
         for perm in itertools.permutations(alloc.assignment.values()):
             sigma = Permutation({j: r + 1 for r, j in enumerate(perm)})
             chi = AugmentedAllocation(alloc, sigma)
@@ -284,12 +321,12 @@ def _every_rendering(inst, values, rows):
 
 def brute_force_restricted(inst: Instance, values) -> tuple[Allocation, float]:
     """Exact maximum of the truncated no-cascade welfare over all matchings."""
-    rows, values = _matchings(inst, CASCADE, values, None)
+    table, values = _matchings(inst, CASCADE, values, None)
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 
     def scored():
-        for row in rows:
+        for r, row in enumerate(table):
             w, headroom = 0.0, 1.0
             for i in order:
                 j = row[i]
@@ -298,7 +335,7 @@ def brute_force_restricted(inst: Instance, values) -> tuple[Allocation, float]:
                 grant = min(p[i][j], headroom)
                 w += v[i] * grant
                 headroom -= grant
-            yield w, row
+            yield w, r
 
-    alloc = _allocation(_first_best(scored())[0])
+    alloc = Allocation(dict(table.pairs[_first_best(scored())[0]]))
     return alloc, welfare(values, restricted_ctr(inst, alloc, values))

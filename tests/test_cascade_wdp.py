@@ -1,13 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+
+import slotauction.cascade_wdp as cascade_wdp
+import slotauction.oracle as oracle
 
 from slotauction.core import (
     Allocation,
     AugmentedAllocation,
     CASCADE,
     Instance,
+    MNL,
     Permutation,
     SizeGuardError,
     ValidationError,
@@ -39,6 +44,7 @@ from slotauction.properties import (
     bucket_average,
     cascade_welfare,
     greedy_bucket_constants,
+    random_instance,
     restricted_search,
 )
 from conftest import (
@@ -193,21 +199,229 @@ def test_exact_budgeted_matches_enumeration():
     for _ in range(40):
         inst = rand_cascade_instance(rng, nmax=3, mmax=3)
         values = rng.uniform(0.1, 5.0, inst.n)
-        got = exact_budgeted_matching(inst, values, inst.p)
-        got_value = welfare(values, budgeted_ctr(inst, got))
-        assert budgeted_ctr(inst, got).sum() <= 1.0 + 1e-9
-        best = 0.0
-        for alloc in enumerate_matchings(inst):
-            pb = budgeted_ctr(inst, alloc)
-            if pb.sum() <= 1.0 + 1e-9:
-                best = max(best, welfare(values, pb))
-        assert got_value == pytest.approx(best, abs=1e-9)
+        _assert_budgeted_optimum(inst, values)
 
 
-def test_exact_budgeted_size_guard():
-    inst = Instance(n=5, m=6, k=6, p=np.full((5, 6), 0.5), model=CASCADE)
-    with pytest.raises(SizeGuardError):
-        exact_budgeted_matching(inst, np.ones(5), inst.p)
+def _assert_budgeted_optimum(inst, values):
+    got = exact_budgeted_matching(inst, values, inst.p)
+    assert budgeted_ctr(inst, got).sum() <= 1.0 + 1e-9
+    best = 0.0
+    for alloc in enumerate_matchings(inst):
+        pb = budgeted_ctr(inst, alloc)
+        if pb.sum() <= 1.0 + 1e-9:
+            best = max(best, welfare(values, pb))
+    assert welfare(values, budgeted_ctr(inst, got)) == pytest.approx(
+        best, abs=1e-9)
+
+
+def _no_table(*args):
+    raise AssertionError("a matching table was built past the size guard")
+
+
+def test_exact_budgeted_size_guard(monkeypatch):
+    # The oracle's guard counts cells, however few edges weigh above 0,
+    # and fires before any table is built.
+    monkeypatch.setattr(oracle, "_matching_table", _no_table)
+    dense = Instance(n=6, m=7, k=7, p=np.full((6, 7), 0.5), model=CASCADE)
+    sparse_p = np.zeros((6, 7))
+    sparse_p[0, :] = 0.5  # 7 positive edges
+    sparse = Instance(n=6, m=7, k=7, p=sparse_p, model=CASCADE)
+    for inst in (dense, sparse):
+        with pytest.raises(SizeGuardError):
+            exact_budgeted_matching(inst, np.ones(6), inst.p)
+        with pytest.raises(SizeGuardError):
+            ptas_restricted_welfare(inst, np.ones(6), 0.1)
+
+
+def test_exact_budgeted_solves_five_by_six():
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        inst = Instance(n=5, m=6, k=int(rng.integers(1, 7)),
+                        p=rng.uniform(0.01, 0.6, (5, 6)), model=CASCADE)
+        _assert_budgeted_optimum(inst, rng.uniform(0.1, 5.0, 5))
+
+
+def _reference_budgeted(inst, values, scaled_p, budget=1.0, cap=None):
+    """An independent branch-and-bound for ``exact_budgeted_matching``:
+    advertisers by decreasing best edge weight, each first skipped, then
+    given its positive-weight edges in position order, pruned by the sum of
+    the remaining best weights; first better by more than 1e-15 wins."""
+    values = np.asarray(values, dtype=float)
+    cap = inst.k if cap is None else min(cap, inst.k)
+    by_adv = {}
+    for i in range(inst.n):
+        for j in range(inst.m):
+            if values[i] * scaled_p[i, j] > 0.0:
+                by_adv.setdefault(i, []).append(j)
+    best_w = {i: max(values[i] * scaled_p[i, j] for j in js)
+              for i, js in by_adv.items()}
+    advs = sorted(by_adv, key=lambda i: -best_w[i])
+    suffix = [0.0] * (len(advs) + 1)
+    for t in range(len(advs) - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + best_w[advs[t]]
+    best = {"welfare": 0.0, "assignment": {}}
+
+    def recurse(t, used, spent, gained, chosen):
+        if gained > best["welfare"] + 1e-15:
+            best["welfare"] = gained
+            best["assignment"] = dict(chosen)
+        if t == len(advs) or gained + suffix[t] <= best["welfare"] + 1e-15:
+            return
+        i = advs[t]
+        recurse(t + 1, used, spent, gained, chosen)
+        if len(chosen) >= cap:
+            return
+        for j in by_adv[i]:
+            cost = scaled_p[i, j]
+            if j in used or spent + cost > budget + 1e-9:
+                continue
+            used.add(j)
+            chosen[i] = j
+            recurse(t + 1, used, spent + cost, gained + values[i] * cost,
+                    chosen)
+            del chosen[i]
+            used.remove(j)
+
+    recurse(0, set(), 0.0, 0.0, {})
+    return Allocation(best["assignment"])
+
+
+def _reference_ptas(inst, values, eps):
+    """``ptas_restricted_welfare``'s guess loop, one reference
+    branch-and-bound per guess."""
+    values = np.asarray(values, dtype=float)
+    grid = [g * eps / 2.0 for g in range(1, int(2.0 / eps + 1e-12) + 1)]
+    if not grid or grid[-1] < 1.0 - 1e-12:
+        grid.append(1.0)
+    best_alloc, best_welfare = Allocation({}), 0.0
+    for k in range(inst.n):
+        for alpha in grid:
+            if alpha == 1.0 and k > 0:
+                continue
+            scaled = np.array(inst.p)
+            scaled[k] *= alpha
+            cand = _reference_budgeted(inst, values, scaled)
+            w = welfare(values, restricted_ctr(inst, cand, values))
+            if w > best_welfare + 1e-15:
+                best_welfare, best_alloc = w, cand
+    return best_alloc
+
+
+def _budgeted_case(rng, tie_heavy):
+    """An input both searches accept: at most 36 cells and at most 24
+    positive-weight edges, with zero and negative values, zero rates, a cap
+    that may lie below k and budgets other than 1."""
+    while True:
+        if tie_heavy:
+            inst, values = tie_heavy_cascade_case(rng)
+        else:
+            inst = random_instance(rng, CASCADE, 4, 4)
+            values = rng.uniform(0.1, 10.0, inst.n)
+            values[rng.random(inst.n) < 0.2] = rng.choice([0.0, -1.0])
+        scaled = inst.p * np.where(rng.random(inst.p.shape) < 0.2, 0.0,
+                                   rng.choice([1.0, 0.5, 0.3], inst.p.shape))
+        edges = int((values[:, None] * scaled > 0.0).sum())
+        if inst.n * inst.m <= oracle.MAX_CELLS and edges <= 24:
+            budget = float(rng.choice([1.0, 0.5, 1.7]))
+            cap = int(rng.integers(1, inst.k + 2))
+            return inst, values, scaled, budget, cap
+
+
+def _gain(values, scaled, alloc):
+    return math.fsum(values[i] * scaled[i, j]
+                     for i, j in alloc.assignment.items())
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_exact_budgeted_equals_the_reference_search(tie_heavy):
+    """Audit-shaped inputs get the reference's allocation.  Tie-heavy ones
+    too, except on ties, where the table search takes the first row in the
+    oracle's table order and the reference its first in search order: the
+    two picks are then both feasible and equal in gain to within the tie
+    rule's 1e-15 plus the rounding of their sums."""
+    rng = np.random.default_rng(67 + tie_heavy)
+    ties = 0
+    for _ in range(500):
+        inst, values, scaled, budget, cap = _budgeted_case(rng, tie_heavy)
+        want = _reference_budgeted(inst, values, scaled, budget, cap)
+        got = exact_budgeted_matching(inst, values, scaled, budget, cap)
+        if got == want:
+            continue
+        assert tie_heavy, (inst, values, scaled, budget, cap)
+        ties += 1
+        assert got.size <= cap
+        assert sum(scaled[i, j] for i, j in got.assignment.items()) \
+            <= budget + 1e-9
+        assert all(values[i] * scaled[i, j] > 0.0
+                   for i, j in got.assignment.items())
+        g, w = _gain(values, scaled, got), _gain(values, scaled, want)
+        assert abs(g - w) <= 1e-15 * (1.0 + abs(w)), (g, w)
+    assert ties < 50
+
+
+def _audit_ptas_inputs(seed):
+    """The instances and values ``cli audit --seed`` hands to
+    ``ptas_restricted_welfare``, by replaying its draws: 20 MNL instances
+    with bids, then 20 cascade instances with values (the audit skips those
+    with a zero cascade optimum, which never occur at these draws)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        inst = random_instance(rng, MNL, 4, 4)
+        rng.uniform(0.1, 10.0, inst.n)
+    for _ in range(20):
+        inst = random_instance(rng, CASCADE, 4, 4)
+        yield inst, rng.uniform(0.1, 10.0, inst.n)
+
+
+def test_ptas_equals_the_reference_on_audit_seeds():
+    for seed in range(20):
+        for inst, values in _audit_ptas_inputs(seed):
+            assert (ptas_restricted_welfare(inst, values, 0.1)
+                    == _reference_ptas(inst, values, 0.1)), seed
+
+
+def test_audit_ptas_inputs_replay_the_audit(monkeypatch, capsys):
+    from slotauction import cli
+
+    seen = []
+
+    def recorded(inst, values, eps):
+        seen.append((inst.p, np.asarray(values)))
+        return ptas(inst, values, eps)
+
+    ptas = cascade_wdp.ptas_restricted_welfare
+    monkeypatch.setattr(cascade_wdp, "ptas_restricted_welfare", recorded)
+    assert cli.main(["audit", "--seed", "3"]) == 0
+    replayed = list(_audit_ptas_inputs(3))
+    assert len(seen) == len(replayed) == 20
+    for (p, values), (inst, want) in zip(seen, replayed):
+        assert np.array_equal(p, inst.p) and np.array_equal(values, want)
+
+
+def test_first_best_rows_equals_first_best():
+    """The record chain picks what a sequential ``_first_best`` scan picks,
+    also where scores climb in steps below the 1e-15 margin, so that the
+    maximum is not the pick, and on rows that never beat (-inf)."""
+    rng = np.random.default_rng(71)
+    # 1 + 3 ulp does not beat 1.0 by 1e-15 and 1 + 6 ulp does, though it is
+    # within 1e-15 of 1 + 3 ulp: a search kept to rows within 1e-15 of the
+    # maximum would pick 1 + 3 ulp
+    ulp = 2.0 ** -52
+    chains = [[0.0, 1.0, 1.0 + 3 * ulp, 1.0 + 6 * ulp]]
+    for _ in range(300):
+        rows = int(rng.integers(1, 40))
+        steps = rng.choice([0.0, 0.4e-15, 0.6e-15, 1.1e-15, 0.3], rows)
+        scores = rng.choice([1.0, 2.0], rows) + np.cumsum(steps)
+        scores[rng.random(rows) < 0.2] = -np.inf
+        scores[rng.random(rows) < 0.1] = 0.0
+        chains.append(scores.tolist())
+    for length in {len(c) for c in chains}:
+        block = np.array([c for c in chains if len(c) == length])
+        got = oracle._first_best_rows(block)
+        for row, pick in zip(block, got):
+            want, _ = oracle._first_best(zip(row.tolist(), itertools.count()))
+            assert pick == want, row.tolist()
+    assert oracle._first_best_rows(np.array(chains[:1])).tolist() == [3]
 
 
 @pytest.mark.parametrize("length", [1, 2, 4])
@@ -260,21 +474,35 @@ def test_ptas_ratio_on_random_instances(eps):
 
 
 def test_ptas_solves_the_unscaled_guess_once(monkeypatch):
-    import slotauction.cascade_wdp as cascade_wdp
-
     inst = Instance(n=3, m=2, k=2, p=np.full((3, 2), 0.6), model=CASCADE)
     want = ptas_restricted_welfare(inst, [3.0, 2.0, 1.0], 0.25)
-    calls = []
+    stacks = []
+    scored = cascade_wdp._budgeted_scores
 
-    def counted(inst, values, scaled_p, **kwargs):
-        calls.append(scaled_p)
-        return exact_budgeted_matching(inst, values, scaled_p, **kwargs)
+    def recorded(table, values, rates, budget, cap):
+        stacks.append(rates.copy())
+        return scored(table, values, rates, budget, cap)
 
-    monkeypatch.setattr(cascade_wdp, "exact_budgeted_matching", counted)
+    monkeypatch.setattr(cascade_wdp, "_budgeted_scores", recorded)
     got = ptas_restricted_welfare(inst, [3.0, 2.0, 1.0], 0.25)
     assert got == want
-    assert len(calls) == 3 * 8 - 2  # 8 alphas per advertiser, one is 1.0
-    assert sum(np.array_equal(p, inst.p) for p in calls) == 1
+    guesses = np.concatenate(stacks)
+    assert len(guesses) == 3 * 8 - 2  # 8 alphas per advertiser, one is 1.0
+    table = oracle._matching_table(3, 2, 2, (0, 1, 2))
+    unscaled = table.rates(inst.p)
+    assert sum(np.array_equal(g, unscaled) for g in guesses) == 1
+
+
+@pytest.mark.parametrize("n,m", [(5, 5), (6, 5), (6, 6)])
+def test_ptas_runs_up_to_six_by_six(n, m):
+    rng = np.random.default_rng(73 + n * m)
+    inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
+                    p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
+    values = rng.uniform(0.1, 10.0, n)
+    out = ptas_restricted_welfare(inst, values, 0.1)
+    _, opt = brute_force_restricted(inst, values)
+    assert welfare(values, restricted_ctr(inst, out, values)) \
+        >= 0.9 * opt - 1e-9
 
 
 def test_ptas_rejects_bad_eps():

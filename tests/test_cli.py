@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import slotauction.cli as cli
+import slotauction.oracle as oracle
 from slotauction.core import instance_from_dict
 from slotauction.mechanisms import (
     exact_mnl_solver,
@@ -181,6 +182,40 @@ def test_solve_cascade_algorithms(tmp_path):
         results[algo] = json.loads(out.read_text())["objective"]
     assert results["brute"] >= results["ptas"] - 1e-9
     assert results["brute"] >= results["greedy"] - 1e-9
+
+
+def test_solve_ptas_up_to_the_oracle_guard(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 5, "m": 5, "k": 4, "model": "cascade",
+         "p": rng.uniform(0.01, 1.0, (5, 5)).tolist()},
+    )
+    vals = write_json(tmp_path / "vals.json", rng.uniform(0.1, 10, 5).tolist())
+    results = {}
+    for algo in ("ptas", "brute"):
+        out = tmp_path / f"{algo}.json"
+        assert main(["solve", "--instance", inst, "--values", vals,
+                     "--algorithm", algo, "--out", str(out)]) == EXIT_OK
+        results[algo] = json.loads(out.read_text())["objective"]
+    assert results["ptas"] <= results["brute"] + 1e-9
+    assert results["ptas"] >= (1.0 - 0.1) / 4.0 * results["brute"] - 1e-9
+
+    big = write_json(
+        tmp_path / "big.json",
+        {"n": 7, "m": 6, "k": 6, "model": "cascade",
+         "p": rng.uniform(0.01, 1.0, (7, 6)).tolist()},
+    )
+    vals = write_json(tmp_path / "vals7.json", [1.0] * 7)
+
+    def no_work(*args):
+        raise AssertionError("a matching table was built past the guard")
+
+    monkeypatch.setattr(oracle, "_matching_table", no_work)
+    capsys.readouterr()
+    assert main(["solve", "--instance", big, "--values", vals,
+                 "--algorithm", "ptas"]) == EXIT_SOLVER
+    assert "exhaustive-search guard" in capsys.readouterr().err
 
 
 def test_mechanism_vcg_csv(tmp_path):

@@ -23,16 +23,22 @@ from slotauction.cascade_wdp import (
     budgeted_ctr,
     exact_budgeted_matching,
     greedy_picks,
+    ptas_restricted_welfare,
     restricted_ctr,
 )
 from slotauction.mechanisms import (
     brute_cascade_solver,
     exact_mnl_solver,
+    greedy_cascade_solver,
     monotonicity_audit,
     vcg,
 )
 from slotauction.mnl_wdp import dinkelbach_check, solve_mnl_lp, solve_mnl_wdp
-from slotauction.oracle import brute_force_wdp_cascade
+from slotauction.oracle import (
+    brute_force_restricted,
+    brute_force_wdp_cascade,
+    brute_force_wdp_mnl,
+)
 from conftest import rand_cascade_instance, rand_mnl_instance, rand_allocation
 
 
@@ -243,6 +249,28 @@ _CASES = {
     "greedy_picks-mnl": (ValidationError, lambda:
         greedy_picks(_MNL3, np.ones((3, 2), dtype=int), np.ones(3))),
 }
+# NaN has no place in a value order, so every oracle, search and solver
+# handle that sorts by value rejects it.
+_NAN = [1.0, np.nan, 2.0]
+_CASES.update({
+    "ptas_restricted_welfare-nan": (ValidationError, lambda:
+        ptas_restricted_welfare(_CASCADE3, _NAN, 0.1)),
+    "exact_budgeted_matching-nan": (ValidationError, lambda:
+        exact_budgeted_matching(_CASCADE3, _NAN, _CASCADE3.p)),
+    "brute_force_wdp_cascade-nan": (ValidationError, lambda:
+        brute_force_wdp_cascade(_CASCADE3, _NAN)),
+    "brute_force_restricted-nan": (ValidationError, lambda:
+        brute_force_restricted(_CASCADE3, _NAN)),
+    "brute_force_wdp_mnl-nan": (ValidationError, lambda:
+        brute_force_wdp_mnl(_MNL3, _NAN)),
+    "brute_cascade_solver-nan": (ValidationError, lambda:
+        brute_cascade_solver().solve(_CASCADE3, np.array(_NAN))),
+    "greedy_cascade_solver-nan": (ValidationError, lambda:
+        greedy_cascade_solver(np.random.default_rng(0)).solve(
+            _CASCADE3, np.array(_NAN))),
+    "solve_mnl_wdp-nan": (ValidationError, lambda:
+        solve_mnl_wdp(_MNL3, _NAN)),
+})
 
 
 @pytest.mark.parametrize("case", list(_CASES))

@@ -318,3 +318,12 @@ def test_oracles_equal_the_reference_loops():
         assert _items(result.allocation) == list(best.items()), case
         assert result.objective == best_obj, case
     assert compared >= 1000 and 2 * tie_heavy >= compared
+
+
+def test_infinite_values_stay_accepted():
+    # NaN is rejected (no order); +-inf are ordered, so the oracles take them
+    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
+    chi, w = brute_force_wdp_cascade(inst, [np.inf, 1.0, -np.inf])
+    assert chi.allocation.position_of(0) is not None and w == np.inf
+    alloc, _w = brute_force_restricted(inst, [1.0, np.inf, 2.0])
+    assert alloc.position_of(1) is not None
