@@ -13,9 +13,11 @@ command-line flags win.  All randomness flows from --seed, and each
 simulation sample derives its own stream from (seed, sample index), so
 identical configs give byte-identical outputs.
 
-``solve --algorithm dinkelbach`` runs the production exact MNL solver
-(parametric search); ``--algorithm lp`` runs the paper's Charnes-Cooper LP,
-which rejects inputs above its size limit.
+``--algorithm`` picks the ``SOLVERS`` entry for the instance's model;
+omitted, it is ``dinkelbach`` (MNL) or ``brute`` (cascade, exhaustive, at
+most 36 cells) for every command.  ``mechanism`` and ``simulate`` need an
+entry with a solver handle: ``dinkelbach``, ``brute`` (cascade) or
+``greedy``, the monotone bucket greedy seeded by --seed, which vcg refuses.
 
 Exit codes:
   0  ok
@@ -89,7 +91,8 @@ _FLAGS = {
     "instance": (str, None, "instance JSON path"),
     "values": (str, None, "values JSON path (array of floats)"),
     "dist": (str, None, "distribution config JSON path"),
-    "algorithm": (str, None, "solve: lp | dinkelbach | greedy | ptas | brute"),
+    "algorithm": (str, None, "lp | dinkelbach | greedy | ptas | brute;"
+                  " default: dinkelbach on mnl, brute on cascade"),
     "mechanism": (str, "both", "vcg | myerson | both"),
     "epsilon": (float, 0.1, "ptas and audit accuracy, in (0, 1)"),
     "grid": (int, 1024, "myerson envelope grid size"),
@@ -207,47 +210,76 @@ def _csv_text(header: Sequence[str], rows: list[Sequence]) -> str:
     return buf.getvalue()
 
 
+def _mnl(result) -> tuple:
+    chi = core.AugmentedAllocation.from_pairs(result.allocation.pairs())
+    return chi, result.ctrs, result.objective
+
+
+def _cascade(inst: Instance, bids: np.ndarray, chi, objective=None) -> tuple:
+    pi = core.cascade_ctr(inst, chi)
+    objective = welfare(bids, pi) if objective is None else objective
+    return chi, pi, objective
+
+
+def _ptas(inst: Instance, bids: np.ndarray, cfg: dict) -> tuple:
+    alloc = cascade_wdp.ptas_restricted_welfare(inst, bids, cfg["epsilon"])
+    perm = cascade_wdp.optimal_permutation(alloc, bids)
+    return _cascade(inst, bids, core.AugmentedAllocation(alloc, perm))
+
+
+def _greedy(inst: Instance, bids: np.ndarray, cfg: dict) -> tuple:
+    rng = np.random.default_rng(cfg["seed"])
+    chi = cascade_wdp.combined_cascade_solver(inst, bids, rng)
+    return _cascade(inst, bids, chi)
+
+
+# (algorithm, model) -> (route, handle).  route(inst, bids, cfg) gives solve's
+# rendered allocation, CTRs and objective; handle(cfg) builds the SolverHandle
+# of mechanism and simulate, or is None.  Names are looked up at call time, so
+# patched module attributes take effect.  brute keeps the oracle's objective.
+SOLVERS = {
+    ("lp", MNL): (lambda inst, bids, cfg: _mnl(solve_mnl_lp(inst, bids)),
+                  None),
+    ("dinkelbach", MNL): (
+        lambda inst, bids, cfg: _mnl(solve_mnl_wdp(inst, bids)),
+        lambda cfg: mechanisms.exact_mnl_solver()),
+    ("brute", MNL): (
+        lambda inst, bids, cfg: _mnl(oracle.brute_force_wdp_mnl(inst, bids)),
+        None),
+    ("greedy", CASCADE): (
+        _greedy,
+        lambda cfg: mechanisms.greedy_cascade_solver(
+            np.random.default_rng(cfg["seed"]))),
+    ("ptas", CASCADE): (_ptas, None),
+    ("brute", CASCADE): (
+        lambda inst, bids, cfg: _cascade(
+            inst, bids, *oracle.brute_force_wdp_cascade(inst, bids)),
+        lambda cfg: mechanisms.brute_cascade_solver()),
+}
+DEFAULT_ALGORITHM = {MNL: "dinkelbach", CASCADE: "brute"}
+
+
+def _solver(cfg: dict, inst: Instance) -> tuple[str, tuple]:
+    """The ``SOLVERS`` entry --algorithm names for the instance's model; if
+    the flag is omitted, the model's default."""
+    name = cfg["algorithm"] or DEFAULT_ALGORITHM[inst.model]
+    if (name, inst.model) in SOLVERS:
+        return name, SOLVERS[name, inst.model]
+    if any(algo == name for algo, _model in SOLVERS):
+        raise ValidationError(f"algorithm {name!r} does not solve"
+                              f" {inst.model!r} instances")
+    raise UsageError(f"unknown algorithm {name!r}")
+
+
 def cmd_solve(cfg: dict) -> int:
     inst = _load_instance(cfg)
     bids = _load_values(cfg, inst.n)
-    algorithm = cfg["algorithm"]
-    if algorithm not in ("lp", "dinkelbach", "greedy", "ptas", "brute"):
-        raise UsageError(f"unknown algorithm {cfg['algorithm']!r}")
-
-    if algorithm in ("lp", "dinkelbach"):
-        result = (solve_mnl_lp if algorithm == "lp" else solve_mnl_wdp)(
-            inst, bids
-        )
-        alloc = result.allocation
-        sigma = {j: r + 1 for r, (_i, j) in enumerate(alloc.pairs())}
-        pi, objective = result.ctrs, result.objective
-    elif algorithm == "greedy":
-        rng = np.random.default_rng(cfg["seed"])
-        chi = cascade_wdp.combined_cascade_solver(inst, bids, rng)
-        alloc, sigma = chi.allocation, chi.permutation.rank
-        pi = core.cascade_ctr(inst, chi)
-        objective = welfare(bids, pi)
-    elif algorithm == "ptas":
-        alloc = cascade_wdp.ptas_restricted_welfare(inst, bids, cfg["epsilon"])
-        perm = cascade_wdp.optimal_permutation(alloc, bids)
-        chi = core.AugmentedAllocation(alloc, perm)
-        sigma = perm.rank
-        pi = core.cascade_ctr(inst, chi)
-        objective = welfare(bids, pi)
-    else:  # brute
-        if inst.model == MNL:
-            result = oracle.brute_force_wdp_mnl(inst, bids)
-            alloc, pi, objective = result.allocation, result.ctrs, result.objective
-            sigma = {j: r + 1 for r, (_i, j) in enumerate(alloc.pairs())}
-        else:
-            chi, objective = oracle.brute_force_wdp_cascade(inst, bids)
-            alloc, sigma = chi.allocation, chi.permutation.rank
-            pi = core.cascade_ctr(inst, chi)
-
+    algorithm, (route, _handle) = _solver(cfg, inst)
+    chi, pi, objective = route(inst, bids, cfg)
     report = {
         "algorithm": algorithm,
-        "allocation": {str(i): j for i, j in alloc.pairs()},
-        "sigma": {str(j): r for j, r in sorted(sigma.items())},
+        "allocation": {str(i): j for i, j in chi.allocation.pairs()},
+        "sigma": {str(j): r for j, r in sorted(chi.permutation.rank.items())},
         "pi": list(np.asarray(pi, dtype=float)),
         "objective": float(objective),
     }
@@ -257,13 +289,17 @@ def cmd_solve(cfg: dict) -> int:
 
 def _run_mechanism(
     name: str, inst: Instance, values: np.ndarray,
-    dists: list[ValueDistribution] | None, grid: int,
+    dists: list[ValueDistribution] | None, cfg: dict,
 ) -> mechanisms.MechanismOutcome:
-    solver = (mechanisms.exact_mnl_solver() if inst.model == MNL
-              else mechanisms.brute_cascade_solver())
+    algorithm, (_route, handle) = _solver(cfg, inst)
+    if handle is None:
+        ready = [f"{a} ({m})" for (a, m), (_r, h) in SOLVERS.items() if h]
+        raise UsageError(f"algorithm {algorithm!r} has no solver handle;"
+                         f" entries with one: {', '.join(ready)}")
+    solver = handle(cfg)
     if name == "vcg":
         return mechanisms.vcg(inst, values, solver)
-    return mechanisms.myerson(inst, values, dists, solver, grid_size=grid)
+    return mechanisms.myerson(inst, values, dists, solver, cfg["grid"])
 
 
 def cmd_mechanism(cfg: dict) -> int:
@@ -273,7 +309,7 @@ def cmd_mechanism(cfg: dict) -> int:
     if name not in MECHANISMS:
         raise UsageError("mechanism command needs --mechanism vcg|myerson")
     dists = _load_dists(cfg, inst.n) if name == "myerson" else None
-    outcome = _run_mechanism(name, inst, values, dists, cfg["grid"])
+    outcome = _run_mechanism(name, inst, values, dists, cfg)
     rows = [
         [i, repr(float(values[i])), repr(float(outcome.ctrs[i])),
          repr(float(outcome.payments[i])), repr(float(outcome.utilities[i]))]
@@ -301,7 +337,7 @@ def cmd_simulate(cfg: dict) -> int:
         rng = np.random.default_rng([cfg["seed"], s])
         values = np.array([sample(d, rng) for d in dists])
         for name in names:
-            outcome = _run_mechanism(name, inst, values, dists, cfg["grid"])
+            outcome = _run_mechanism(name, inst, values, dists, cfg)
             w = welfare(values, outcome.ctrs)
             r = float(np.sum(outcome.payments))
             rows.append([s, name, repr(w), repr(r), cfg["seed"]])

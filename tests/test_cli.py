@@ -6,7 +6,7 @@ import pytest
 
 import slotauction.cli as cli
 import slotauction.oracle as oracle
-from slotauction.core import instance_from_dict
+from slotauction.core import CASCADE, MNL, instance_from_dict
 from slotauction.mechanisms import (
     exact_mnl_solver,
     monotonicity_audit,
@@ -145,7 +145,12 @@ def test_non_finite_values_are_usage_errors(tmp_path):
             == EXIT_USAGE, argv
 
 
+def _entries(model):
+    return [algo for algo, entry_model in cli.SOLVERS if entry_model == model]
+
+
 def test_solve_algorithms_agree_on_fixture_pack(tmp_path):
+    """Every MNL entry of the solver table is exact."""
     rng = np.random.default_rng(5)
     for t in range(5):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -157,13 +162,13 @@ def test_solve_algorithms_agree_on_fixture_pack(tmp_path):
         vals = write_json(tmp_path / f"v{t}.json",
                           rng.uniform(0.1, 5.0, n).tolist())
         objs = {}
-        for algo in ("lp", "brute", "dinkelbach"):
+        for algo in _entries(MNL):
             out = tmp_path / f"o{t}{algo}.json"
             assert main(["solve", "--instance", inst, "--values", vals,
                          "--algorithm", algo, "--out", str(out)]) == EXIT_OK
             objs[algo] = json.loads(out.read_text())["objective"]
-        assert objs["lp"] == pytest.approx(objs["brute"], abs=1e-6)
-        assert objs["lp"] == pytest.approx(objs["dinkelbach"], abs=1e-6)
+        for algo, objective in objs.items():
+            assert objective == pytest.approx(objs["brute"], abs=1e-6), algo
 
 
 def test_solve_cascade_algorithms(tmp_path):
@@ -174,14 +179,32 @@ def test_solve_cascade_algorithms(tmp_path):
     )
     vals = write_json(tmp_path / "vals.json", [2.0, 1.0])
     results = {}
-    for algo in ("greedy", "ptas", "brute"):
+    for algo in _entries(CASCADE):
         out = tmp_path / f"{algo}.json"
         assert main(["solve", "--instance", inst, "--values", vals,
                      "--algorithm", algo, "--seed", "1",
                      "--out", str(out)]) == EXIT_OK
         results[algo] = json.loads(out.read_text())["objective"]
-    assert results["brute"] >= results["ptas"] - 1e-9
-    assert results["brute"] >= results["greedy"] - 1e-9
+    for algo, objective in results.items():
+        assert results["brute"] >= objective - 1e-9, algo
+
+
+def test_solve_without_algorithm_runs_the_model_default(tmp_path):
+    vals = write_json(tmp_path / "vals.json", [2.0, 1.0])
+    for model, default in (("mnl", "dinkelbach"), ("cascade", "brute")):
+        inst = write_json(
+            tmp_path / f"{model}.json",
+            {"n": 2, "m": 2, "k": 2, "model": model,
+             "p": [[0.8, 0.4], [0.5, 0.3]]},
+        )
+        outs = []
+        for extra in ([], ["--algorithm", default]):
+            out = tmp_path / f"{model}{len(outs)}.json"
+            assert main(["solve", "--instance", inst, "--values", vals,
+                         "--out", str(out), *extra]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert json.loads(outs[0])["algorithm"] == default
+        assert outs[0] == outs[1]
 
 
 def test_solve_ptas_up_to_the_oracle_guard(tmp_path, monkeypatch, capsys):
@@ -247,6 +270,96 @@ def test_mechanism_myerson_csv(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     rows = read_csv(out)
     assert abs(float(rows[1][3]) - 0.7) <= 0.9 / 1024
+
+
+@pytest.mark.parametrize("algo, model", [
+    key for key, (_route, handle) in cli.SOLVERS.items() if handle])
+def test_mechanism_myerson_runs_every_entry_with_a_handle(tmp_path, algo,
+                                                          model):
+    rng = np.random.default_rng(8)
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 4, "m": 3, "k": 2, "model": model,
+         "p": rng.uniform(0.05, 0.9, (4, 3)).tolist()},
+    )
+    values = rng.uniform(0.0, 1.0, 4)
+    vals = write_json(tmp_path / "vals.json", values.tolist())
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    out = tmp_path / "mech.csv"
+    assert main(["mechanism", "--instance", inst, "--values", vals,
+                 "--dist", dist, "--mechanism", "myerson", "--grid", "64",
+                 "--algorithm", algo, "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)[1:]
+    assert len(rows) == 4
+    for v, row in zip(values, rows):
+        ctr, payment = float(row[2]), float(row[3])
+        assert 0.0 <= payment <= v * ctr + 1e-9, row
+
+
+@pytest.mark.parametrize("command", ["mechanism", "simulate"])
+def test_mechanisms_reject_an_algorithm_they_cannot_run(tmp_path, capsys,
+                                                        command):
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    vals = write_json(tmp_path / "vals.json", [0.5, 0.25])
+    with_handle = ("entries with one: dinkelbach (mnl), greedy (cascade),"
+                   " brute (cascade)")
+    runs = [  # (model, algorithm, exit code, stderr text)
+        ("mnl", "quantum", EXIT_USAGE, "unknown algorithm 'quantum'"),
+        ("cascade", "quantum", EXIT_USAGE, "unknown algorithm 'quantum'"),
+        ("mnl", "lp", EXIT_USAGE, with_handle),
+        ("mnl", "brute", EXIT_USAGE, with_handle),
+        ("cascade", "ptas", EXIT_USAGE, with_handle),
+        ("mnl", "greedy", EXIT_SOLVER, "does not solve 'mnl' instances"),
+        ("cascade", "lp", EXIT_SOLVER, "does not solve 'cascade' instances"),
+        ("cascade", "dinkelbach", EXIT_SOLVER, "does not solve 'cascade'"),
+    ]
+    for model, algo, code, text in runs:
+        inst = write_json(
+            tmp_path / "inst.json",
+            {"n": 2, "m": 1, "k": 1, "model": model, "p": [[0.5], [0.5]]},
+        )
+        assert main([command, "--instance", inst, "--dist", dist,
+                     "--values", vals, "--mechanism", "myerson",
+                     "--samples", "2", "--algorithm", algo,
+                     "--out", str(tmp_path / "o.csv")]) == code, (model, algo)
+        assert text in capsys.readouterr().err, (model, algo)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_greedy_auction_from_the_cli_at_20x8(tmp_path, capsys):
+    rng = np.random.default_rng(20)
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 20, "m": 8, "k": 8, "model": "cascade",
+         "p": rng.uniform(0.01, 1.0, (20, 8)).tolist()},
+    )
+    vals = write_json(tmp_path / "vals.json", rng.uniform(0, 1, 20).tolist())
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    args = ["simulate", "--instance", inst, "--dist", dist, "--samples", "5",
+            "--seed", "3", "--algorithm", "greedy", "--mechanism", "myerson"]
+    outs = []
+    for run in range(2):
+        out = tmp_path / f"sim{run}.csv"
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(read_csv(tmp_path / "sim0.csv")) == 1 + 5 + 2
+
+    mech = ["mechanism", "--instance", inst, "--values", vals,
+            "--dist", dist, "--out", str(tmp_path / "mech.csv")]
+    assert main([*mech, "--algorithm", "greedy",
+                 "--mechanism", "myerson"]) == EXIT_OK
+    # the default cascade route is exhaustive and guarded at 36 cells
+    assert main([*mech, "--mechanism", "myerson"]) == EXIT_SOLVER
+    assert "exhaustive-search guard" in capsys.readouterr().err
+    # externality payments need an exact solver; the greedy is not one
+    assert main([*mech, "--algorithm", "greedy",
+                 "--mechanism", "vcg"]) == EXIT_SOLVER
+    assert "externality payments require an exact solver" \
+        in capsys.readouterr().err
 
 
 def test_simulate_deterministic_and_welfare_ordered(tmp_path):

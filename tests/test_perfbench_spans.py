@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slotauction import core, distributions, mechanisms
+from slotauction import cli, core, distributions, mechanisms
 from slotauction.core import CASCADE, Instance, MNL
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -86,6 +86,39 @@ def test_rebuilt_handles_price_as_their_curves(spans):
         assert np.array_equal(fast.payments, slow.payments), name
         assert np.array_equal(fast.ctrs, slow.ctrs), name
     assert with_curve == 2
+
+
+def test_cli_solver_table_is_traced(spans, tmp_path):
+    """The CLI's solver table looks library names up at call time, so the
+    tracer's patched attributes record spans for every route it takes."""
+    inst = tmp_path / "inst.json"
+    vals = tmp_path / "vals.json"
+    dist = tmp_path / "dist.json"
+    vals.write_text("[0.6, 0.3, 0.9]")
+    dist.write_text('{"family": "uniform", "a": 0, "b": 1}')
+    p = [[0.8, 0.4], [0.5, 0.3], [0.6, 0.2]]
+    runs = [  # (model, argv, span that must be recorded)
+        ("cascade", ["mechanism", "--mechanism", "myerson", "--grid", "16"],
+         "mechanisms.handle"),
+        ("cascade", ["mechanism", "--mechanism", "myerson", "--grid", "16",
+                     "--algorithm", "greedy"], "mechanisms.handle"),
+        ("mnl", ["solve", "--algorithm", "dinkelbach"],
+         "mnl_wdp.solve_mnl_wdp"),
+    ]
+    for model, argv, span in runs:
+        inst.write_text(
+            f'{{"n": 3, "m": 2, "k": 2, "model": "{model}", "p": {p}}}')
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            code = cli.main([*argv, "--instance", str(inst), "--values",
+                             str(vals), "--dist", str(dist),
+                             "--out", str(tmp_path / "out")])
+        finally:
+            tracer.uninstall()
+        assert code == cli.EXIT_OK, argv
+        recorded = {tracer.names[i] for i in tracer.name}
+        assert span in recorded, (argv, sorted(recorded))
 
 
 def _fresh(args):
