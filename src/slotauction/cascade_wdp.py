@@ -219,15 +219,13 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
         scores = _budgeted_scores(table, values, stack, 1.0, inst.k)
         picks.extend(oracle._first_best_rows(scores).tolist())
 
-    best_alloc = Allocation({})
-    best_welfare = 0.0
-    for row in dict.fromkeys(picks):  # a repeated pick scores the same
-        cand = Allocation(dict(table.pairs[row]))
-        w = welfare(values, restricted_ctr(inst, cand, values))
-        if w > best_welfare + 1e-15:
-            best_welfare = w
-            best_alloc = cand
-    return best_alloc
+    def scored():
+        yield 0.0, Allocation({})
+        for row in dict.fromkeys(picks):  # a repeated pick scores the same
+            cand = Allocation(dict(table.pairs[row]))
+            yield welfare(values, restricted_ctr(inst, cand, values)), cand
+
+    return oracle._first_best(scored())[0]
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,15 @@ most 36 cells) for every command.  ``mechanism`` and ``simulate`` need an
 entry with a solver handle: ``dinkelbach``, ``brute`` (cascade) or
 ``greedy``, the monotone bucket greedy seeded by --seed, which vcg refuses.
 
+Every file read is JSON of the types it documents, by one rule,
+``core.json_fits``: a bool or a string is not a number.
+
 Exit codes:
   0  ok
-  1  usage error (flags, config, unreadable or malformed files)
-  2  solver or validation error: one of the library's own error classes,
-     such as an invalid instance or an input above a size guard
+  1  usage error: flags, config, a file unreadable or not JSON, values that
+     are not n finite numbers, a --dist file that is not of JSON objects
+  2  solver or validation error, a ``core.SlotauctionError``: a malformed
+     or invalid instance or distribution, an input above a size guard
   3  audit failure
   4  internal error: any other exception, reported with its traceback
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -43,21 +48,14 @@ import numpy as np
 from . import cascade_wdp, core, mechanisms, oracle, properties
 from .core import (
     CASCADE,
-    InfeasibleAllocationError,
     Instance,
     MNL,
-    SizeGuardError,
+    SlotauctionError,
     ValidationError,
+    json_fits,
     welfare,
 )
-from .distributions import (
-    DistributionError,
-    ValueDistribution,
-    dist_from_dict,
-    sample,
-)
-from .linfrac import SimplexError
-from .mechanisms import IrregularDistributionError, NonMonotoneSolverError
+from .distributions import ValueDistribution, dist_from_dict, sample
 from .mnl_wdp import solve_mnl_lp, solve_mnl_wdp
 
 EXIT_OK = 0
@@ -67,17 +65,6 @@ EXIT_AUDIT = 3
 EXIT_INTERNAL = 4
 
 MECHANISMS = ("vcg", "myerson")
-
-# The library's own error classes; anything else escaping a command is a bug.
-LIBRARY_ERRORS = (
-    ValidationError,
-    SizeGuardError,
-    SimplexError,
-    InfeasibleAllocationError,
-    DistributionError,
-    IrregularDistributionError,
-    NonMonotoneSolverError,
-)
 
 
 class UsageError(Exception):
@@ -118,16 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fits(kind: type, value) -> bool:
-    """Whether a JSON config value has the flag's type: bools are neither
-    ints nor floats, and ints are also floats."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
     merged = {key: default for key, (_kind, default, _text) in _FLAGS.items()}
     if args.config:
@@ -139,7 +116,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if key not in _FLAGS:
                 raise UsageError(f"unknown config key {key!r}")
             kind = _FLAGS[key][0]
-            if not _fits(kind, value):
+            if not json_fits(kind, value):
                 raise UsageError(
                     f"config key {key!r} needs a {kind.__name__},"
                     f" got {value!r}")
@@ -167,10 +144,9 @@ def _load_values(cfg: dict, n: int) -> np.ndarray:
         raise UsageError("--values is required for this command")
     with open(cfg["values"]) as fh:
         raw = json.load(fh)
-    try:
-        vals = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"values must be numbers: {exc}") from exc
+    if not (json_fits(list, raw) and all(json_fits(float, v) for v in raw)):
+        raise UsageError(f"values must be an array of numbers, got {raw!r}")
+    vals = np.array(raw, dtype=float)
     if vals.shape != (n,):
         raise UsageError(f"expected {n} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -183,12 +159,12 @@ def _load_dists(cfg: dict, n: int) -> list[ValueDistribution]:
         raise UsageError("--dist is required for this command")
     with open(cfg["dist"]) as fh:
         raw = json.load(fh)
-    if isinstance(raw, dict):
+    if json_fits(dict, raw):
         raw = [raw] * n
+    if not (json_fits(list, raw) and all(json_fits(dict, d) for d in raw)):
+        raise UsageError("distributions must be an object or a list of them")
     if len(raw) != n:
         raise UsageError(f"expected 1 or {n} distributions, got {len(raw)}")
-    if not all(isinstance(d, dict) for d in raw):
-        raise UsageError("each distribution must be a JSON object")
     return [dist_from_dict(d) for d in raw]
 
 
@@ -201,8 +177,6 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _csv_text(header: Sequence[str], rows: list[Sequence]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
@@ -452,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LIBRARY_ERRORS as exc:
+    except SlotauctionError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except Exception:

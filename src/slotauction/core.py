@@ -22,6 +22,7 @@ operations are pure functions, so concurrent read access is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +34,20 @@ CASCADE = "cascade"
 CtrVector = np.ndarray
 
 
-class ValidationError(ValueError):
+class SlotauctionError(Exception):
+    """Base of every error the library raises on purpose; the CLI reports
+    each as a solver error (exit 2), anything else as a bug."""
+
+
+class ValidationError(SlotauctionError, ValueError):
     """An instance or input violates a documented invariant."""
 
 
-class InfeasibleAllocationError(ValueError):
+class InfeasibleAllocationError(SlotauctionError, ValueError):
     """An allocation does not fit the instance it is evaluated against."""
 
 
-class SizeGuardError(ValueError):
+class SizeGuardError(SlotauctionError, ValueError):
     """An exhaustive computation was asked to run beyond desk scale."""
 
 
@@ -263,19 +269,36 @@ def welfare(values, pi: CtrVector) -> float:
     return float(values @ pi)
 
 
+def json_fits(kind: type, value) -> bool:
+    """Whether a parsed JSON value has type ``kind``: bools are neither
+    ints nor floats, and ints are also floats if a float can hold them."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Build an Instance from the JSON schema
-    {"n":int,"m":int,"k":int,"model":"mnl"|"cascade","p":[[float]]}."""
-    try:
-        inst = Instance(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            k=int(data["k"]),
-            p=np.array(data["p"], dtype=float),
-            model=str(data["model"]).lower(),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed instance: {exc}") from exc
+    {"n":int,"m":int,"k":int,"model":"mnl"|"cascade","p":[[float]]}; any
+    other JSON type, or rows of unequal length, is a ValidationError."""
+    if not json_fits(dict, data):
+        raise ValidationError("malformed instance: not a JSON object")
+    for key, kind in (("n", int), ("m", int), ("k", int), ("model", str),
+                      ("p", list)):
+        if key not in data:
+            raise ValidationError(f"malformed instance: missing {key!r}")
+        if not json_fits(kind, data[key]):
+            raise ValidationError(f"malformed instance: {key!r} must be of"
+                                  f" type {kind.__name__}, got {data[key]!r}")
+    p = data["p"]
+    if not all(json_fits(list, row) and len(row) == len(p[0])
+               and all(json_fits(float, x) for x in row) for row in p):
+        raise ValidationError(
+            "malformed instance: 'p' needs rows of numbers of equal length")
+    inst = Instance(n=data["n"], m=data["m"], k=data["k"], p=p,
+                    model=data["model"].lower())
     require_valid(inst)
     return inst
 
@@ -283,9 +306,9 @@ def instance_from_dict(data: dict) -> Instance:
 def instance_to_dict(inst: Instance) -> dict:
     require_valid(inst)
     return {
-        "n": inst.n,
-        "m": inst.m,
-        "k": inst.k,
+        "n": int(inst.n),
+        "m": int(inst.m),
+        "k": int(inst.k),
         "model": inst.model,
         "p": inst.p.tolist(),
     }

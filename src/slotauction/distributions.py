@@ -20,11 +20,13 @@ from typing import Callable
 
 import numpy as np
 
+from .core import SlotauctionError, json_fits
+
 INVERSE_TOL = 1e-9
 REGULARITY_GRID = 10_001
 
 
-class DistributionError(ValueError):
+class DistributionError(SlotauctionError, ValueError):
     """A distribution parameter or evaluation point is unusable."""
 
 
@@ -162,26 +164,25 @@ class TruncatedNormal(ValueDistribution):
             raise DistributionError("truncated normal needs sigma > 0")
         if not self.lo < self.hi:
             raise DistributionError("truncated normal needs lo < hi")
-
-    def _mass(self) -> tuple[float, float]:
         flo = _std_normal_cdf((self.lo - self.mu) / self.sigma)
         fhi = _std_normal_cdf((self.hi - self.mu) / self.sigma)
-        if fhi - flo <= 0.0:
+        if not fhi - flo > 0.0:
             raise DistributionError("truncation window carries no mass")
-        return flo, fhi
+        # The standard normal CDF at the window's ends, used by every call.
+        object.__setattr__(self, "_mass", (flo, fhi))
 
     def cdf(self, v: float) -> float:
         if v <= self.lo:
             return 0.0
         if v >= self.hi:
             return 1.0
-        flo, fhi = self._mass()
+        flo, fhi = self._mass
         return (_std_normal_cdf((v - self.mu) / self.sigma) - flo) / (fhi - flo)
 
     def pdf(self, v: float) -> float:
         if not self.lo <= v <= self.hi:
             return 0.0
-        flo, fhi = self._mass()
+        flo, fhi = self._mass
         return _std_normal_pdf((v - self.mu) / self.sigma) / (
             self.sigma * (fhi - flo)
         )
@@ -191,7 +192,7 @@ class TruncatedNormal(ValueDistribution):
             return self.lo
         if q >= 1.0:
             return self.hi
-        flo, fhi = self._mass()
+        flo, fhi = self._mass
         x = _std_normal_quantile(flo + q * (fhi - flo))
         return min(self.hi, max(self.lo, self.mu + self.sigma * x))
 
@@ -265,21 +266,19 @@ def is_regular(dist: ValueDistribution, grid: int = REGULARITY_GRID) -> bool:
 
 def dist_from_dict(data: dict) -> ValueDistribution:
     """Build a distribution from the JSON fragments used in CLI configs,
-    e.g. {"family": "uniform", "a": 0, "b": 1}."""
+    e.g. {"family": "uniform", "a": 0, "b": 1}.  The family must be a
+    string and each parameter a number, by ``core.json_fits``."""
 
-    def param(key: str):
+    def param(key: str, kind: type = float):
         if key not in data:
             raise DistributionError(f"missing parameter: {key!r}")
-        try:
-            return float(data[key])
-        except (TypeError, ValueError) as exc:
+        if not json_fits(kind, data[key]):
+            noun = "number" if kind is float else "string"
             raise DistributionError(
-                f"parameter {key!r} must be a number, got {data[key]!r}"
-            ) from exc
+                f"parameter {key!r} must be a {noun}, got {data[key]!r}")
+        return kind(data[key])
 
-    if "family" not in data:
-        raise DistributionError("missing parameter: 'family'")
-    family = str(data["family"]).lower()
+    family = param("family", str).lower()
     if family == "uniform":
         return Uniform(a=param("a"), b=param("b"))
     if family == "exponential":

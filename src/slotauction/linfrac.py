@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Allocation, Instance, MNL, ValidationError, bid_vector, require_valid,
+    Allocation, Instance, MNL, SlotauctionError, ValidationError, bid_vector,
+    require_valid,
 )
 
 OPTIMAL = "optimal"
@@ -41,7 +42,7 @@ MAX_PIVOTS = 20_000
 MAX_LP_CELLS = 800
 
 
-class SimplexError(RuntimeError):
+class SimplexError(SlotauctionError, RuntimeError):
     """The solver hit a numerical failure or iteration cap; never silent."""
 
 

@@ -39,6 +39,7 @@ from .core import (
     CtrVector,
     Instance,
     Permutation,
+    SlotauctionError,
     ValidationError,
     bid_vector,
     cascade_ctr,
@@ -66,7 +67,7 @@ SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]
 CurveFn = Callable[[Instance, np.ndarray, int], Callable[[float], float]]
 
 
-class IrregularDistributionError(ValueError):
+class IrregularDistributionError(SlotauctionError, ValueError):
     """Virtual values decrease somewhere; ironing is out of scope here."""
 
 
@@ -83,7 +84,7 @@ def _finite_values(inst: Instance, values) -> np.ndarray:
     return values
 
 
-class NonMonotoneSolverError(ValueError):
+class NonMonotoneSolverError(SlotauctionError, ValueError):
     """An approximate solver failed its monotonicity audit."""
 
 

@@ -8,7 +8,7 @@ row gives each advertiser's position, or -1 if unmatched.  Rows come in a
 fixed order: positions ascending, each one first left empty, then given to
 the free active advertisers in ascending order; the first row is the empty
 matching.  Ties follow one rule: the first row whose score beats the
-running best, starting from the empty matching's 0.0, by more than 1e-15.
+running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
 
 ``BruteOwnBidCurves`` scores a table on arrays, with the cascade oracle's
 own arithmetic, to give each advertiser's CTR as an exact function of its
@@ -37,6 +37,8 @@ from .mnl_wdp import WdpResult
 MAX_CELLS = 36
 # A 6x6 table of 13 327 rows takes ~3.1 MB with its views: cache < 100 MB.
 TABLE_CACHE = 32
+# A candidate replaces the best so far only if it scores more than this above.
+TIE_MARGIN = 1e-15
 
 
 class _Table(tuple):
@@ -114,11 +116,11 @@ def _matchings(inst: Instance, model, values, active):
 def _first_best(scored):
     """From an iterator of (score, candidate) pairs whose first candidate
     is the empty matching, the first pair beating the running best by more
-    than 1e-15; the running best starts at 0.0."""
+    than ``TIE_MARGIN``; the running best starts at 0.0."""
     _, best = next(scored)
     best_score = 0.0
     for score, candidate in scored:
-        if score > best_score + 1e-15:
+        if score > best_score + TIE_MARGIN:
             best_score, best = score, candidate
     return best, best_score
 
@@ -126,19 +128,19 @@ def _first_best(scored):
 def _first_best_rows(scores: np.ndarray) -> np.ndarray:
     """The index ``_first_best`` picks in each row of a 2-D score array
     without NaN.  From a pick (b, s) the next is the first index after b
-    scoring above s + 1e-15; indices 1..b all score at most that, so it is
-    the first where the running maximum over indices 1.. does."""
+    scoring above s + TIE_MARGIN; indices 1..b all score at most that, so
+    it is the first where the running maximum over indices 1.. does."""
     running = np.maximum.accumulate(scores[:, 1:], axis=1)
     best = np.zeros(scores.shape[0], dtype=np.intp)
     live = np.arange(scores.shape[0])
-    threshold = np.full(live.shape, 1e-15)  # 0.0 + 1e-15
+    threshold = np.full(live.shape, 0.0 + TIE_MARGIN)
     while live.size:
         # running is non-decreasing: count the indices not past threshold
         after = (running[live] <= threshold[:, None]).sum(axis=1)
         found = after < running.shape[1]
         live, pick = live[found], after[found] + 1
         best[live] = pick
-        threshold = scores[live, pick] + 1e-15
+        threshold = scores[live, pick] + TIE_MARGIN
     return best
 
 

@@ -1,12 +1,15 @@
 import csv
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import slotauction
 import slotauction.cli as cli
 import slotauction.oracle as oracle
-from slotauction.core import CASCADE, MNL, instance_from_dict
+from slotauction.core import CASCADE, MNL, SlotauctionError, instance_from_dict
 from slotauction.mechanisms import (
     exact_mnl_solver,
     monotonicity_audit,
@@ -117,6 +120,17 @@ def test_malformed_inputs_are_usage_errors(tmp_path, lone_ad_files):
                  "--dist", bad_dist, "--mechanism", "myerson"]) == EXIT_USAGE
     assert main(["solve", "--instance", str(tmp_path), "--values", vals,
                  "--algorithm", "lp"]) == EXIT_USAGE
+    # values must be JSON numbers that a float holds: no strings or bools
+    inst3 = write_json(tmp_path / "inst3.json", {
+        "n": 3, "m": 1, "k": 1, "model": "mnl", "p": [[0.5], [0.4], [0.3]]})
+    for raw in (["0.6", 0.3, True], [10**400, 0.3, 0.2]):
+        coerced = write_json(tmp_path / "coerced.json", raw)
+        assert main(["solve", "--instance", inst3,
+                     "--values", coerced]) == EXIT_USAGE
+    number_dist = write_json(tmp_path / "dist.json", 5)
+    assert main(["mechanism", "--instance", inst, "--values", vals,
+                 "--dist", number_dist, "--mechanism", "myerson"]
+                ) == EXIT_USAGE
 
 
 def test_negative_values_are_solver_error(tmp_path, lone_ad_files):
@@ -474,6 +488,7 @@ def test_audit_planted_bug_fails(capsys):
     ("planted_bug", "false"), ("planted_bug", 0), ("grid", 2.9),
     ("grid", "2"), ("samples", True), ("seed", 1.5), ("epsilon", "0.1"),
     ("epsilon", False), ("out", 3), ("mechanism", None),
+    pytest.param("epsilon", 10**400, id="epsilon-beyond-float"),
 ])
 def test_config_values_must_have_the_flag_type(tmp_path, key, value, capsys):
     cfg = write_json(tmp_path / "cfg.json", {key: value})
@@ -507,3 +522,27 @@ def test_non_numeric_distribution_parameter_is_solver_error(tmp_path):
     assert main(["simulate", "--instance", inst, "--dist", dist,
                  "--samples", "2", "--out", str(tmp_path / "s.csv")]
                 ) == EXIT_SOLVER
+
+
+def test_every_library_error_class_exits_2(monkeypatch, capsys):
+    """Every exception class the package defines, except the CLI's own
+    usage error, is a SlotauctionError, which main reports as exit 2."""
+    found = []
+    for info in pkgutil.iter_modules(slotauction.__path__):
+        module = importlib.import_module(f"slotauction.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__
+                  and obj is not cli.UsageError]
+    assert {"ValidationError", "InfeasibleAllocationError", "SizeGuardError",
+            "SimplexError", "DistributionError", "IrregularDistributionError",
+            "NonMonotoneSolverError"} <= {cls.__name__ for cls in found}
+    for cls in found:
+        assert issubclass(cls, SlotauctionError), cls
+
+        def raise_it(cfg, cls=cls):
+            raise cls("planted")
+
+        monkeypatch.setattr(cli, "cmd_audit", raise_it)
+        assert main(["audit"]) == EXIT_SOLVER, cls
+        assert "solver error: planted" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,12 +201,33 @@ def test_instance_json_round_trip():
     np.testing.assert_array_equal(again.p, inst.p)
 
 
+def test_instance_to_dict_writes_json_for_numpy_dimensions():
+    inst = Instance(n=np.int64(2), m=np.int64(3), k=np.int64(2),
+                    p=np.full((2, 3), 0.25), model=CASCADE)
+    again = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert (again.n, again.m, again.k) == (2, 3, 2)
+    np.testing.assert_array_equal(again.p, inst.p)
+
+
 def test_instance_from_dict_validates():
     with pytest.raises(ValidationError):
         instance_from_dict({"n": 1, "m": 1, "k": 1, "model": "mnl",
                             "p": [[1.0]]})
     with pytest.raises(ValidationError):
         instance_from_dict({"n": 1, "m": 1, "model": "mnl", "p": [[0.5]]})
+    # Each change below is a JSON type the schema does not allow; a reader
+    # that converted it would build a different auction than the file's.
+    base = {"n": 3, "m": 2, "k": 2, "model": "cascade",
+            "p": [[0.5, 0.4], [0.3, 0.2], [0.1, 0.6]]}
+    assert instance_from_dict(base).k == 2
+    for change in ({"n": 3.9}, {"k": 1.7}, {"k": True}, {"m": "2"},
+                   {"p": [[0.5, "0.8"], [0.3, 0.2], [0.1, 0.6]]},
+                   {"p": [[0.5, True], [0.3, 0.2], [0.1, 0.6]]},
+                   {"p": [[0.5, 0.4], [0.3], [0.1, 0.6]]}):
+        with pytest.raises(ValidationError, match="malformed instance"):
+            instance_from_dict({**base, **change})
+    with pytest.raises(ValidationError, match="malformed instance"):
+        instance_from_dict(list(base.values()))
 
 
 def test_instance_matrix_is_read_only():

@@ -143,12 +143,22 @@ def test_json_fragments_round_trip():
         dist_from_dict({"family": "zipf", "s": 2})
     with pytest.raises(DistributionError):
         dist_from_dict({"family": "uniform", "a": 0})
+    with pytest.raises(DistributionError):
+        dist_from_dict({"family": ["uniform"], "a": 0, "b": 1})
+
+
+def test_truncated_normal_without_mass_fails_at_construction():
+    with pytest.raises(DistributionError, match="no mass"):
+        dist_from_dict({"family": "truncnorm", "mu": 100, "sigma": 1,
+                        "lo": 0, "hi": 1})
 
 
 @pytest.mark.parametrize("data", [
     {"family": "uniform", "a": "x", "b": 1},
     {"family": "exponential", "rate": None},
     {"family": "truncated_normal", "mu": 0, "sigma": [1], "lo": 0, "hi": 1},
+    {"family": "uniform", "a": "0", "b": 1},
+    {"family": "uniform", "a": 0, "b": True},
 ])
 def test_non_numeric_parameters_are_distribution_errors(data):
     with pytest.raises(DistributionError, match="must be a number"):
