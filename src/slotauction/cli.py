@@ -24,8 +24,9 @@ Every file read is JSON of the types it documents, by one rule,
 
 Exit codes:
   0  ok
-  1  usage error: flags, config, a file unreadable or not JSON, values that
-     are not n finite numbers, a --dist file that is not of JSON objects
+  1  usage error: flags, config, a file unreadable or not JSON (a key
+     repeated within one object included), values that are not n finite
+     numbers, a --dist file that is not of JSON objects
   2  solver or validation error, a ``core.SlotauctionError``: a malformed
      or invalid instance or distribution, an input above a size guard
   3  audit failure
@@ -105,11 +106,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON in the file at ``path``; an object naming a key twice is a
+    ``UsageError``, where ``json.load`` alone would keep the last value."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _value in pairs]
+            twice = next(key for key in obj if keys.count(key) > 1)
+            raise UsageError(f"key {twice!r} appears twice in {path}")
+        return obj
+
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     merged = {key: default for key, (_kind, default, _text) in _FLAGS.items()}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise UsageError("config must be a JSON object")
         for key, value in raw.items():
@@ -135,15 +151,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _load_instance(cfg: dict) -> Instance:
     if not cfg["instance"]:
         raise UsageError("--instance is required for this command")
-    with open(cfg["instance"]) as fh:
-        return core.instance_from_dict(json.load(fh))
+    return core.instance_from_dict(_read_json(cfg["instance"]))
 
 
 def _load_values(cfg: dict, n: int) -> np.ndarray:
     if not cfg["values"]:
         raise UsageError("--values is required for this command")
-    with open(cfg["values"]) as fh:
-        raw = json.load(fh)
+    raw = _read_json(cfg["values"])
     if not (json_fits(list, raw) and all(json_fits(float, v) for v in raw)):
         raise UsageError(f"values must be an array of numbers, got {raw!r}")
     vals = np.array(raw, dtype=float)
@@ -157,8 +171,7 @@ def _load_values(cfg: dict, n: int) -> np.ndarray:
 def _load_dists(cfg: dict, n: int) -> list[ValueDistribution]:
     if not cfg["dist"]:
         raise UsageError("--dist is required for this command")
-    with open(cfg["dist"]) as fh:
-        raw = json.load(fh)
+    raw = _read_json(cfg["dist"])
     if json_fits(dict, raw):
         raw = [raw] * n
     if not (json_fits(list, raw) and all(json_fits(dict, d) for d in raw)):

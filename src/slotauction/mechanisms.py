@@ -19,10 +19,12 @@ only after a monotonicity audit.
 Both the audit and the envelope sum need one advertiser's CTR at many own
 bids.  A handle whose ``curve`` is set (``greedy_cascade_solver``'s and
 ``brute_cascade_solver``'s) answers those from an exact own-bid curve built
-once per bid template; every other handle (exact MNL, the planted-bug
-fixture) is probed with one ``solve`` per bid.  Both paths give the same
-CTRs, and for a randomized handle (the greedy) the same random draws; the
-outcome itself always comes from one real ``solve``.
+once per bid template.  The exact MNL handle has ``ctr_rows`` instead: the
+audit solves a whole sweep through it in one batched call of the solver
+itself.  Every other handle (the planted-bug fixture) and the exact MNL
+handle's envelope sum are probed with one ``solve`` per bid.  All paths give
+the same CTRs, and for a randomized handle (the greedy) the same random
+draws; the outcome itself always comes from one real ``solve``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .cascade_wdp import (
     greedy_picks,
 )
 from .distributions import ValueDistribution, is_regular
-from .mnl_wdp import solve_mnl_wdp
+from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
 from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
 
 EXACT_MNL = "exact_mnl"
@@ -65,6 +67,7 @@ MONOTONE_TOL = 1e-9
 
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
 CurveFn = Callable[[Instance, np.ndarray, int], Callable[[float], float]]
+CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
 
 
 class IrregularDistributionError(SlotauctionError, ValueError):
@@ -103,11 +106,17 @@ class SolverHandle:
     draws.  The audit and the envelope pricing read it in place of one
     ``solve`` per bid.  The greedy and brute cascade handles set it; the
     exact MNL handle and ``threshold_dropping_solver`` do not.
+
+    ``ctr_rows(inst, bid_rows)``, when set, returns one row per row of
+    ``bid_rows``: the CTRs ``solve`` reports at those bids, bit-equal.  The
+    audit reads a handle's whole sweep from it when the handle has no
+    ``curve``.  Only the exact MNL handle sets it.
     """
 
     solve: SolveFn
     kind: str
     curve: CurveFn | None = None
+    ctr_rows: CtrRowsFn | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -130,7 +139,11 @@ def exact_mnl_solver() -> SolverHandle:
         )
         return AugmentedAllocation(result.allocation, sigma), result.ctrs
 
-    return SolverHandle(solve=solve, kind=EXACT_MNL)
+    def ctr_rows(inst: Instance, bid_rows: np.ndarray) -> np.ndarray:
+        results = solve_mnl_wdp_rows(inst, bid_rows)
+        return np.array([r.ctrs for r in results]).reshape(-1, inst.n)
+
+    return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows)
 
 
 def _per_template(build):
@@ -377,14 +390,23 @@ def monotonicity_audit(
     ctr_after), where ctr_before is the running maximum and bid_before the
     last bid that reached it.  Exact solvers pass by optimality;
     approximate solvers must earn it.
+
+    A handle with ``ctr_rows`` and no ``curve`` answers the whole sweep in
+    one call; any other handle is read one bid at a time, and stops being
+    read at the first drop.
     """
     require_valid(inst)
     if not 0 <= i < inst.n:
         raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
-    ctr_at = _own_bid_ctr(solver, inst, bids_template, i)
+    grid = sorted(float(g) for g in grid)
+    if solver.curve is None and solver.ctr_rows is not None:
+        rows = np.tile(bid_vector(inst, bids_template), (len(grid), 1))
+        rows[:, i] = grid
+        ctrs = solver.ctr_rows(inst, rows)[:, i].tolist()
+    else:
+        ctrs = map(_own_bid_ctr(solver, inst, bids_template, i), grid)
     top_bid, top_pi = None, -np.inf
-    for b in sorted(float(g) for g in grid):
-        pi_i = ctr_at(b)
+    for b, pi_i in zip(grid, ctrs):
         if pi_i < top_pi - MONOTONE_TOL:
             return (top_bid, b, top_pi, pi_i)
         if pi_i >= top_pi:

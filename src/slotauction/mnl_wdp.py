@@ -11,7 +11,13 @@ problems.
 * ``solve_mnl_wdp`` is the production solver: the ratio loop on arrays over
   ``capped_matching``, a dense successive-shortest-path matching kernel
   (Jonker-Volgenant, 1987, but label-correcting: Bellman-Ford relaxations
-  vectorized over numpy arrays, no node potentials).
+  vectorized over numpy arrays, no node potentials).  It is the one-row
+  case of ``solve_mnl_wdp_rows``, which runs the loop for many bid vectors
+  of one instance at once: each step matches the weights of every row not
+  yet settled as one stack, the stack's block-diagonal union, in one kernel
+  call.  Blocks share no rows or columns, so each row's matchings, ratios
+  and result are bit-equal to a call of its own; batching only saves the
+  numpy call overhead that dominates at audit sizes (at most 4x4).
 * ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
   ``linfrac``), kept as a cross-check.  It accepts at most
   ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
@@ -33,6 +39,7 @@ from .core import (
     Instance,
     MNL,
     SizeGuardError,
+    ValidationError,
     bid_vector,
     mnl_ctr,
     require_valid,
@@ -72,9 +79,13 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
     weights (b_i - lam) * exp(rho_ij) with cap K, move lam to that
     matching's ratio sum b_i x e^rho / (1 + sum x e^rho), and stop once lam
     rises by no more than DINKELBACH_TOL; the last matching is returned.
+    This is the one-row case of ``solve_mnl_wdp_rows``.
 
-    Advertisers with non-positive bids are excluded up front: matching them
-    can only dilute the shared MNL denominator, so exclusion is optimal.
+    Advertisers with non-positive bids are never matched: matching them
+    can only dilute the shared MNL denominator, and as lam >= 0 their
+    weights are non-positive, i.e. no edge.  A bid of +inf is rejected with
+    ``ValidationError``: it makes a weight infinite (see
+    ``capped_matching``).
 
     Ties: when several matchings are optimal, the one returned is the one
     the kernel's lowest-index rule picks at the last step (see
@@ -82,38 +93,74 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
     leaves the ratio unchanged either way and is left out: at the last step
     its weights are zero, and a zero weight is no edge.
     """
-    require_valid(inst, MNL)
-    bids = bid_vector(inst, bids)
-    keep = np.flatnonzero(bids > 0.0)
-    if keep.size == 0:
-        return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
-    b = bids[keep]
-    expo = np.exp(inst.log_odds()[keep])
+    return solve_mnl_wdp_rows(inst, [bids])[0]
 
-    lam = 0.0
+
+def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> list[WdpResult]:
+    """``solve_mnl_wdp(inst, bids)`` for every row of ``bid_rows``, each
+    equal to what that call returns.
+
+    Every row runs its own Newton-Dinkelbach search with its own lam.  Each
+    step stacks the weights of the rows not yet settled into one
+    ``capped_matching`` call, whose blocks are matched exactly as alone, and
+    a row leaves the stack once its lam rises by no more than
+    DINKELBACH_TOL.  A row's ratio is computed on that row alone, in the
+    same order as a one-row call, so no last bit depends on the stack.
+    """
+    require_valid(inst, MNL)
+    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
+                        dtype=float).reshape(-1, inst.n)
+    results: list[WdpResult | None] = [None] * len(bid_rows)
+    expo = np.exp(inst.log_odds())
+    # The rows not yet settled: their indices, bids and lam.  A row without
+    # a positive bid is settled from the start.  In the others, a bid of at
+    # most 0 keeps its advertiser's weights non-positive, i.e. no edge.
+    live = np.flatnonzero((bid_rows > 0.0).any(axis=1))
+    b = bid_rows[live]
+    lam = np.zeros(live.size)
     for _ in range(DINKELBACH_MAX_ITER):
-        match = capped_matching((b - lam)[:, None] * expo, inst.k)
-        rows = np.flatnonzero(match >= 0)
-        e = expo[rows, match[rows]]
-        new_lam = float(b[rows] @ e) / (1.0 + float(e.sum()))
-        if new_lam - lam <= DINKELBACH_TOL:
+        match = capped_matching((b - lam[:, None])[:, :, None] * expo, inst.k)
+        going = []
+        for t in range(live.size):
+            row_b, row_match = b[t], match[t]
+            rows = np.flatnonzero(row_match >= 0)
+            e = expo[rows, row_match[rows]]
+            new_lam = float(row_b[rows] @ e) / (1.0 + float(e.sum()))
+            if new_lam - lam[t] <= DINKELBACH_TOL:
+                alloc = Allocation(
+                    dict(zip(rows.tolist(), row_match[rows].tolist())))
+                results[live[t]] = _result(inst, row_b, alloc)
+            else:
+                lam[t] = new_lam
+                going.append(t)
+        if not going:
             break
-        lam = new_lam
+        if len(going) < live.size:
+            live, b, lam = live[going], b[going], lam[going]
     else:
         raise RuntimeError(
             f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
         )
-    alloc = Allocation(dict(zip(keep[rows].tolist(), match[rows].tolist())))
-    return _result(inst, bids, alloc)
+    return [WdpResult(Allocation({}), 0.0, np.zeros(inst.n)) if r is None
+            else r for r in results]
 
 
 def capped_matching(weights, k: int) -> np.ndarray:
     """Maximum-weight bipartite matching with at most ``k`` edges.
 
     ``weights`` is a dense n x m array; ``weights[i, j] > 0`` is an edge
-    between row i and column j, and a non-positive entry is no edge.
-    Returns ``match`` of length n: ``match[i]`` is the column matched to
-    row i, or -1.
+    between row i and column j, a non-positive or NaN entry is no edge, and
+    +inf raises ``ValidationError``.  Returns ``match`` of length n:
+    ``match[i]`` is the column matched to row i, or -1.
+
+    ``weights`` may also be a stack of L such arrays (L x n x m); then
+    ``match`` is L x n and row l equals ``capped_matching(weights[l], k)``.
+    The stack is matched as its block-diagonal union, L n x L m with no
+    edge between blocks, and each step adds one best path per block.  No
+    path crosses from one block into another, so every block gets exactly
+    the labels, predecessors and tie picks it would get alone.  (An
+    infinite weight would make an infinite label, and inf + -inf is NaN
+    even off the block; hence the +inf check.)
 
     Each step adds one best-gain augmenting path.  The matching after t
     steps is a maximum-weight matching of cardinality t, and gains never
@@ -122,32 +169,54 @@ def capped_matching(weights, k: int) -> np.ndarray:
 
     Ties go to the lowest index: a column's label moves only to a strictly
     better row, the lowest-numbered among equals, and the path ends at the
-    lowest-numbered free column of maximal gain.
+    lowest-numbered free column of maximal gain within its block.
     """
-    w = np.asarray(weights, dtype=float)
-    n, m = w.shape
+    stack = np.asarray(weights, dtype=float)
+    if (stack == np.inf).any():
+        raise ValidationError("matching weights must be below +inf")
+    blocks, n, m = stack.shape if stack.ndim == 3 else (1, *stack.shape)
+    at = np.arange(blocks)
+    # w: the block-diagonal union; block l owns rows l*n.. and columns l*m..
+    w = np.zeros((blocks * n, blocks * m))
+    w.reshape(blocks, n, blocks, m)[at, :, at, :] = stack.reshape(
+        blocks, n, m)
     # open_w[i, j]: weight gained by entering edge (i, j) from row i; -inf
     # for no edge and for the matched edge of row i.
     open_w = np.where(w > 0.0, w, -np.inf)
-    match = np.full(n, -1, dtype=np.intp)
-    row_of = np.full(m, -1, dtype=np.intp)
+    match = np.full(blocks * n, -1, dtype=np.intp)
+    row_of = np.full(blocks * m, -1, dtype=np.intp)
+    # Free rows of the blocks still gaining: where each label pass starts.
+    start = np.ones(blocks * n, dtype=bool)
+    dist_r = np.empty(blocks * m)
+    pred_r = np.empty(blocks * m, dtype=np.intp)
     for _ in range(min(k, n, m)):
-        path = _best_path(w, open_w, match, row_of)
-        if path is None:
+        _labels(w, open_w, row_of, start, dist_r, pred_r)
+        gain = np.where(row_of < 0, dist_r, -np.inf).reshape(blocks, m)
+        rows, cols = [], []
+        for l, end in enumerate(gain.argmax(axis=1).tolist()):
+            if gain[l, end] > MATCH_TOL:
+                _trace(pred_r, match, l * m + end, n, rows, cols)
+            else:  # no gain now, so none later: block l is done
+                start[l * n:(l + 1) * n] = False
+        if not rows:
             break
-        rows, cols = path
+        rows, cols = np.array(rows), np.array(cols)
         old = match[rows]
         was = old >= 0
-        open_w[rows[was], old[was]] = w[rows[was], old[was]]
+        left, old = rows[was], old[was]
+        open_w[left, old] = w[left, old]
         open_w[rows, cols] = -np.inf
         match[rows] = cols
         row_of[cols] = rows
-    return match
+        start[rows] = False
+    # Back to each block's own column numbers.
+    np.remainder(match, max(m, 1), out=match, where=match >= 0)
+    return match.reshape(stack.shape[:-1])
 
 
-def _best_path(w, open_w, match, row_of):
-    """Rows and columns of a best-gain augmenting path, or None when no path
-    gains more than MATCH_TOL.
+def _labels(w, open_w, row_of, start, dist_r, pred_r):
+    """Fill ``dist_r`` and ``pred_r`` with every column's best gain and
+    predecessor row over augmenting paths from the rows in ``start``.
 
     Bellman-Ford label correcting over the alternating graph: a round
     relaxes, in one numpy step, every unmatched edge out of the rows whose
@@ -158,10 +227,10 @@ def _best_path(w, open_w, match, row_of):
     """
     n, m = w.shape
     cols = np.arange(m)
-    dist_l = np.where(match < 0, 0.0, -np.inf)
-    dist_r = np.full(m, -np.inf)
-    pred_r = np.full(m, -1, dtype=np.intp)
-    rows = np.flatnonzero(match < 0)
+    dist_l = np.where(start, 0.0, -np.inf)
+    dist_r.fill(-np.inf)
+    pred_r.fill(-1)
+    rows = np.flatnonzero(start)
     for _ in range(n + m + 1):
         if rows.size == 0:
             break
@@ -180,30 +249,29 @@ def _best_path(w, open_w, match, row_of):
     else:
         raise RuntimeError("augmenting-path labels did not settle")
 
-    gain = np.where(row_of < 0, dist_r, -np.inf)
-    end = int(gain.argmax())
-    if not gain[end] > MATCH_TOL:
-        return None
-    path_rows, path_cols = [], []
+
+def _trace(pred_r, match, end, n, rows, cols):
+    """Append to ``rows`` and ``cols`` the augmenting path that ends at
+    column ``end``, traced back through ``pred_r`` to a free row; ``n``
+    bounds its length."""
     j = end
-    while True:
+    for _ in range(n + 1):
         i = int(pred_r[j])
-        path_rows.append(i)
-        path_cols.append(j)
+        rows.append(i)
+        cols.append(j)
         j = int(match[i])
         if j < 0:
-            break
-        if len(path_rows) > n:
-            raise RuntimeError("augmenting-path reconstruction cycled")
-    return np.array(path_rows), np.array(path_cols)
+            return
+    raise RuntimeError("augmenting-path reconstruction cycled")
 
 
 def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
     """The paper's exact route: the Charnes-Cooper LP, by dense simplex.
 
     Kept as the cross-check of ``solve_mnl_wdp``.  Advertisers with
-    non-positive bids are excluded up front, as there, which also keeps the
-    LP's b >= 0, b != 0 precondition satisfied.  Raises ``SizeGuardError``
+    non-positive bids are excluded up front (``solve_mnl_wdp`` never matches
+    them either), which also keeps the LP's b >= 0, b != 0 precondition
+    satisfied.  Raises ``SizeGuardError``
     before building the tableau when the positive bidders times the
     positions exceed ``linfrac.MAX_LP_CELLS``.  Under ties it returns the
     optimal vertex Bland's rule reaches, which may differ from

@@ -108,7 +108,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys,
     assert "solver error" not in err
 
 
-def test_malformed_inputs_are_usage_errors(tmp_path, lone_ad_files):
+def test_malformed_inputs_are_usage_errors(tmp_path, lone_ad_files, capsys):
     inst, vals = lone_ad_files
     bad_vals = write_json(tmp_path / "bad.json", ["one"])
     assert main(["solve", "--instance", inst, "--values", bad_vals,
@@ -131,6 +131,28 @@ def test_malformed_inputs_are_usage_errors(tmp_path, lone_ad_files):
     assert main(["mechanism", "--instance", inst, "--values", vals,
                  "--dist", number_dist, "--mechanism", "myerson"]
                 ) == EXIT_USAGE
+    # a key given twice in one object, at any depth of any file read, is
+    # refused rather than resolved to its last value
+    twice = tmp_path / "twice.json"
+    dist = write_json(tmp_path / "uniform.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    for text, flag, key in [
+        ('{"n": 1, "m": 1, "k": 1, "k": 2, "model": "mnl", "p": [[0.5]]}',
+         "--instance", "k"),
+        ('{"seed": 1, "seed": 2}', "--config", "seed"),
+        ('[{"x": 1, "x": 1}]', "--values", "x"),
+        ('[{"family": "uniform", "a": 0, "b": 1, "b": 2}]', "--dist", "b"),
+    ]:
+        twice.write_text(text)
+        files = {"--instance": inst, "--values": vals, "--dist": dist,
+                 flag: str(twice)}
+        argv = ["mechanism", "--mechanism", "myerson"]
+        for option, file in files.items():
+            argv += [option, file]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE, flag
+        err = capsys.readouterr().err
+        assert f"key {key!r} appears twice in {twice}" in err, err
 
 
 def test_negative_values_are_solver_error(tmp_path, lone_ad_files):

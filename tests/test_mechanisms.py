@@ -574,3 +574,45 @@ def test_audit_catches_planted_bug():
     b_lo, b_hi, pi_lo, pi_hi = hit
     assert pi_hi < pi_lo
     assert b_hi > 5.0
+
+
+def _dropping_rows(handle, threshold):
+    """``ctr_rows`` with ``threshold_dropping_solver``'s planted bug: in each
+    row, a top bid above ``threshold`` is zeroed before solving."""
+
+    def ctr_rows(inst, rows):
+        rows = np.array(rows, dtype=float)
+        top = rows.argmax(axis=1)
+        hit = np.flatnonzero(rows[np.arange(len(rows)), top] > threshold)
+        rows[hit, top[hit]] = 0.0
+        return handle.ctr_rows(inst, rows)
+
+    return ctr_rows
+
+
+def test_audit_through_ctr_rows_equals_probes():
+    exact = exact_mnl_solver()
+    broken = threshold_dropping_solver(exact, threshold=5.0)
+    assert exact.ctr_rows is not None and broken.ctr_rows is None
+    pairs = [
+        (exact, SolverHandle(solve=exact.solve, kind=exact.kind)),
+        (SolverHandle(solve=broken.solve, kind=broken.kind,
+                      ctr_rows=_dropping_rows(exact, 5.0)), broken),
+    ]
+    rng = np.random.default_rng(71)
+    grid = np.linspace(0.25, 10.0, 8)
+    drops = 0
+    for _ in range(40):
+        inst = rand_mnl_instance(rng, nmax=4, mmax=4)
+        bids = rng.uniform(0.1, 10.0, inst.n)
+        for i in range(inst.n):
+            rows = np.tile(bids, (len(grid), 1))
+            rows[:, i] = grid
+            probed = np.array([exact.solve(inst, r)[1] for r in rows])
+            assert np.array_equal(exact.ctr_rows(inst, rows), probed)
+            for batched, probe_only in pairs:
+                hit = monotonicity_audit(batched, inst, bids, i, grid[::-1])
+                assert hit == monotonicity_audit(
+                    probe_only, inst, bids, i, grid[::-1])
+                drops += hit is not None
+    assert drops > 10

@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 
 import slotauction.mnl_wdp as mnl_wdp
-from slotauction.core import Instance, MNL, SizeGuardError, mnl_ctr
+from slotauction.core import (
+    Allocation,
+    Instance,
+    MNL,
+    SizeGuardError,
+    ValidationError,
+    mnl_ctr,
+)
 from slotauction.linfrac import MAX_LP_CELLS
 from slotauction.mechanisms import exact_mnl_solver, vcg
 from slotauction.mnl_wdp import (
+    DINKELBACH_TOL,
+    WdpResult,
     capped_matching,
     dinkelbach_check,
     max_weight_matching,
     solve_mnl_lp,
     solve_mnl_wdp,
+    solve_mnl_wdp_rows,
 )
 from slotauction.oracle import brute_force_wdp_mnl
 from slotauction.properties import monotonicity
@@ -239,3 +249,93 @@ def test_max_weight_matching_respects_cap(kernel):
     assert kernel(weights, 1) == {0: 0}
     got = kernel(weights, 2)
     assert len(got) == 2 and got[0] == 0 and got[1] == 1
+
+
+def _tie_heavy_stack(rng):
+    """A quarter-step MNL instance, k often below m, and 1-8 bid rows drawn
+    from a few repeated levels, zero and negative ones included."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 7))
+    k = int(rng.integers(1, m + 1))
+    p = rng.integers(1, 4, (n, m)) / 4.0
+    inst = Instance(n=n, m=m, k=k, p=p, model=MNL)
+    levels = [-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 2.0, 3.0]
+    return inst, rng.choice(levels, (int(rng.integers(1, 9)), n))
+
+
+def _one_row_loop(inst, bids):
+    """The Dinkelbach loop one row at a time on the positive bidders' rows
+    only, as ``solve_mnl_wdp`` ran before it was batched."""
+    bids = np.asarray(bids, dtype=float)
+    keep = np.flatnonzero(bids > 0.0)
+    if keep.size == 0:
+        return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
+    b = bids[keep]
+    expo = np.exp(inst.log_odds()[keep])
+    lam = 0.0
+    for _ in range(100):
+        match = capped_matching((b - lam)[:, None] * expo, inst.k)
+        rows = np.flatnonzero(match >= 0)
+        e = expo[rows, match[rows]]
+        new_lam = float(b[rows] @ e) / (1.0 + float(e.sum()))
+        if new_lam - lam <= DINKELBACH_TOL:
+            break
+        lam = new_lam
+    else:
+        raise AssertionError("reference loop did not settle")
+    pairs = dict(zip(keep[rows].tolist(), match[rows].tolist()))
+    return mnl_wdp._result(inst, bids, Allocation(pairs))
+
+
+def test_batched_rows_equal_one_solve_per_row(monkeypatch):
+    stacks = []
+
+    def recording(weights, k):
+        stacks.append(np.shape(weights)[0])
+        return capped_matching(weights, k)
+
+    monkeypatch.setattr(mnl_wdp, "capped_matching", recording)
+    rng = np.random.default_rng(61)
+    staggered = 0
+    for _ in range(300):
+        inst, rows = _tie_heavy_stack(rng)
+        stacks.clear()
+        got = solve_mnl_wdp_rows(inst, rows)
+        # the stack shrank but stayed non-empty: rows settled at different
+        # Dinkelbach steps within one batch
+        staggered += any(0 < b < a for a, b in zip(stacks, stacks[1:]))
+        assert len(got) == len(rows)
+        for result, bids in zip(got, rows):
+            for alone in (solve_mnl_wdp(inst, bids), _one_row_loop(inst, bids)):
+                assert result.allocation == alone.allocation
+                assert result.objective == alone.objective
+                assert np.array_equal(result.ctrs, alone.ctrs)
+    assert staggered > 20
+    assert solve_mnl_wdp_rows(Instance(n=1, m=1, k=1, p=[[0.5]], model=MNL),
+                              np.empty((0, 1))) == []
+
+
+def test_stacked_matching_equals_one_call_per_block():
+    rng = np.random.default_rng(67)
+    levels = np.array([-1.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.75])
+    for _ in range(300):
+        blocks = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, m + 1))
+        stack = rng.choice(levels, (blocks, n, m))
+        stack[rng.integers(blocks)] = rng.choice([-2.0, -0.5, 0.0], (n, m))
+        got = capped_matching(stack, k)
+        assert got.shape == (blocks, n)
+        for block, row in zip(stack, got):
+            assert np.array_equal(row, capped_matching(block, k))
+
+
+def test_infinite_weights_and_bids_are_rejected():
+    with pytest.raises(ValidationError):
+        capped_matching(np.array([[1.0, np.inf]]), 1)
+    with pytest.raises(ValidationError):
+        capped_matching(np.ones((2, 2, 2)) * [[[1.0], [np.inf]]], 2)
+    inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=MNL)
+    with pytest.raises(ValidationError):
+        solve_mnl_wdp(inst, [np.inf, 1.0])
