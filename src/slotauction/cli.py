@@ -357,12 +357,10 @@ def cmd_audit(cfg: dict) -> int:
     failures: list[str] = []
     ratio_rows: list[tuple[str, float]] = []
 
-    def record(kind: str, checked: properties.Checked) -> bool:
-        ratio, violation = checked
-        ratio_rows.append((kind, ratio))
+    def record(kind: str, ratios: list[float], violation: str | None) -> None:
+        ratio_rows.extend((kind, ratio) for ratio in ratios)
         if violation is not None:
             failures.append(violation)
-        return violation is not None
 
     mnl_solver = mechanisms.exact_mnl_solver()
     if cfg["planted_bug"]:
@@ -371,11 +369,7 @@ def cmd_audit(cfg: dict) -> int:
     for _ in range(20):
         inst = properties.random_instance(rng, MNL, 4, 4)
         bids = rng.uniform(0.1, 10.0, inst.n)
-        for i in range(inst.n):
-            violation = properties.monotonicity(
-                mnl_solver, inst, bids, i, sweep)
-            if violation is not None:
-                failures.append(violation)
+        failures += properties.monotonicity(mnl_solver, inst, bids, sweep)
         if failures:
             break
 
@@ -383,17 +377,16 @@ def cmd_audit(cfg: dict) -> int:
         for _ in range(20):
             inst = properties.random_instance(rng, CASCADE, 4, 4)
             values = rng.uniform(0.1, 10.0, inst.n)
-            for alloc in oracle.enumerate_matchings(inst):
-                if record("restricted_over_cascade",
-                          properties.sandwich(inst, alloc, values)):
-                    break
+            record("restricted_over_cascade",
+                   *properties.sandwich(inst, values))
             _chi_opt, opt = oracle.brute_force_wdp_cascade(inst, values)
             if opt > 0:
                 out = cascade_wdp.ptas_restricted_welfare(inst, values, eps)
-                record("ptas_over_opt", properties.restricted_search(
-                    inst, values, out, eps, opt))
-                record("bucket_avg_over_opt",
-                       properties.bucket_average(inst, values, opt))
+                ratio, violation = properties.restricted_search(
+                    inst, values, out, eps, opt)
+                record("ptas_over_opt", [ratio], violation)
+                ratio, violation = properties.bucket_average(inst, values, opt)
+                record("bucket_avg_over_opt", [ratio], violation)
             if failures:
                 break
 

@@ -20,18 +20,19 @@ Both the audit and the envelope sum need one advertiser's CTR at many own
 bids.  A handle whose ``curve`` is set (``greedy_cascade_solver``'s and
 ``brute_cascade_solver``'s) answers those from an exact own-bid curve built
 once per bid template.  The exact MNL handle has ``ctr_rows`` instead: the
-audit solves a whole sweep through it in one batched call of the solver
-itself.  Every other handle (the planted-bug fixture) and the exact MNL
-handle's envelope sum are probed with one ``solve`` per bid.  All paths give
-the same CTRs, and for a randomized handle (the greedy) the same random
-draws; the outcome itself always comes from one real ``solve``.
+audit solves every advertiser's sweep of an instance through it in one
+batched call of the solver itself.  Every other handle (the planted-bug
+fixture) and the exact MNL handle's envelope sum are probed with one
+``solve`` per bid.  All paths give the same CTRs, and for a randomized
+handle (the greedy) the same random draws; the outcome itself always comes
+from one real ``solve``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -68,6 +69,8 @@ MONOTONE_TOL = 1e-9
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
 CurveFn = Callable[[Instance, np.ndarray, int], Callable[[float], float]]
 CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
+# (bid_before, bid_after, ctr_before, ctr_after): see monotonicity_audit.
+Drop = tuple[float, float, float, float]
 
 
 class IrregularDistributionError(SlotauctionError, ValueError):
@@ -109,8 +112,8 @@ class SolverHandle:
 
     ``ctr_rows(inst, bid_rows)``, when set, returns one row per row of
     ``bid_rows``: the CTRs ``solve`` reports at those bids, bit-equal.  The
-    audit reads a handle's whole sweep from it when the handle has no
-    ``curve``.  Only the exact MNL handle sets it.
+    audit reads every advertiser's sweep from it, in one call, when the
+    handle has no ``curve``.  Only the exact MNL handle sets it.
     """
 
     solve: SolveFn
@@ -381,7 +384,7 @@ def monotone_grid_sum(
 
 def monotonicity_audit(
     solver: SolverHandle, inst: Instance, bids_template, i: int, grid
-) -> tuple[float, float, float, float] | None:
+) -> Drop | None:
     """Sweep advertiser ``i``'s bid upward along ``grid`` and report the
     first click-through rate that falls below the sweep's running maximum
     by more than the tolerance, if any.
@@ -389,22 +392,49 @@ def monotonicity_audit(
     Returns None on a clean sweep, else (bid_before, bid_after, ctr_before,
     ctr_after), where ctr_before is the running maximum and bid_before the
     last bid that reached it.  Exact solvers pass by optimality;
-    approximate solvers must earn it.
+    approximate solvers must earn it.  The one-advertiser case of
+    :func:`audit_drops`.
+    """
+    return next(audit_drops(solver, inst, bids_template, grid, [i]))[1]
 
-    A handle with ``ctr_rows`` and no ``curve`` answers the whole sweep in
-    one call; any other handle is read one bid at a time, and stops being
-    read at the first drop.
+
+def audit_drops(
+    solver: SolverHandle, inst: Instance, bids_template, grid,
+    advertisers=None,
+) -> Iterator[tuple[int, Drop | None]]:
+    """``(i, monotonicity_audit(solver, inst, bids_template, i, grid))``
+    for each of ``advertisers`` in turn (default: all), read lazily.
+
+    A handle with ``ctr_rows`` and no ``curve`` answers every advertiser's
+    sweep in one call, on the first read.  Any other handle is read one
+    advertiser and one bid at a time, in order, and stops being read at an
+    advertiser's first drop, so a randomized curve draws exactly as one
+    ``monotonicity_audit`` per advertiser would.
     """
     require_valid(inst)
-    if not 0 <= i < inst.n:
-        raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
+    advertisers = range(inst.n) if advertisers is None else list(advertisers)
+    for i in advertisers:
+        if not 0 <= i < inst.n:
+            raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
+    template = bid_vector(inst, bids_template)
     if solver.curve is None and solver.ctr_rows is not None:
-        rows = np.tile(bid_vector(inst, bids_template), (len(grid), 1))
-        rows[:, i] = grid
-        ctrs = solver.ctr_rows(inst, rows)[:, i].tolist()
+        rows = np.tile(template, (len(advertisers), len(grid), 1))
+        for s, i in enumerate(advertisers):
+            rows[s, :, i] = grid
+        ctrs = solver.ctr_rows(inst, rows.reshape(-1, inst.n)).reshape(
+            rows.shape)
+        for s, i in enumerate(advertisers):
+            yield i, _first_drop(grid, ctrs[s, :, i].tolist())
     else:
-        ctrs = map(_own_bid_ctr(solver, inst, bids_template, i), grid)
+        for i in advertisers:
+            yield i, _first_drop(
+                grid, map(_own_bid_ctr(solver, inst, template, i), grid))
+
+
+def _first_drop(grid: list[float], ctrs: Iterable[float]) -> Drop | None:
+    """The audit's drop rule over CTRs read along the sorted ``grid``; it
+    stops reading ``ctrs`` at the first drop."""
     top_bid, top_pi = None, -np.inf
     for b, pi_i in zip(grid, ctrs):
         if pi_i < top_pi - MONOTONE_TOL:
@@ -437,8 +467,7 @@ def _audit_or_raise(solver: SolverHandle, inst: Instance, values) -> None:
     values = np.asarray(values, dtype=float)
     top = max(1.0, float(values.max(initial=0.0)) * 2.0)
     grid = np.linspace(0.0, top, 9)
-    for i in range(inst.n):
-        hit = monotonicity_audit(solver, inst, values, i, grid)
+    for i, hit in audit_drops(solver, inst, values, grid):
         if hit is not None:
             raise NonMonotoneSolverError(
                 f"solver CTR for advertiser {i} drops from {hit[2]:.6g} to"

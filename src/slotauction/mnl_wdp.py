@@ -69,7 +69,14 @@ class WdpResult:
 
 def _result(inst: Instance, bids: np.ndarray, alloc: Allocation) -> WdpResult:
     pi = mnl_ctr(inst, alloc)
-    return WdpResult(allocation=alloc, objective=float(bids @ pi), ctrs=pi)
+    return WdpResult(allocation=alloc, objective=_objective(bids, pi), ctrs=pi)
+
+
+def _objective(bids: np.ndarray, pi: np.ndarray) -> float:
+    """sum_i b_i pi_i over the matched advertisers.  An unmatched bid counts
+    as 0.0, never as b * 0.0, which is NaN at b = -inf; on finite bids this
+    is the same dot product as ``bids @ pi``, to the last bit."""
+    return float(np.where(pi > 0.0, bids, 0.0) @ pi)
 
 
 def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
@@ -340,7 +347,7 @@ def dinkelbach_check(inst: Instance, bids) -> WdpResult:
             f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
         )
     pi = mnl_ctr(inst, alloc)
-    return WdpResult(allocation=alloc, objective=float(bids @ pi), ctrs=pi)
+    return WdpResult(allocation=alloc, objective=_objective(bids, pi), ctrs=pi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 A check returns ``None`` when its guarantee holds and otherwise a violation:
 one JSON line naming the property, with the instance (in
 ``core.instance_to_dict`` form) and values that reproduce it.  The welfare
-checks also return the ratio they measured.
+checks also return the ratio they measured.  Two checks cover a whole
+instance at once: ``sandwich`` every matching, returning the ratios up to
+the first violation, and ``monotonicity`` every advertiser, returning a
+list of violations.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .cascade_wdp import (
     greedy_bucket,
     optimal_permutation,
     restricted_ctr,
+    sorted_view,
 )
 from .core import (
     Allocation,
@@ -34,10 +38,12 @@ from .core import (
     require_valid,
     welfare,
 )
-from .mechanisms import SolverHandle, monotonicity_audit
-from .oracle import enumerate_matchings
+from . import oracle
+from .mechanisms import SolverHandle, audit_drops
 
 TOL = 1e-9
+# Restricted welfare is at most this many times cascade welfare.
+SANDWICH_FACTOR = 4.0
 # Rates are drawn from U(0.01, high); MNL instances reject rates near 1.
 _P_HIGH = {MNL: 0.95, CASCADE: 1.0}
 
@@ -71,17 +77,48 @@ def cascade_welfare(inst: Instance, alloc: Allocation, values) -> float:
     return welfare(values, cascade_ctr(inst, chi))
 
 
-def sandwich(inst: Instance, alloc: Allocation, values) -> Checked:
-    """Restricted welfare w_r of ``alloc`` lies between its cascade welfare
-    w and 4 w; the ratio is w_r / w (1 when w is 0)."""
-    w = cascade_welfare(inst, alloc, values)
-    w_r = welfare(values, restricted_ctr(inst, alloc, values))
-    ratio = w_r / w if w > 0 else 1.0
-    if w - TOL <= w_r <= 4.0 * w + TOL:
-        return ratio, None
-    return ratio, _violation("sandwich", inst, values,
-                             allocation=alloc.pairs(), welfare=w,
-                             restricted_welfare=w_r)
+def sandwich(inst: Instance, values) -> tuple[list[float], str | None]:
+    """Every matching's restricted welfare w_r lies between its cascade
+    welfare w and ``SANDWICH_FACTOR`` (4) times w; a matching's ratio is
+    w_r / w (1 when w is 0).
+
+    The matchings are the oracle's table rows, in its order, scored at
+    once: cascade and truncated rates by the value-order recurrences of
+    ``cascade_welfare`` and ``restricted_ctr``, welfare by one dot product
+    per row, as ``core.welfare`` takes it.  Returns the ratios up to and
+    including the first violating matching, and its violation (None if
+    there is none).  Like ``restricted_ctr``, a second truncated advertiser
+    among those matchings raises ``RuntimeError``."""
+    table, values = oracle._matchings(inst, CASCADE, values, None)
+    rates = table.rates(inst.p)
+    rows = rates.shape[0]
+    ctrs, granted = np.zeros(rates.shape), np.zeros(rates.shape)
+    survive, headroom = np.ones(rows), np.ones(rows)
+    discounted = np.zeros(rows, dtype=np.intp)
+    # An unmatched advertiser has rate 0.0: no CTR, no grant, no change.
+    for i in sorted_view(values):
+        p = rates[:, i]
+        ctrs[:, i] = survive * p
+        survive = survive * (1.0 - p)
+        granted[:, i] = grant = np.minimum(p, headroom)
+        headroom = headroom - grant
+        discounted += (0.0 < grant) & (grant < p)
+    # (1 x n) @ (n x 1) per row is numpy's dot, as in core.welfare
+    w = (ctrs[:, None, :] @ values[:, None])[:, 0, 0]
+    w_r = (granted[:, None, :] @ values[:, None])[:, 0, 0]
+    ratios = np.divide(w_r, w, out=np.ones(rows), where=w > 0)
+    fails = np.flatnonzero(
+        ~((w - TOL <= w_r) & (w_r <= SANDWICH_FACTOR * w + TOL)))
+    checked = fails[0] + 1 if fails.size else rows
+    if (discounted[:checked] > 1).any():
+        raise RuntimeError("truncation hit more than one advertiser")
+    if not fails.size:
+        return ratios.tolist(), None
+    r = fails[0]
+    return ratios[:checked].tolist(), _violation(
+        "sandwich", inst, values,
+        allocation=Allocation(dict(table.pairs[r])).pairs(),
+        welfare=float(w[r]), restricted_welfare=float(w_r[r]))
 
 
 def restricted_search(
@@ -129,7 +166,7 @@ def greedy_bucket_constants(
         p[i, j] = pij
     capped = Instance(n=inst.n, m=inst.m, k=bucket.cap, p=p, model=CASCADE)
     best_base = max(welfare(values, budgeted_ctr(capped, alloc))
-                    for alloc in enumerate_matchings(capped))
+                    for alloc in oracle.enumerate_matchings(capped))
     if base >= 0.5 * best_base - TOL and cascade >= base / 14.0 - TOL:
         return None
     return _violation("greedy_bucket_constants", inst, values,
@@ -139,14 +176,15 @@ def greedy_bucket_constants(
 
 
 def monotonicity(
-    solver: SolverHandle, inst: Instance, bids, i: int, grid
-) -> str | None:
-    """Advertiser ``i``'s CTR never falls along its bid ``grid``, checked by
-    :func:`slotauction.mechanisms.monotonicity_audit`, whose result is the
-    violation's ``drop``."""
+    solver: SolverHandle, inst: Instance, bids, grid
+) -> list[str]:
+    """Every advertiser's CTR never falls along its own bid ``grid``, the
+    others bidding ``bids``: one violation per advertiser with a drop, in
+    advertiser order, its ``drop`` as
+    :func:`slotauction.mechanisms.monotonicity_audit` reports it.  The
+    sweeps are read by :func:`slotauction.mechanisms.audit_drops`."""
     grid = [float(g) for g in grid]
-    drop = monotonicity_audit(solver, inst, bids, i, grid)
-    if drop is None:
-        return None
-    return _violation("monotonicity", inst, bids, advertiser=int(i),
-                      grid=grid, drop=drop)
+    return [_violation("monotonicity", inst, bids, advertiser=int(i),
+                       grid=grid, drop=drop)
+            for i, drop in audit_drops(solver, inst, bids, grid)
+            if drop is not None]

@@ -103,9 +103,8 @@ def test_c02_exact_solver_monotonicity():
         for _ in range(count):
             inst = rand_mnl_instance(rng, nmax=size, mmax=size)
             bids = rand_bids(rng, inst.n, top=10.0)
-            for i in range(inst.n):
-                violation = monotonicity(solver, inst, bids, i, grid)
-                assert violation is None, violation
+            violations = monotonicity(solver, inst, bids, grid)
+            assert violations == [], violations
 
 
 @criterion(3, "value-sorted rendering order is never beaten")
@@ -133,7 +132,7 @@ def test_c04_restricted_welfare_sandwich():
         inst = rand_cascade_instance(rng, nmax=5, mmax=5)
         values = rng.uniform(0.0, 10.0, inst.n)
         alloc = rand_allocation(rng, inst)
-        _ratio, violation = sandwich(inst, alloc, values)
+        _ratios, violation = sandwich(inst, values)  # every matching
         assert violation is None, violation
         chi = AugmentedAllocation(alloc, optimal_permutation(alloc, values))
         pi = cascade_ctr(inst, chi)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import slotauction.cascade_wdp as cascade_wdp
 import slotauction.oracle as oracle
+import slotauction.properties as properties
 
 from slotauction.core import (
     Allocation,
@@ -132,6 +134,70 @@ def test_budgeted_rates_are_raw_sums():
     np.testing.assert_allclose(pi, [0.8, 0.8])
     assert pi.sum() == pytest.approx(1.6)
     assert budgeted_ctr(inst, Allocation({})).sum() == 0.0
+
+
+def _sandwich_case(rng, case):
+    """An instance up to 4x4 and its values; every third case has
+    quarter-step rates and values from {0, 0.5, 1, 2}, so welfare ties, is
+    zero, or survives no certain click."""
+    if case % 3:
+        inst = random_instance(rng, CASCADE, 4, 4)
+        return inst, rng.uniform(0.1, 10.0, inst.n)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
+                    p=rng.integers(0, 5, (n, m)) / 4.0, model=CASCADE)
+    return inst, rng.choice([0.0, 0.5, 1.0, 2.0], n)
+
+
+def _scalar_sandwich(inst, values):
+    """Per matching, in the oracle's order: (matching, cascade welfare,
+    restricted welfare, ratio), one matching at a time."""
+    out = []
+    for alloc in enumerate_matchings(inst):
+        w = cascade_welfare(inst, alloc, values)
+        w_r = welfare(values, restricted_ctr(inst, alloc, values))
+        out.append((alloc, w, w_r, w_r / w if w > 0 else 1.0))
+    return out
+
+
+def test_table_sandwich_equals_the_scalar_formula():
+    rng = np.random.default_rng(151)
+    rows = 0
+    for case in range(450):
+        inst, values = _sandwich_case(rng, case)
+        ratios, violation = properties.sandwich(inst, values)
+        assert violation is None
+        assert ratios == [ratio for *_, ratio in
+                          _scalar_sandwich(inst, values)], case
+        rows += len(ratios)
+    assert rows > 9_000
+
+
+def test_table_sandwich_stops_at_the_first_violation(monkeypatch):
+    # At factor 1.1 some matchings violate: the ratios run up to and
+    # including the first of them, and its violation names it.
+    factor, tol = 1.1, properties.TOL
+    monkeypatch.setattr(properties, "SANDWICH_FACTOR", factor)
+    rng = np.random.default_rng(157)
+    cut = 0
+    for case in range(150):
+        inst, values = _sandwich_case(rng, case)
+        scalar = _scalar_sandwich(inst, values)
+        bad = [t for t, (_a, w, w_r, _r) in enumerate(scalar)
+               if not w - tol <= w_r <= factor * w + tol]
+        ratios, violation = properties.sandwich(inst, values)
+        if not bad:
+            assert violation is None and len(ratios) == len(scalar)
+            continue
+        first = bad[0]
+        assert len(ratios) == first + 1
+        assert ratios == [ratio for *_, ratio in scalar[:first + 1]]
+        alloc, w, w_r, _ratio = scalar[first]
+        found = json.loads(violation)
+        assert found["allocation"] == [list(ij) for ij in alloc.pairs()]
+        assert (found["welfare"], found["restricted_welfare"]) == (w, w_r)
+        cut += first + 1 < len(scalar)
+    assert cut > 20
 
 
 def test_budgeted_equals_restricted_when_total_fits():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from slotauction.mechanisms import (
     IrregularDistributionError,
     NonMonotoneSolverError,
     SolverHandle,
+    audit_drops,
     brute_cascade_solver,
     exact_mnl_solver,
     greedy_cascade_solver,
@@ -17,6 +20,7 @@ from slotauction.mechanisms import (
     threshold_dropping_solver,
     vcg,
 )
+from slotauction.properties import monotonicity
 from conftest import (
     rand_bids,
     rand_cascade_instance,
@@ -237,15 +241,6 @@ def test_myerson_epsilon_ic_shrinks_with_grid():
 
 
 # ---------------------------------------------------------------- audit tool
-
-
-def test_audit_passes_exact_solver():
-    rng = np.random.default_rng(127)
-    inst = rand_mnl_instance(rng, nmax=4, mmax=4)
-    bids = rand_bids(rng, inst.n)
-    grid = np.linspace(0.25, 10.0, 10)
-    for i in range(inst.n):
-        assert monotonicity_audit(exact_mnl_solver(), inst, bids, i, grid) is None
 
 
 def test_audit_passes_greedy_cascade():
@@ -590,12 +585,22 @@ def _dropping_rows(handle, threshold):
     return ctr_rows
 
 
+def _counted(handle, calls):
+    """``handle`` without ``ctr_rows``, counting its ``solve`` calls."""
+
+    def solve(inst, bids):
+        calls.append(1)
+        return handle.solve(inst, bids)
+
+    return SolverHandle(solve=solve, kind=handle.kind)
+
+
 def test_audit_through_ctr_rows_equals_probes():
     exact = exact_mnl_solver()
     broken = threshold_dropping_solver(exact, threshold=5.0)
     assert exact.ctr_rows is not None and broken.ctr_rows is None
     pairs = [
-        (exact, SolverHandle(solve=exact.solve, kind=exact.kind)),
+        (exact, exact),
         (SolverHandle(solve=broken.solve, kind=broken.kind,
                       ctr_rows=_dropping_rows(exact, 5.0)), broken),
     ]
@@ -610,9 +615,34 @@ def test_audit_through_ctr_rows_equals_probes():
             rows[:, i] = grid
             probed = np.array([exact.solve(inst, r)[1] for r in rows])
             assert np.array_equal(exact.ctr_rows(inst, rows), probed)
-            for batched, probe_only in pairs:
-                hit = monotonicity_audit(batched, inst, bids, i, grid[::-1])
-                assert hit == monotonicity_audit(
-                    probe_only, inst, bids, i, grid[::-1])
-                drops += hit is not None
+        for batched, base in pairs:
+            # per advertiser, by a handle built from solve and kind only
+            calls, each = [], []
+            probe_only = _counted(base, calls)
+            for i in range(inst.n):
+                each.append(monotonicity_audit(
+                    probe_only, inst, bids, i, grid[::-1]))
+                assert monotonicity_audit(
+                    batched, inst, bids, i, grid[::-1]) == each[-1]
+            assert list(audit_drops(batched, inst, bids, grid[::-1])) \
+                == list(enumerate(each))
+            # the probe-only handle through the reader: same drops, and
+            # it still stops each advertiser's sweep at its first drop
+            probes = len(calls)
+            assert list(audit_drops(probe_only, inst, bids, grid)) \
+                == list(enumerate(each))
+            assert len(calls) == 2 * probes
+            violations = monotonicity(batched, inst, bids, grid)
+            assert [json.loads(v)["drop"] for v in violations] \
+                == [list(hit) for hit in each if hit is not None]
+            drops += sum(hit is not None for hit in each)
     assert drops > 10
+
+
+def test_audit_drops_checks_advertisers():
+    inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=MNL)
+    for handle in (exact_mnl_solver(),
+                   threshold_dropping_solver(exact_mnl_solver())):
+        with pytest.raises(ValidationError):
+            next(audit_drops(handle, inst, [1.0, 1.0], [1.0], [0, 2]))
+        assert list(audit_drops(handle, inst, [1.0, 1.0], [1.0], [])) == []

@@ -23,7 +23,6 @@ from slotauction.mnl_wdp import (
     solve_mnl_wdp_rows,
 )
 from slotauction.oracle import brute_force_wdp_mnl
-from slotauction.properties import monotonicity
 from conftest import rand_bids, rand_mnl_instance
 
 
@@ -103,17 +102,6 @@ def test_bid_scaling_scales_objective():
         scaled = solve_mnl_wdp(inst, lam * bids)
         assert scaled.objective == pytest.approx(lam * base.objective,
                                                  rel=1e-9)
-
-
-def test_ctr_monotone_in_own_bid_small_sweep():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        inst = rand_mnl_instance(rng, nmax=4, mmax=4)
-        bids = rand_bids(rng, inst.n)
-        for i in range(inst.n):
-            violation = monotonicity(
-                exact_mnl_solver(), inst, bids, i, np.linspace(0.25, 10.0, 8))
-            assert violation is None, violation
 
 
 def test_ties_follow_the_documented_rule():
@@ -339,3 +327,11 @@ def test_infinite_weights_and_bids_are_rejected():
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=MNL)
     with pytest.raises(ValidationError):
         solve_mnl_wdp(inst, [np.inf, 1.0])
+
+
+def test_minus_infinite_bid_is_never_matched_nor_counted():
+    inst = Instance(n=2, m=1, k=1, p=[[0.3], [0.4]], model=MNL)
+    for solve in (solve_mnl_wdp, dinkelbach_check):
+        result = solve(inst, [-np.inf, 1.0])
+        assert result.allocation.assignment == {1: 0}
+        assert result.objective == 0.4
