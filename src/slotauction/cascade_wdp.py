@@ -15,7 +15,7 @@ through two standard relaxations of the realized welfare:
   greedy matching per bucket gives a per-bucket constant factor, and picking
   a bucket uniformly at random costs only a log(m) factor overall while
   keeping every advertiser's click-through rate monotone in its own value
-  (``combined_cascade_solver``).
+  (``greedy_outcome``).
 
 The greedy path deliberately renders positions in the order edges were
 picked, not in value order: re-sorting would break monotonicity, which the
@@ -23,10 +23,14 @@ payment rules in :mod:`slotauction.mechanisms` rely on.
 
 The bucket path works on arrays, because envelope pricing probes it hundreds
 of times per auction: ``bucket_levels`` computes every edge's dyadic level
-once per instance, and one greedy scan (``greedy_picks``) serves
-``greedy_bucket``, both ``combined_cascade_*`` functions and the mechanisms'
-greedy solver, which build frozen outcome objects only for what they return.
-``OwnBidCurves`` reuses the same take rule to give each advertiser's mixture
+once per instance, and ``_scan_edges`` holds the greedy's one bid rule
+(advertisers valued at most 0 never win) and its one scan order.  One
+greedy scan over those edges (``greedy_picks``) serves ``greedy_bucket``,
+``combined_cascade_candidates`` and ``greedy_outcome``, the one sampled
+outcome, with its one random draw, behind both ``combined_cascade_solver``
+and the mechanisms' greedy handle; all build frozen outcome objects only for
+what they return.  ``OwnBidCurves`` reads its edges through ``_scan_edges``
+too and reuses the same take rule to give each advertiser's mixture
 CTR as an exact function of its own bid (its critical values, in the sense
 of Lehmann, O'Callaghan and Shoham), so the mechanisms audit and price the
 greedy without re-solving it per bid.
@@ -50,6 +54,7 @@ from .core import (
     Permutation,
     ValidationError,
     bid_vector,
+    cascade_rates,
     check_feasible,
     require_valid,
     welfare,
@@ -291,15 +296,27 @@ def bucketize(inst: Instance) -> list[Bucket]:
     return buckets
 
 
-def _scan_order(ii, jj, weights, lv) -> np.ndarray:
-    """The greedy's scan order over edge arrays: bucket level ascending,
-    then weight v_i * p descending, ties by (advertiser, position)."""
-    return np.lexsort((jj, ii, -weights, lv))
+def _scan_edges(ii, jj, pp, lv, values):
+    """The edges the greedy scans, in its scan order: edge t joins
+    advertiser ii[t] and position jj[t] at rate pp[t] in bucket level lv[t].
 
-
-def _level_starts(lv: np.ndarray) -> list[int]:
-    """Bounds of the runs of equal levels in a level-sorted array."""
-    return [0, *(np.flatnonzero(np.diff(lv)) + 1).tolist(), len(lv)]
+    The bid rule: an edge whose advertiser is valued at most 0 is left out,
+    so such an advertiser never wins and a bucket holding only such edges
+    is not populated.  The rest sort by level ascending, then weight
+    v_i * p descending, ties by (advertiser, position).  Returns the sorted
+    advertisers, positions, rates and weights as lists, and each populated
+    level's (lo, hi) slice of them, levels ascending.
+    """
+    keep = values[ii] > 0.0
+    ii, jj, pp, lv = ii[keep], jj[keep], pp[keep], lv[keep]
+    weights = values[ii] * pp
+    order = np.lexsort((jj, ii, -weights, lv))
+    lv = lv[order]
+    bounds = [0, *(np.flatnonzero(np.diff(lv)) + 1).tolist(), len(lv)]
+    runs = {int(lv[lo]): (lo, hi)
+            for lo, hi in zip(bounds, bounds[1:]) if lo < hi}
+    return (ii[order].tolist(), jj[order].tolist(), pp[order].tolist(),
+            weights[order].tolist(), runs)
 
 
 def _take_free_pairs(ii, jj, lo: int, hi: int, cap: int,
@@ -326,36 +343,26 @@ def _take_free_pairs(ii, jj, lo: int, hi: int, cap: int,
 def _greedy_scan(
     ii, jj, pp, lv, values, caps
 ) -> dict[int, list[tuple[int, int]]]:
-    """The greedy matching inside every bucket that has edges, given as
-    arrays: edge t joins advertiser ii[t] and position jj[t] at rate pp[t]
-    and lies in bucket level lv[t]; ``caps`` maps a level to its cap.
+    """The greedy matching inside every populated bucket, over the edge
+    arrays of ``_scan_edges``; ``caps`` maps a level to its cap.
 
-    Within a bucket, edges are scanned by weight v_i * p descending with the
-    deterministic lexicographic (advertiser, position) tie-break; an edge is
+    Within a bucket, edges are scanned in ``_scan_edges`` order; an edge is
     taken when both endpoints are free, and the scan stops at the cap.
     Returns each populated level's pairs in the order taken, levels
     ascending.
     """
-    if len(lv) == 0:
-        return {}
-    order = _scan_order(ii, jj, values[ii] * pp, lv)
-    lv = lv[order]
-    starts = _level_starts(lv)
-    ii, jj, lv = ii[order].tolist(), jj[order].tolist(), lv.tolist()
-    picks = {}
-    for lo, hi in zip(starts, starts[1:]):
-        taken = _take_free_pairs(ii, jj, lo, hi, caps[lv[lo]])
-        picks[lv[lo]] = [(ii[t], jj[t]) for t in taken]
-    return picks
+    ii, jj, _pp, _w, runs = _scan_edges(ii, jj, pp, lv, values)
+    return {
+        level: [(ii[t], jj[t])
+                for t in _take_free_pairs(ii, jj, lo, hi, caps[level])]
+        for level, (lo, hi) in runs.items()
+    }
 
 
-def greedy_picks(
-    inst: Instance, levels: np.ndarray, values
-) -> dict[int, list[tuple[int, int]]]:
-    """Run the per-bucket greedy over a level matrix (``bucket_levels``,
-    possibly with rows zeroed to leave advertisers out): each populated
-    level's matched pairs in the order taken, levels ascending."""
-    require_valid(inst, CASCADE)
+def greedy_picks(inst: Instance, values) -> dict[int, list[tuple[int, int]]]:
+    """Run the per-bucket greedy on ``inst``: each populated level's matched
+    pairs in the order taken, levels ascending."""
+    levels = bucket_levels(inst)
     values = bid_vector(inst, values)
     ii, jj = np.nonzero(levels)
     return _greedy_scan(
@@ -408,7 +415,8 @@ class OwnBidCurves:
     ``core.cascade_rates``.  Which buckets are populated depends only on
     which rows bid above 0.
 
-    The template's edges are sorted and scanned once.  Advertiser i's own
+    The template's edges are sorted (by ``_scan_edges``, so rows bidding at
+    most 0 are left out) and scanned once.  Advertiser i's own
     row is left out of a bucket's scan by rescanning only the buckets where
     the template's greedy picked it; elsewhere its edges were passed over
     and the template's scan already is the others' scan.
@@ -416,24 +424,16 @@ class OwnBidCurves:
 
     def __init__(self, inst: Instance, bids) -> None:
         self._levels = bucket_levels(inst)
-        self.inst = inst
-        self.bids = bid_vector(inst, bids)
+        self._p = inst.p
         self._caps = _bucket_caps(inst)
-        ii, jj = np.nonzero(
-            np.where((self.bids > 0.0)[:, None], self._levels, 0))
-        pp, lv = inst.p[ii, jj], self._levels[ii, jj]
-        weights = self.bids[ii] * pp
-        order = _scan_order(ii, jj, weights, lv)
-        self._ii, self._jj = ii[order].tolist(), jj[order].tolist()
-        self._pp, self._w = pp[order].tolist(), weights[order].tolist()
-        lv = lv[order]
-        starts = _level_starts(lv)
-        self._runs: dict[int, _Run] = {}
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            if lo < hi:
-                level = int(lv[lo])
-                self._runs[level] = _Run(lo, hi, set(self._ii[lo:hi]),
-                                         self._scan(lo, hi, level))
+        ii, jj = np.nonzero(self._levels)
+        self._ii, self._jj, self._pp, self._w, runs = _scan_edges(
+            ii, jj, inst.p[ii, jj], self._levels[ii, jj],
+            bid_vector(inst, bids))
+        self._runs = {
+            level: _Run(lo, hi, set(self._ii[lo:hi]), self._scan(lo, hi, level))
+            for level, (lo, hi) in runs.items()
+        }
 
     def _scan(self, lo: int, hi: int, level: int,
               skip: int = -1) -> _OthersScan:
@@ -452,7 +452,7 @@ class OwnBidCurves:
     def of(self, i: int):
         """Advertiser i's curve: own bid -> (mixture CTR, number of
         populated buckets the solver draws its sampled outcome from)."""
-        own_levels, own_p = self._levels[i], self.inst.p[i]
+        own_levels, own_p = self._levels[i], self._p[i]
         without, buckets = 0, []
         for level, cap in self._caps.items():
             js = np.flatnonzero(own_levels == level)
@@ -505,8 +505,8 @@ def _first_take(scan: _OthersScan, own, i: int, b: float) -> float:
 
 def greedy_bucket(bucket: Bucket, values) -> AugmentedAllocation:
     """Greedy maximal matching inside one bucket, heaviest edges first (the
-    scan of ``greedy_picks``).  Matched positions are rendered in the order
-    edges were taken.
+    scan of ``greedy_picks``, with its bid rule).  Matched positions are
+    rendered in the order edges were taken.
 
     An edge advertiser outside ``0..len(values) - 1`` raises
     ``ValidationError``; surplus values cannot be detected without an
@@ -519,7 +519,7 @@ def greedy_bucket(bucket: Bucket, values) -> AugmentedAllocation:
         ii, jj, pp, np.full(len(ii), bucket.index),
         values, {bucket.index: bucket.cap},
     )
-    return AugmentedAllocation.from_pairs(picks[bucket.index])
+    return AugmentedAllocation.from_pairs(picks.get(bucket.index, []))
 
 
 def combined_cascade_candidates(
@@ -527,26 +527,37 @@ def combined_cascade_candidates(
 ) -> list[AugmentedAllocation]:
     """Deterministic variant: the greedy outcome of every bucket, in bucket
     order, empty buckets included.  Exact-expectation tests average these."""
-    picks = greedy_picks(inst, bucket_levels(inst), values)
+    picks = greedy_picks(inst, values)
     return [
         AugmentedAllocation.from_pairs(picks.get(level, []))
         for level in range(1, bucket_count(inst.m) + 1)
     ]
 
 
+def greedy_outcome(
+    inst: Instance, values, rng: np.random.Generator
+) -> tuple[AugmentedAllocation, CtrVector]:
+    """The bucket greedy's outcome: one populated bucket's picks, drawn
+    uniformly via ``rng`` and rendered in pick order, and the uniform
+    mixture of every populated bucket's cascade CTRs, which takes no draw.
+    With no populated bucket: no allocation, zero CTRs and no draw.
+
+    Which buckets are populated depends only on the CTR matrix and on which
+    values are positive, so the mixture inherits the per-bucket
+    monotonicity of each advertiser's click-through rate in its own value.
+    """
+    picks = list(greedy_picks(inst, values).values())
+    if not picks:
+        return AugmentedAllocation.from_pairs([]), np.zeros(inst.n)
+    mixture = bucket_mixture(
+        [cascade_rates(inst.p, pairs, inst.n) for pairs in picks])
+    pick = picks[int(rng.integers(len(picks)))]
+    return AugmentedAllocation.from_pairs(pick), mixture
+
+
 def combined_cascade_solver(
     inst: Instance, values, rng: np.random.Generator
 ) -> AugmentedAllocation:
-    """Run the per-bucket greedy everywhere and return one bucket's outcome,
-    chosen uniformly at random among buckets that have edges at all.
-
-    Which buckets have edges depends only on the CTR matrix, never on
-    values, so the mixture inherits the per-bucket monotonicity of each
-    advertiser's click-through rate in its own value.
-    """
-    populated = list(greedy_picks(inst, bucket_levels(inst), values).values())
-    if not populated:
-        return AugmentedAllocation.from_pairs([])
-    return AugmentedAllocation.from_pairs(
-        populated[int(rng.integers(len(populated)))]
-    )
+    """The allocation of ``greedy_outcome``: one populated bucket's greedy
+    outcome, chosen uniformly at random."""
+    return greedy_outcome(inst, values, rng)[0]

@@ -17,9 +17,10 @@ Exact solvers are monotone automatically; approximate ones are admitted
 only after a monotonicity audit.
 
 Both the audit and the envelope sum need one advertiser's CTR at many own
-bids.  A handle whose ``curve`` is set (``greedy_cascade_solver``'s and
-``brute_cascade_solver``'s) answers those from an exact own-bid curve built
-once per bid template.  The exact MNL handle has ``ctr_rows`` instead: the
+bids.  A handle whose ``curves`` is set (``greedy_cascade_solver``'s and
+``brute_cascade_solver``'s) answers those from exact own-bid curves, built
+once per call of the audit or the pricing, from a copy of its bid template.
+The exact MNL handle has ``ctr_rows`` instead: the
 audit solves every advertiser's sweep of an instance through it in one
 batched call of the solver itself.  Every other handle (the planted-bug
 fixture) and the exact MNL handle's envelope sum are probed with one
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -46,15 +48,9 @@ from .core import (
     ValidationError,
     bid_vector,
     cascade_ctr,
-    cascade_rates,
     require_valid,
 )
-from .cascade_wdp import (
-    OwnBidCurves,
-    bucket_levels,
-    bucket_mixture,
-    greedy_picks,
-)
+from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
 from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
@@ -67,7 +63,9 @@ DEFAULT_GRID_SIZE = 1024
 MONOTONE_TOL = 1e-9
 
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
-CurveFn = Callable[[Instance, np.ndarray, int], Callable[[float], float]]
+# (inst, bids) -> advertiser i -> (own bid -> CTR): see SolverHandle.
+CurvesFn = Callable[[Instance, np.ndarray],
+                    Callable[[int], Callable[[float], float]]]
 CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
 # (bid_before, bid_after, ctr_before, ctr_after): see monotonicity_audit.
 Drop = tuple[float, float, float, float]
@@ -103,22 +101,25 @@ class SolverHandle:
     the greedy cascade kind the CTRs are the uniform average over the
     per-bucket outcomes (the sampled allocation is representative only).
 
-    ``curve(inst, bids, i)``, when set, returns advertiser i's CTR as a
-    function of its own bid, the others fixed at ``bids``: bit-equal to what
+    ``curves(inst, bids)``, when set, builds a reader for the bid template
+    ``bids``: ``curves(inst, bids)(i)`` is advertiser i's CTR as a function
+    of its own bid, the others fixed at ``bids``, bit-equal to what
     ``solve`` reports and, for a randomized handle, consuming the same random
-    draws.  The audit and the envelope pricing read it in place of one
-    ``solve`` per bid.  The greedy and brute cascade handles set it; the
-    exact MNL handle and ``threshold_dropping_solver`` do not.
+    draws.  A reader may keep ``bids``, so callers pass a copy.  The audit
+    and the envelope pricing each build one reader per call and read it in
+    place of one ``solve`` per bid; nothing is kept between calls.  The
+    greedy and brute cascade handles set it; the exact MNL handle and
+    ``threshold_dropping_solver`` do not.
 
     ``ctr_rows(inst, bid_rows)``, when set, returns one row per row of
     ``bid_rows``: the CTRs ``solve`` reports at those bids, bit-equal.  The
     audit reads every advertiser's sweep from it, in one call, when the
-    handle has no ``curve``.  Only the exact MNL handle sets it.
+    handle has no ``curves``.  Only the exact MNL handle sets it.
     """
 
     solve: SolveFn
     kind: str
-    curve: CurveFn | None = None
+    curves: CurvesFn | None = None
     ctr_rows: CtrRowsFn | None = None
 
     @property
@@ -149,27 +150,11 @@ def exact_mnl_solver() -> SolverHandle:
     return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows)
 
 
-def _per_template(build):
-    """``build(inst, bids)``, kept until a call brings another instance or
-    other bids: one bid template serves every advertiser's curve.  It is
-    built from a copy, so a caller who edits its bids in place gets a new
-    one."""
-    cached: list = []
-
-    def get(inst: Instance, bids: np.ndarray):
-        if not (cached and cached[0].inst is inst
-                and np.array_equal(cached[0].bids, bids)):
-            cached[:] = [build(inst, np.array(bids, dtype=float))]
-        return cached[0]
-
-    return get
-
-
 def brute_cascade_solver() -> SolverHandle:
     """Exhaustive cascade search over the advertisers bidding above 0.
 
-    Its ``curve`` reads :class:`~slotauction.oracle.BruteOwnBidCurves`,
-    built once per bid template."""
+    Its ``curves`` builds one
+    :class:`~slotauction.oracle.BruteOwnBidCurves` per reader."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
@@ -178,54 +163,41 @@ def brute_cascade_solver() -> SolverHandle:
         chi, _w = brute_force_wdp_cascade(inst, bids, active=active)
         return chi, cascade_ctr(inst, chi)
 
-    template = _per_template(BruteOwnBidCurves)
+    def curves(inst: Instance, bids: np.ndarray):
+        return BruteOwnBidCurves(inst, bids).of
 
-    def curve(inst: Instance, bids: np.ndarray, i: int):
-        return template(inst, bids).of(i)
-
-    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curve=curve)
+    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curves=curves)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
-    """Randomized bucket solver wrapped for mechanism use: CTRs are the
-    deterministic uniform mixture over populated buckets, and the returned
-    allocation is one bucket's outcome sampled via ``rng``.  Advertisers
-    bidding at most 0 are left out of every bucket.
+    """Randomized bucket solver wrapped for mechanism use: ``solve`` is
+    :func:`~slotauction.cascade_wdp.greedy_outcome` drawing from ``rng``,
+    whose CTRs are the deterministic uniform mixture over populated buckets
+    and whose allocation is one sampled bucket's outcome.
 
-    Its ``curve`` reads :class:`~slotauction.cascade_wdp.OwnBidCurves`,
-    built once per bid template, and replays the draw ``solve`` would make
-    at each bid, so ``rng`` ends in the same state either way."""
+    Its ``curves`` builds one
+    :class:`~slotauction.cascade_wdp.OwnBidCurves` per reader and replays
+    the draw ``solve`` would make at each bid read, so ``rng`` ends in the
+    same state either way."""
 
-    def solve(inst: Instance, bids: np.ndarray):
-        levels = bucket_levels(inst)
-        bids = bid_vector(inst, bids)
-        active = bids > 0.0
-        levels = np.where(active[:, None], levels, 0)
-        picks = list(
-            greedy_picks(inst, levels, np.where(active, bids, 0.0)).values()
-        )
-        if not picks:
-            return AugmentedAllocation.from_pairs([]), np.zeros(inst.n)
-        mixture = bucket_mixture(
-            [cascade_rates(inst.p, pairs, inst.n) for pairs in picks]
-        )
-        pick = picks[int(rng.integers(len(picks)))]
-        return AugmentedAllocation.from_pairs(pick), mixture
+    def curves(inst: Instance, bids: np.ndarray):
+        of = OwnBidCurves(inst, bids).of
 
-    template = _per_template(OwnBidCurves)
+        def reader(i: int):
+            own_bid = of(i)
 
-    def curve(inst: Instance, bids: np.ndarray, i: int):
-        own_bid = template(inst, bids).of(i)
+            def ctr(b: float) -> float:
+                value, populated = own_bid(b)
+                if populated:
+                    rng.integers(populated)
+                return float(value)
 
-        def ctr(b: float) -> float:
-            value, populated = own_bid(b)
-            if populated:
-                rng.integers(populated)
-            return float(value)
+            return ctr
 
-        return ctr
+        return reader
 
-    return SolverHandle(solve=solve, kind=GREEDY_CASCADE, curve=curve)
+    return SolverHandle(solve=partial(greedy_outcome, rng=rng),
+                        kind=GREEDY_CASCADE, curves=curves)
 
 
 def threshold_dropping_solver(
@@ -331,12 +303,13 @@ def myerson(
 
     chi, pi = solver.solve(inst, base_bids)
 
+    # A monotone curve below a zero endpoint integrates to 0: no payment.
+    payers = [i for i in range(inst.n) if pi[i] > 0.0 and values[i] > 0.0]
+    ctr_of = _own_bid_reader(solver, inst, base_bids) if payers else None
     payments = np.zeros(inst.n)
-    for i in range(inst.n):
-        if pi[i] <= 0.0 or values[i] <= 0.0:
-            continue  # monotone curve below a zero endpoint integrates to 0
+    for i in payers:
         step = values[i] / grid_size
-        ctr_at = _own_bid_ctr(solver, inst, base_bids, i)
+        ctr_at = ctr_of(i)
 
         def curve(g: int, _i=i, _step=step, _ctr_at=ctr_at) -> float:
             return _ctr_at(
@@ -405,11 +378,12 @@ def audit_drops(
     """``(i, monotonicity_audit(solver, inst, bids_template, i, grid))``
     for each of ``advertisers`` in turn (default: all), read lazily.
 
-    A handle with ``ctr_rows`` and no ``curve`` answers every advertiser's
+    A handle with ``ctr_rows`` and no ``curves`` answers every advertiser's
     sweep in one call, on the first read.  Any other handle is read one
-    advertiser and one bid at a time, in order, and stops being read at an
-    advertiser's first drop, so a randomized curve draws exactly as one
-    ``monotonicity_audit`` per advertiser would.
+    advertiser and one bid at a time, in order, through one reader built on
+    the first read, and stops being read at an advertiser's first drop, so a
+    randomized curve draws exactly as one ``monotonicity_audit`` per
+    advertiser would.
     """
     require_valid(inst)
     advertisers = range(inst.n) if advertisers is None else list(advertisers)
@@ -418,7 +392,7 @@ def audit_drops(
             raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
     template = bid_vector(inst, bids_template)
-    if solver.curve is None and solver.ctr_rows is not None:
+    if solver.curves is None and solver.ctr_rows is not None:
         rows = np.tile(template, (len(advertisers), len(grid), 1))
         for s, i in enumerate(advertisers):
             rows[s, :, i] = grid
@@ -427,9 +401,9 @@ def audit_drops(
         for s, i in enumerate(advertisers):
             yield i, _first_drop(grid, ctrs[s, :, i].tolist())
     else:
+        ctr_of = _own_bid_reader(solver, inst, template)
         for i in advertisers:
-            yield i, _first_drop(
-                grid, map(_own_bid_ctr(solver, inst, template, i), grid))
+            yield i, _first_drop(grid, map(ctr_of(i), grid))
 
 
 def _first_drop(grid: list[float], ctrs: Iterable[float]) -> Drop | None:
@@ -444,23 +418,28 @@ def _first_drop(grid: list[float], ctrs: Iterable[float]) -> Drop | None:
     return None
 
 
-def _own_bid_ctr(
-    solver: SolverHandle, inst: Instance, bids_template, i: int
-) -> Callable[[float], float]:
-    """Advertiser i's reported CTR as a function of its own bid, the others
-    bidding ``bids_template``: read from the handle's curve when it has
-    one, else probed with one ``solve`` per bid."""
-    # A copy: the probe writes bid i into it, and a curve may keep it.
-    bids = bid_vector(inst, bids_template).copy()
-    if solver.curve is not None:
-        return solver.curve(inst, bids, i)
+def _own_bid_reader(
+    solver: SolverHandle, inst: Instance, bids_template
+) -> Callable[[int], Callable[[float], float]]:
+    """i -> advertiser i's reported CTR as a function of its own bid, the
+    others bidding ``bids_template``: the handle's ``curves``, built once,
+    when it has them, else one ``solve`` per bid."""
+    # A copy: a reader may keep it, and the probe writes own bids into it.
+    template = bid_vector(inst, bids_template).copy()
+    if solver.curves is not None:
+        return solver.curves(inst, template)
 
-    def probe(b: float) -> float:
-        bids[i] = b
-        _chi, pi = solver.solve(inst, bids)
-        return float(pi[i])
+    def of(i: int) -> Callable[[float], float]:
+        bids = template.copy()
 
-    return probe
+        def probe(b: float) -> float:
+            bids[i] = b
+            _chi, pi = solver.solve(inst, bids)
+            return float(pi[i])
+
+        return probe
+
+    return of
 
 
 def _audit_or_raise(solver: SolverHandle, inst: Instance, values) -> None:

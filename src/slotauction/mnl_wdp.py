@@ -14,10 +14,12 @@ problems.
   vectorized over numpy arrays, no node potentials).  It is the one-row
   case of ``solve_mnl_wdp_rows``, which runs the loop for many bid vectors
   of one instance at once: each step matches the weights of every row not
-  yet settled as one stack, the stack's block-diagonal union, in one kernel
-  call.  Blocks share no rows or columns, so each row's matchings, ratios
-  and result are bit-equal to a call of its own; batching only saves the
-  numpy call overhead that dominates at audit sizes (at most 4x4).
+  yet settled as one stack, in one kernel call, which matches the stack as
+  block-diagonal unions of at most ``STACK_CELLS`` cells each.  Blocks share
+  no rows or columns, so each row's matchings, ratios and result are
+  bit-equal to a call of its own; batching only saves the numpy call
+  overhead that dominates at audit sizes (at most 4x4), and the cell bound
+  keeps a large instance's stack from growing with the square of its rows.
 * ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
   ``linfrac``), kept as a cross-check.  It accepts at most
   ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
@@ -29,6 +31,7 @@ problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,12 @@ DINKELBACH_TOL = 1e-12
 DINKELBACH_MAX_ITER = 100
 # Path gains and label improvements at or below this are rounding noise.
 MATCH_TOL = 1e-12
+# Cells of the block-diagonal union one ``capped_matching`` call matches at
+# once; a longer stack is matched in chunks.  A union's label rounds cost
+# its cells, so past the per-call overhead a bigger chunk only loses: per
+# row, stacks of 8k-32k cells solve 2.5-10x faster than one row at a time
+# from 4x4 to 50x25, and 300k cells no faster.
+STACK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,12 +171,13 @@ def capped_matching(weights, k: int) -> np.ndarray:
 
     ``weights`` may also be a stack of L such arrays (L x n x m); then
     ``match`` is L x n and row l equals ``capped_matching(weights[l], k)``.
-    The stack is matched as its block-diagonal union, L n x L m with no
-    edge between blocks, and each step adds one best path per block.  No
-    path crosses from one block into another, so every block gets exactly
-    the labels, predecessors and tie picks it would get alone.  (An
-    infinite weight would make an infinite label, and inf + -inf is NaN
-    even off the block; hence the +inf check.)
+    The stack is matched in chunks of as many blocks as keep the chunk's
+    block-diagonal union, c n x c m with no edge between blocks, within
+    ``STACK_CELLS`` cells (one block at least), and each step adds one best
+    path per block.  No path crosses from one block into another, so every
+    block gets exactly the labels, predecessors and tie picks it would get
+    alone, in whichever chunk.  (An infinite weight would make an infinite
+    label, and inf + -inf is NaN even off the block; hence the +inf check.)
 
     Each step adds one best-gain augmenting path.  The matching after t
     steps is a maximum-weight matching of cardinality t, and gains never
@@ -181,6 +191,11 @@ def capped_matching(weights, k: int) -> np.ndarray:
     stack = np.asarray(weights, dtype=float)
     if (stack == np.inf).any():
         raise ValidationError("matching weights must be below +inf")
+    if stack.ndim == 3 and len(stack) > 1:
+        per = max(1, math.isqrt(STACK_CELLS // max(1, stack[0].size)))
+        if len(stack) > per:
+            return np.concatenate([capped_matching(stack[lo:lo + per], k)
+                                   for lo in range(0, len(stack), per)])
     blocks, n, m = stack.shape if stack.ndim == 3 else (1, *stack.shape)
     at = np.arange(blocks)
     # w: the block-diagonal union; block l owns rows l*n.. and columns l*m..

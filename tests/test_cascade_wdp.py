@@ -31,12 +31,14 @@ from slotauction.cascade_wdp import (
     combined_cascade_solver,
     exact_budgeted_matching,
     greedy_bucket,
+    greedy_outcome,
     optimal_permutation,
     ptas_restricted_welfare,
     restricted_ctr,
     sorted_view,
     zero_suppress,
 )
+from slotauction.mechanisms import greedy_cascade_solver
 from slotauction.oracle import (
     brute_force_restricted,
     brute_force_wdp_cascade,
@@ -680,6 +682,82 @@ def test_combined_candidates_equal_greedy_of_each_bucket():
         inst, values = tie_heavy_cascade_case(rng)
         expected = [greedy_bucket(b, values) for b in bucketize(inst)]
         assert combined_cascade_candidates(inst, values) == expected
+
+
+def _scan_without_bid_rule(inst, values):
+    """The greedy's scan with no bid rule, edge by edge: per populated
+    bucket level, ascending, edges by weight v_i * p descending, ties by
+    (advertiser, position), each taken while both its ends are free, until
+    the level's cap."""
+    levels = bucket_levels(inst)
+    picks = {}
+    for level in range(1, bucket_count(inst.m) + 1):
+        ii, jj = np.nonzero(levels == level)
+        if not len(ii):
+            continue
+        cap = min(2 ** level, inst.m, inst.k)
+        taken, used_i, used_j = [], set(), set()
+        for _w, i, j in sorted(zip((-(values[ii] * inst.p[ii, jj])).tolist(),
+                                   ii.tolist(), jj.tolist())):
+            if len(taken) < cap and i not in used_i and j not in used_j:
+                taken.append((i, j))
+                used_i.add(i)
+                used_j.add(j)
+        picks[level] = taken
+    return picks
+
+
+def _cut_trailing_non_positive(picks, values):
+    """Each level's picks with its trailing picks valued at most 0 cut, and
+    levels left empty dropped.  Weight sorts descending, so those picks
+    come last: none is left in the middle."""
+    cut = {}
+    for level, taken in picks.items():
+        taken = list(taken)
+        while taken and values[taken[-1][0]] <= 0.0:
+            taken.pop()
+        assert all(values[i] > 0.0 for i, _j in taken)
+        if taken:
+            cut[level] = taken
+    return cut
+
+
+def test_every_greedy_caller_applies_the_bid_rule():
+    """On the tie-heavy pool, every greedy caller's picks are the scan
+    without a bid rule, less each bucket's trailing non-positive picks; the
+    sampled outcome draws among the buckets left populated."""
+    rng = np.random.default_rng(191)
+    changed = 0
+    for case in range(600):
+        inst, values = tie_heavy_cascade_case(rng)
+        before = _scan_without_bid_rule(inst, values)
+        want = _cut_trailing_non_positive(before, values)
+        changed += want != before
+        assert cascade_wdp.greedy_picks(inst, values) == want
+        assert combined_cascade_candidates(inst, values) == [
+            AugmentedAllocation.from_pairs(want.get(level, []))
+            for level in range(1, bucket_count(inst.m) + 1)]
+        for bucket in bucketize(inst):
+            assert greedy_bucket(bucket, values) == \
+                AugmentedAllocation.from_pairs(want.get(bucket.index, []))
+        draw = np.random.default_rng(case)
+        populated = [AugmentedAllocation.from_pairs(pairs)
+                     for pairs in want.values()]
+        chi = (populated[int(draw.integers(len(populated)))] if populated
+               else AugmentedAllocation.from_pairs([]))
+        rates = [cascade_ctr(inst, c) for c in populated] or [np.zeros(inst.n)]
+        mixture = sum(rates[1:], rates[0]) / len(rates)
+        for solve in (
+            lambda r: (combined_cascade_solver(inst, values, r), mixture),
+            lambda r: greedy_outcome(inst, values, r),
+            lambda r: greedy_cascade_solver(r).solve(inst, values),
+        ):
+            got_rng = np.random.default_rng(case)
+            got, ctrs = solve(got_rng)
+            assert got == chi and np.array_equal(ctrs, mixture), case
+            assert (got_rng.bit_generator.state
+                    == draw.bit_generator.state), case
+    assert changed > 150
 
 
 def test_bucket_caps_respect_global_limit():

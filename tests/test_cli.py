@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +224,40 @@ def test_solve_cascade_algorithms(tmp_path):
         results[algo] = json.loads(out.read_text())["objective"]
     for algo, objective in results.items():
         assert results["brute"] >= objective - 1e-9, algo
+
+
+def test_solve_greedy_never_allocates_a_non_positive_value(tmp_path):
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 2, "m": 2, "k": 2, "model": "cascade",
+         "p": [[0.6, 0.3], [0.5, 0.4]]},
+    )
+    vals = write_json(tmp_path / "vals.json", [1.0, -1.0])
+    out = tmp_path / "out.json"
+    for seed in range(20):
+        assert main(["solve", "--instance", inst, "--values", vals,
+                     "--algorithm", "greedy", "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["allocation"] in ({"0": 0}, {"0": 1}), seed
+        assert report["objective"] > 0.0, seed
+
+
+def test_solve_greedy_reports_are_unchanged_on_positive_values(tmp_path):
+    """Recorded reports of ``solve --algorithm greedy`` on a seeded pack of
+    tie-heavy instances with every value above 0, where the bid rule leaves
+    every edge in: each must come out byte for byte."""
+    pack = json.loads((Path(__file__).parent
+                       / "greedy_solve_pack.json").read_text())
+    out = tmp_path / "out.json"
+    for case in pack:
+        assert min(case["values"]) > 0.0
+        inst = write_json(tmp_path / "inst.json", case["instance"])
+        vals = write_json(tmp_path / "vals.json", case["values"])
+        assert main(["solve", "--instance", inst, "--values", vals,
+                     "--algorithm", "greedy", "--seed", str(case["seed"]),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == case["report"], case["seed"]
 
 
 def test_solve_without_algorithm_runs_the_model_default(tmp_path):

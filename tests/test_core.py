@@ -270,7 +270,7 @@ _CASES = {
     "monotonicity_audit-advertiser-n": (ValidationError, lambda:
         monotonicity_audit(exact_mnl_solver(), _MNL3, np.ones(3), 3, [1.0])),
     "greedy_picks-mnl": (ValidationError, lambda:
-        greedy_picks(_MNL3, np.ones((3, 2), dtype=int), np.ones(3))),
+        greedy_picks(_MNL3, np.ones(3))),
 }
 # NaN has no place in a value order, so every oracle, search and solver
 # handle that sorts by value rejects it.

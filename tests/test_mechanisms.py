@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slotauction import mechanisms
 from slotauction.cascade_wdp import bucket_count
 from slotauction.core import CASCADE, Instance, MNL, ValidationError
 from slotauction.distributions import Exponential, Uniform
@@ -345,8 +346,9 @@ def test_greedy_curve_equals_probes():
         handle = greedy_cascade_solver(curve_rng)
         probe_rng = np.random.default_rng(case)
         probe = greedy_cascade_solver(probe_rng)
+        read = handle.curves(inst, values)
         for i in range(inst.n):
-            ctr_at = handle.curve(inst, values, i)
+            ctr_at = read(i)
             for b in _curve_test_bids(inst, values, i):
                 bids = values.copy()
                 bids[i] = b
@@ -409,8 +411,9 @@ def test_brute_curve_equals_probes():
         if inst.n * inst.m > 36:  # the oracle's size guard
             continue
         cases += 1
+        read = handle.curves(inst, values)
         for i in range(inst.n):
-            ctr_at = handle.curve(inst, values, i)
+            ctr_at = read(i)
             for b in _brute_curve_test_bids(values, i):
                 bids = values.copy()
                 bids[i] = b
@@ -428,8 +431,9 @@ def test_brute_curve_equals_probes_at_infinite_bids():
             continue
         if case % 2:  # someone else bids inf
             values[rng.integers(inst.n)] = np.inf
+        read = handle.curves(inst, values)
         for i in range(inst.n):
-            ctr_at = handle.curve(inst, values, i)
+            ctr_at = read(i)
             for b in (1.0, np.inf):
                 bids = values.copy()
                 bids[i] = b
@@ -441,8 +445,8 @@ def test_brute_curve_rejects_a_nan_template():
     inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
     handle = brute_cascade_solver()
     with pytest.raises(ValidationError):
-        handle.curve(inst, np.array([1.0, np.nan, 2.0]), 0)
-    assert handle.curve(inst, np.array([1.0, 3.0, 2.0]), 0)(np.nan) == 0.0
+        handle.curves(inst, np.array([1.0, np.nan, 2.0]))
+    assert handle.curves(inst, np.array([1.0, 3.0, 2.0]))(0)(np.nan) == 0.0
 
 
 def _float_bits(x: float) -> int:
@@ -479,8 +483,9 @@ def test_brute_curve_steps_at_the_probes_last_bit():
         inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
                         p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
         values = rng.uniform(0.0, 1.0, n)
+        read = handle.curves(inst, values)
         for i in range(n):
-            ctr_at = handle.curve(inst, values, i)
+            ctr_at = read(i)
             grid = {*np.geomspace(1e-3, 4.0, 24).tolist(),
                     *np.delete(values, i).tolist()}
             for pair in _adjacent_steps(ctr_at, sorted(grid)):
@@ -521,20 +526,85 @@ def test_myerson_over_brute_curve_equals_probe_path():
 def test_curves_only_on_the_greedy_and_brute_handles():
     greedy = greedy_cascade_solver(np.random.default_rng(0))
     brute = brute_cascade_solver()
-    assert greedy.curve is not None and brute.curve is not None
-    assert threshold_dropping_solver(greedy).curve is None
-    assert threshold_dropping_solver(brute).curve is None
-    assert exact_mnl_solver().curve is None
+    assert greedy.curves is not None and brute.curves is not None
+    assert threshold_dropping_solver(greedy).curves is None
+    assert threshold_dropping_solver(brute).curves is None
+    assert exact_mnl_solver().curves is None
 
 
-def test_curves_follow_bids_edited_in_place():
+def _spied(handle, readers):
+    """``handle`` with its ``curves``, keeping every reader it builds."""
+
+    def curves(inst, bids):
+        readers.append(handle.curves(inst, bids))
+        return readers[-1]
+
+    return SolverHandle(solve=handle.solve, kind=handle.kind, curves=curves)
+
+
+def test_readers_ignore_template_edits_after_build():
+    """``audit_drops`` builds its reader on the first read, from a copy of
+    the template, so editing the template in place afterwards changes
+    nothing the reader gives.  Advertiser 0 bids 0 in the template, so the
+    brute reader builds the table it reads for advertiser 0 only after the
+    edit."""
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=CASCADE)
     for handle in (greedy_cascade_solver(np.random.default_rng(0)),
                    brute_cascade_solver()):
-        bids = np.array([1.0, 2.0])
-        assert handle.curve(inst, bids, 0)(1.5) == 0.0
+        readers = []
+        bids = np.array([0.0, 2.0])
+        drops = audit_drops(_spied(handle, readers), inst, bids, [1.5],
+                            [1, 0])
+        assert next(drops) == (1, None)
         bids[1] = 1.0
-        assert handle.curve(inst, bids, 0)(1.5) == 0.5
+        assert list(drops) == [(0, None)]
+        assert len(readers) == 1
+        assert readers[0](0)(1.5) == 0.0  # advertiser 1 still bids 2.0
+        assert handle.curves(inst, np.array([0.0, 1.0]))(0)(1.5) == 0.5
+
+
+def _counted_builds(monkeypatch, builds):
+    """Count every ``OwnBidCurves`` and ``BruteOwnBidCurves`` the handles
+    build, by class name."""
+    for name in ("OwnBidCurves", "BruteOwnBidCurves"):
+        cls = getattr(mechanisms, name)
+
+        def counted(inst, bids, _cls=cls):
+            builds.append(_cls.__name__)
+            return _cls(inst, bids)
+
+        monkeypatch.setattr(mechanisms, name, counted)
+
+
+def test_one_reader_per_template_per_call(monkeypatch):
+    """``myerson`` over the greedy builds one reader for its audit (on the
+    values) and one for its pricing (on the virtual values) if anyone pays;
+    over the exact brute handle only the pricing one.  ``audit_drops``
+    builds one."""
+    builds = []
+    _counted_builds(monkeypatch, builds)
+    rng = np.random.default_rng(167)
+    for inst, values, dists in _auction_cases(rng):
+        greedy = greedy_cascade_solver(np.random.default_rng(0))
+        del builds[:]
+        out = myerson(inst, values, dists, greedy, grid_size=64)
+        payers = bool(np.any((out.ctrs > 0.0) & (values > 0.0)))
+        assert builds == ["OwnBidCurves"] * (1 + payers)
+        del builds[:]
+        list(audit_drops(greedy, inst, values, [0.5, 1.0, 2.0]))
+        assert builds == ["OwnBidCurves"]
+    paid = 0
+    for inst, values, dists in _brute_auction_cases(rng):
+        brute = brute_cascade_solver()
+        del builds[:]
+        out = myerson(inst, values, dists, brute, grid_size=64)
+        payers = bool(np.any((out.ctrs > 0.0) & (values > 0.0)))
+        assert builds == ["BruteOwnBidCurves"] * payers
+        paid += payers
+        del builds[:]
+        list(audit_drops(brute, inst, values, [0.5, 1.0, 2.0]))
+        assert builds == ["BruteOwnBidCurves"]
+    assert paid > 100
 
 
 def test_planted_bug_over_brute_is_probed():
@@ -547,7 +617,7 @@ def test_planted_bug_over_brute_is_probed():
         return brute.solve(inst, bids)
 
     broken = threshold_dropping_solver(
-        SolverHandle(solve=counted, kind=brute.kind, curve=brute.curve),
+        SolverHandle(solve=counted, kind=brute.kind, curves=brute.curves),
         threshold=0.5)
     values = np.array([0.9, 0.6])
     myerson(inst, values, [Uniform(0.0, 1.0)] * 2, broken)

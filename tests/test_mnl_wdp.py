@@ -319,6 +319,46 @@ def test_stacked_matching_equals_one_call_per_block():
             assert np.array_equal(row, capped_matching(block, k))
 
 
+def test_chunked_stacks_equal_one_union(monkeypatch):
+    """Under small cell budgets a stack is matched in several chunks; the
+    matchings, and every batched solve built on them, are ``==`` those of
+    the whole stack matched as one union."""
+    rng = np.random.default_rng(73)
+    cases = []
+    for _ in range(150):
+        blocks, n = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        m = int(rng.integers(1, 6))
+        k = int(rng.integers(1, m + 1))
+        stack = rng.choice([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.75],
+                           (blocks, n, m))
+        inst, rows = _tie_heavy_stack(rng)
+        cases.append((stack, k, capped_matching(stack, k),
+                      inst, rows, solve_mnl_wdp_rows(inst, rows)))
+    chunks = []
+
+    def counted(stack, k):
+        chunks.append(len(stack))
+        return capped_matching(stack, k)
+
+    monkeypatch.setattr(mnl_wdp, "capped_matching", counted)
+    for budget in (1, 20, 90):
+        monkeypatch.setattr(mnl_wdp, "STACK_CELLS", budget)
+        for stack, k, whole, inst, rows, solved in cases:
+            chunks.clear()
+            got = capped_matching(stack, k)
+            assert got.shape == whole.shape and np.array_equal(got, whole)
+            n, m = stack.shape[1:]
+            per = max(1, int(np.sqrt(budget // (n * m))))
+            assert chunks == ([min(per, len(stack) - lo)
+                               for lo in range(0, len(stack), per)]
+                              if per < len(stack) else [])
+            for got, want in zip(solve_mnl_wdp_rows(inst, rows), solved,
+                                 strict=True):
+                assert got.allocation == want.allocation
+                assert got.objective == want.objective
+                assert np.array_equal(got.ctrs, want.ctrs)
+
+
 def test_infinite_weights_and_bids_are_rejected():
     with pytest.raises(ValidationError):
         capped_matching(np.array([[1.0, np.inf]]), 1)

@@ -60,8 +60,8 @@ def test_rebuilt_handles_still_solve(spans):
 
 
 def test_rebuilt_handles_price_as_their_curves(spans):
-    """Traced runs drop ``curve`` and price by probing; the outcome must be
-    the one untraced runs get from the curve, so both pass the same gate."""
+    """Traced runs drop ``curves`` and price by probing; the outcome must be
+    the one untraced runs get from the curves, so both pass the same gate."""
     rng = np.random.default_rng(11)
     inst = Instance(4, 3, 2, rng.uniform(0.01, 1.0, (4, 3)), CASCADE)
     values = rng.uniform(0.0, 1.0, 4)
@@ -69,7 +69,7 @@ def test_rebuilt_handles_price_as_their_curves(spans):
     with_curve = 0
     for name in spans.HANDLE_FACTORIES:
         args, model = FACTORY_ARGS[name]
-        if getattr(mechanisms, name)(*args).curve is None:
+        if getattr(mechanisms, name)(*args).curves is None:
             continue
         with_curve += 1
         # Each outcome gets a fresh handle, so the greedy's generator
