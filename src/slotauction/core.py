@@ -21,7 +21,6 @@ operations are pure functions, so concurrent read access is safe.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -194,8 +193,7 @@ def bid_vector(inst: Instance, values) -> np.ndarray:
     if values.shape != (inst.n,):
         raise ValidationError(
             f"expected {inst.n} values, got shape {values.shape}")
-    # v . v is NaN exactly when an entry is: squares are >= 0 or +inf
-    if math.isnan(np.dot(values, values)):
+    if np.count_nonzero(np.isnan(values)):
         raise ValidationError(f"values must not be NaN, got {values.tolist()}")
     return values
 

@@ -8,18 +8,17 @@ strictly higher ratio, which becomes the next guess.  Radzik (1992) bounds
 the number of such steps strongly polynomially for 0/1 linear-fractional
 problems.
 
-* ``solve_mnl_wdp`` is the production solver: the ratio loop on arrays over
-  ``capped_matching``, a dense successive-shortest-path matching kernel
-  (Jonker-Volgenant, 1987, but label-correcting: Bellman-Ford relaxations
-  vectorized over numpy arrays, no node potentials).  It is the one-row
-  case of ``solve_mnl_wdp_rows``, which runs the loop for many bid vectors
-  of one instance at once: each step matches the weights of every row not
-  yet settled as one stack, in one kernel call, which matches the stack as
-  block-diagonal unions of at most ``STACK_CELLS`` cells each.  Blocks share
-  no rows or columns, so each row's matchings, ratios and result are
-  bit-equal to a call of its own; batching only saves the numpy call
-  overhead that dominates at audit sizes (at most 4x4), and the cell bound
-  keeps a large instance's stack from growing with the square of its rows.
+* ``solve_mnl_wdp`` is the production solver, the one-row case of
+  ``solve_mnl_wdp_rows``: the ratio loop on arrays, for many bid vectors of
+  one instance at once, over ``capped_matching``, a dense
+  successive-shortest-path matching kernel (Jonker-Volgenant, 1987, but
+  label-correcting: Bellman-Ford relaxations vectorized over numpy arrays,
+  no node potentials).  Each step matches every unsettled row's weights in
+  one kernel call, as block-diagonal unions of at most ``STACK_CELLS``
+  cells, and takes every row's ratio by sequential sums, so a row's
+  matchings do not depend on the stack.  Batching saves the numpy call
+  overhead that dominates at audit sizes (at most 4x4); the cell bound keeps
+  a large stack from growing with the square of its rows.
 * ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
   ``linfrac``), kept as a cross-check.  It accepts at most
   ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
@@ -99,9 +98,8 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
 
     Advertisers with non-positive bids are never matched: matching them
     can only dilute the shared MNL denominator, and as lam >= 0 their
-    weights are non-positive, i.e. no edge.  A bid of +inf is rejected with
-    ``ValidationError``: it makes a weight infinite (see
-    ``capped_matching``).
+    weights are non-positive, i.e. no edge.  Bids whose weights overflow,
+    +inf included, raise ``ValidationError`` (see ``solve_mnl_wdp_rows``).
 
     Ties: when several matchings are optimal, the one returned is the one
     the kernel's lowest-index rule picks at the last step (see
@@ -109,56 +107,59 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
     leaves the ratio unchanged either way and is left out: at the last step
     its weights are zero, and a zero weight is no edge.
     """
-    return solve_mnl_wdp_rows(inst, [bids])[0]
+    match = solve_mnl_wdp_rows(inst, [bids])[0]
+    rows = np.flatnonzero(match >= 0)
+    alloc = Allocation(dict(zip(rows.tolist(), match[rows].tolist())))
+    return _result(inst, np.asarray(bids, dtype=float), alloc)
 
 
-def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> list[WdpResult]:
-    """``solve_mnl_wdp(inst, bids)`` for every row of ``bid_rows``, each
-    equal to what that call returns.
+def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
+    """The matching ``solve_mnl_wdp`` picks for each row of ``bid_rows``,
+    as an R x n array: ``match[r, i]`` is advertiser i's position or -1.
 
-    Every row runs its own Newton-Dinkelbach search with its own lam.  Each
-    step stacks the weights of the rows not yet settled into one
-    ``capped_matching`` call, whose blocks are matched exactly as alone, and
-    a row leaves the stack once its lam rises by no more than
-    DINKELBACH_TOL.  A row's ratio is computed on that row alone, in the
-    same order as a one-row call, so no last bit depends on the stack.
+    All unsettled rows take each Newton-Dinkelbach step at once: one
+    ``capped_matching`` call on their stacked weights, whose blocks are
+    matched exactly as alone, then every row's lam, its numerator and
+    denominator summed sequentially in advertiser order.  A row settles once
+    its lam rises by no more than DINKELBACH_TOL.  No step reads another
+    row, so a row's matching is the same in any stack.
+
+    A row whose positive bids times their advertisers' largest odds sum
+    past the float range, +inf included, raises ``ValidationError`` before
+    any matching: a weight, path gain or ratio would overflow.
     """
     require_valid(inst, MNL)
     bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
                         dtype=float).reshape(-1, inst.n)
-    results: list[WdpResult | None] = [None] * len(bid_rows)
     expo = np.exp(inst.log_odds())
-    # The rows not yet settled: their indices, bids and lam.  A row without
-    # a positive bid is settled from the start.  In the others, a bid of at
-    # most 0 keeps its advertiser's weights non-positive, i.e. no edge.
-    live = np.flatnonzero((bid_rows > 0.0).any(axis=1))
-    b = bid_rows[live]
-    lam = np.zeros(live.size)
+    # At lam >= 0 a bid <= 0 has no edge; clipped to 0, -inf makes no NaN.
+    pos = np.maximum(bid_rows, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = np.cumsum(pos * expo.max(axis=1), axis=1)
+    bad = np.argwhere(~np.isfinite(load))
+    if bad.size:
+        r, i = bad[0].tolist()
+        raise ValidationError(
+            f"bid {bid_rows.item(r, i)!r} of advertiser {i} takes the MNL"
+            " weights past the float range")
+    match = np.full(pos.shape, -1, dtype=np.intp)
+    live = np.flatnonzero(pos.any(axis=1))
+    b, lam = pos[live], np.zeros(live.size)
     for _ in range(DINKELBACH_MAX_ITER):
-        match = capped_matching((b - lam[:, None])[:, :, None] * expo, inst.k)
-        going = []
-        for t in range(live.size):
-            row_b, row_match = b[t], match[t]
-            rows = np.flatnonzero(row_match >= 0)
-            e = expo[rows, row_match[rows]]
-            new_lam = float(row_b[rows] @ e) / (1.0 + float(e.sum()))
-            if new_lam - lam[t] <= DINKELBACH_TOL:
-                alloc = Allocation(
-                    dict(zip(rows.tolist(), row_match[rows].tolist())))
-                results[live[t]] = _result(inst, row_b, alloc)
-            else:
-                lam[t] = new_lam
-                going.append(t)
-        if not going:
+        if not live.size:
             break
-        if len(going) < live.size:
-            live, b, lam = live[going], b[going], lam[going]
-    else:
+        step = capped_matching((b - lam[:, None])[:, :, None] * expo, inst.k)
+        e = np.where(step >= 0, expo[np.arange(inst.n), step], 0.0)
+        new_lam = (np.cumsum(b * e, axis=1)[:, -1]
+                   / (1.0 + np.cumsum(e, axis=1)[:, -1]))
+        done = new_lam - lam <= DINKELBACH_TOL
+        match[live[done]] = step[done]
+        live, b, lam = live[~done], b[~done], new_lam[~done]
+    if live.size:
         raise RuntimeError(
             f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
         )
-    return [WdpResult(Allocation({}), 0.0, np.zeros(inst.n)) if r is None
-            else r for r in results]
+    return match
 
 
 def capped_matching(weights, k: int) -> np.ndarray:
@@ -293,11 +294,10 @@ def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
     Kept as the cross-check of ``solve_mnl_wdp``.  Advertisers with
     non-positive bids are excluded up front (``solve_mnl_wdp`` never matches
     them either), which also keeps the LP's b >= 0, b != 0 precondition
-    satisfied.  Raises ``SizeGuardError``
-    before building the tableau when the positive bidders times the
-    positions exceed ``linfrac.MAX_LP_CELLS``.  Under ties it returns the
-    optimal vertex Bland's rule reaches, which may differ from
-    ``solve_mnl_wdp``'s matching.
+    satisfied.  Raises ``SizeGuardError`` before building the tableau when
+    the positive bidders times the positions exceed
+    ``linfrac.MAX_LP_CELLS``.  Under ties it returns the optimal vertex
+    Bland's rule reaches, which may differ from ``solve_mnl_wdp``'s.
     """
     require_valid(inst, MNL)
     bids = bid_vector(inst, bids)

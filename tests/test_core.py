@@ -1,4 +1,6 @@
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from slotauction.core import (
     MNL,
     Permutation,
     ValidationError,
+    bid_vector,
     cascade_ctr,
     check_feasible,
     instance_from_dict,
@@ -293,6 +296,10 @@ _CASES.update({
             _CASCADE3, np.array(_NAN))),
     "solve_mnl_wdp-nan": (ValidationError, lambda:
         solve_mnl_wdp(_MNL3, _NAN)),
+    # finite, but bid times odds overflows
+    "solve_mnl_wdp-overflow": (ValidationError, lambda:
+        solve_mnl_wdp(Instance(2, 2, 2, np.full((2, 2), 0.9), MNL),
+                      [1e308, 1.0])),
 })
 
 
@@ -307,6 +314,19 @@ def test_entry_points_check_their_input_before_any_work(case, monkeypatch):
     error, call = _CASES[case]
     with pytest.raises(error):
         call()
+
+
+def test_bid_vector_rejects_nan_only_and_never_warns():
+    inst = Instance(3, 1, 1, [[0.5]] * 3, CASCADE)
+    big = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in ([1e308, -1e308, 1.0], [big, big, -big],
+                       [np.inf, -np.inf, 0.0], [5e-324, -0.0, 1.0]):
+            assert bid_vector(inst, values).tolist() == values
+        for values in ([np.nan, 1.0, 1.0], [1e308, np.inf, np.nan]):
+            with pytest.raises(ValidationError):
+                bid_vector(inst, values)
 
 
 def test_model_mismatch_is_reported_ahead_of_the_size_guard():

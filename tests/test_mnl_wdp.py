@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from slotauction.core import (
     MNL,
     SizeGuardError,
     ValidationError,
+    instance_from_dict,
     mnl_ctr,
 )
 from slotauction.linfrac import MAX_LP_CELLS
@@ -275,6 +280,38 @@ def _one_row_loop(inst, bids):
     return mnl_wdp._result(inst, bids, Allocation(pairs))
 
 
+def test_solves_and_ctr_rows_equal_the_recorded_pack():
+    """Recorded outputs on a seeded pack: ``solve_mnl_wdp``'s allocation,
+    objective and CTRs on random, tie-heavy (quarter-step rates, repeated,
+    zero and negative bids) and wide instances (16 to 20 matched), and the
+    exact MNL handle's ``ctr_rows`` on audit-shaped stacks, where each
+    advertiser's bid in turn runs along the audit grid.  Each must come out
+    ``==``."""
+    pack = json.loads((Path(__file__).parent
+                       / "mnl_solve_pack.json").read_text())
+    assert sum(len(c["allocation"]) >= 16 for c in pack["solves"]) >= 20
+    for case in pack["solves"]:
+        inst = instance_from_dict(case["instance"])
+        got = solve_mnl_wdp(inst, case["bids"])
+        assert got.allocation.pairs() == [tuple(ij)
+                                          for ij in case["allocation"]]
+        assert repr(got.objective) == case["objective"]
+        assert got.ctrs.tolist() == case["ctrs"]
+    ctr_rows = exact_mnl_solver().ctr_rows
+    for case in pack["ctr_rows"]:
+        inst = instance_from_dict(case["instance"])
+        rows = np.tile(case["template"], (inst.n, len(case["grid"]), 1))
+        for i in range(inst.n):
+            rows[i, :, i] = case["grid"]
+        got = ctr_rows(inst, rows.reshape(-1, inst.n))
+        assert got.tolist() == case["ctr_rows"]
+
+
+def _allocation(match):
+    """The ``Allocation`` of one row of ``solve_mnl_wdp_rows``."""
+    return Allocation({i: int(j) for i, j in enumerate(match) if j >= 0})
+
+
 def test_batched_rows_equal_one_solve_per_row(monkeypatch):
     stacks = []
 
@@ -283,6 +320,7 @@ def test_batched_rows_equal_one_solve_per_row(monkeypatch):
         return capped_matching(weights, k)
 
     monkeypatch.setattr(mnl_wdp, "capped_matching", recording)
+    ctr_rows = exact_mnl_solver().ctr_rows
     rng = np.random.default_rng(61)
     staggered = 0
     for _ in range(300):
@@ -292,15 +330,20 @@ def test_batched_rows_equal_one_solve_per_row(monkeypatch):
         # the stack shrank but stayed non-empty: rows settled at different
         # Dinkelbach steps within one batch
         staggered += any(0 < b < a for a, b in zip(stacks, stacks[1:]))
-        assert len(got) == len(rows)
-        for result, bids in zip(got, rows):
-            for alone in (solve_mnl_wdp(inst, bids), _one_row_loop(inst, bids)):
-                assert result.allocation == alone.allocation
-                assert result.objective == alone.objective
-                assert np.array_equal(result.ctrs, alone.ctrs)
+        assert got.shape == (len(rows), inst.n)
+        ctrs = ctr_rows(inst, rows)
+        assert ctrs.shape == got.shape
+        for match, ctr, bids in zip(got, ctrs, rows):
+            alone = solve_mnl_wdp(inst, bids)
+            ref = _one_row_loop(inst, bids)
+            assert _allocation(match) == alone.allocation == ref.allocation
+            assert alone.objective == ref.objective
+            assert np.array_equal(ctr, alone.ctrs)
+            assert np.array_equal(alone.ctrs, ref.ctrs)
     assert staggered > 20
-    assert solve_mnl_wdp_rows(Instance(n=1, m=1, k=1, p=[[0.5]], model=MNL),
-                              np.empty((0, 1))) == []
+    one = Instance(n=1, m=1, k=1, p=[[0.5]], model=MNL)
+    assert solve_mnl_wdp_rows(one, np.empty((0, 1))).shape == (0, 1)
+    assert ctr_rows(one, np.empty((0, 1))).shape == (0, 1)
 
 
 def test_stacked_matching_equals_one_call_per_block():
@@ -324,6 +367,7 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
     matchings, and every batched solve built on them, are ``==`` those of
     the whole stack matched as one union."""
     rng = np.random.default_rng(73)
+    ctr_rows = exact_mnl_solver().ctr_rows
     cases = []
     for _ in range(150):
         blocks, n = int(rng.integers(2, 9)), int(rng.integers(1, 7))
@@ -332,8 +376,8 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
         stack = rng.choice([-1.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.75],
                            (blocks, n, m))
         inst, rows = _tie_heavy_stack(rng)
-        cases.append((stack, k, capped_matching(stack, k),
-                      inst, rows, solve_mnl_wdp_rows(inst, rows)))
+        cases.append((stack, k, capped_matching(stack, k), inst, rows,
+                      solve_mnl_wdp_rows(inst, rows), ctr_rows(inst, rows)))
     chunks = []
 
     def counted(stack, k):
@@ -343,7 +387,7 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
     monkeypatch.setattr(mnl_wdp, "capped_matching", counted)
     for budget in (1, 20, 90):
         monkeypatch.setattr(mnl_wdp, "STACK_CELLS", budget)
-        for stack, k, whole, inst, rows, solved in cases:
+        for stack, k, whole, inst, rows, solved, ctrs in cases:
             chunks.clear()
             got = capped_matching(stack, k)
             assert got.shape == whole.shape and np.array_equal(got, whole)
@@ -352,11 +396,9 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
             assert chunks == ([min(per, len(stack) - lo)
                                for lo in range(0, len(stack), per)]
                               if per < len(stack) else [])
-            for got, want in zip(solve_mnl_wdp_rows(inst, rows), solved,
-                                 strict=True):
-                assert got.allocation == want.allocation
-                assert got.objective == want.objective
-                assert np.array_equal(got.ctrs, want.ctrs)
+            got = solve_mnl_wdp_rows(inst, rows)
+            assert got.shape == solved.shape and np.array_equal(got, solved)
+            assert np.array_equal(ctr_rows(inst, rows), ctrs)
 
 
 def test_infinite_weights_and_bids_are_rejected():
@@ -367,6 +409,27 @@ def test_infinite_weights_and_bids_are_rejected():
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=MNL)
     with pytest.raises(ValidationError):
         solve_mnl_wdp(inst, [np.inf, 1.0])
+
+
+def test_bids_whose_weights_overflow_are_rejected_by_name():
+    """A finite bid times its odds, or a row's such weights summed, past
+    the float range: rejected before any matching, naming the bid."""
+    inst = Instance(n=2, m=2, k=2, p=np.full((2, 2), 0.9), model=MNL)
+    for bids, i in (([1e308, 1.0], 0), ([1.0, 1.5e307 * 9.0], 1),
+                    ([1.5e307, 1.5e307], 1), ([np.inf, 1.0], 0)):
+        named = re.escape(f"bid {bids[i]!r} of advertiser {i} ")
+        with pytest.raises(ValidationError, match=named):
+            solve_mnl_wdp(inst, bids)
+        with pytest.raises(ValidationError, match=named):
+            solve_mnl_wdp_rows(inst, [[1.0, 2.0], bids])
+    # an advertiser with no odds anywhere gets no weight, but +inf is
+    # rejected all the same
+    zero = Instance(n=2, m=1, k=1, p=[[0.0], [0.5]], model=MNL)
+    with pytest.raises(ValidationError, match="bid inf of advertiser 0"):
+        solve_mnl_wdp(zero, [np.inf, 1.0])
+    big = solve_mnl_wdp(inst, [1e306, 1.0])
+    assert big.allocation.assignment == {0: 0}
+    assert big.objective == 1e306 * 0.9
 
 
 def test_minus_infinite_bid_is_never_matched_nor_counted():
