@@ -1,11 +1,9 @@
 """Truthful mechanisms on top of the winner-determination solvers.
 
 VCG maximizes welfare with an exact solver and charges each advertiser the
-externality it imposes (n + 1 solutions: one ``solve`` and one batch of
-leave-one-out rows when the handle has ``ctr_rows``).  The revenue
-mechanism solves winner determination with virtual values as bids,
-excludes advertisers whose virtual value is non-positive, and prices by the
-envelope rule
+externality it imposes (n + 1 solver calls).  The revenue mechanism solves
+winner determination with virtual values as bids, excludes advertisers whose
+virtual value is non-positive, and prices by the envelope rule
 
     t_i = v_i * y_i(v) - integral_0^{v_i} y_i(z, v_-i) dz,
 
@@ -54,7 +52,7 @@ from .core import (
 )
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
-from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
+from .mnl_wdp import match_ctrs, solve_mnl_wdp, solve_mnl_wdp_rows
 from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
 
 EXACT_MNL = "exact_mnl"
@@ -116,10 +114,10 @@ class SolverHandle:
     ``ctr_rows(inst, bid_rows)``, when set, returns an R x n array, one row
     per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
     those bids, bit-equal.  The audit reads every advertiser's sweep from it
-    in one call when the handle has no ``curves``, and ``vcg`` its
-    leave-one-out rows.  Only the exact MNL handle sets it, computing the
-    rows from ``solve_mnl_wdp_rows``'s matchings on arrays, with no
-    allocation per row.
+    in one call when the handle has no ``curves``.  Only the exact MNL
+    handle sets it: ``mnl_wdp.match_ctrs`` of ``solve_mnl_wdp_rows``, the
+    CTRs ``solve_mnl_wdp`` takes from its one row, with no allocation per
+    row.
     """
 
     solve: SolveFn
@@ -149,12 +147,7 @@ def exact_mnl_solver() -> SolverHandle:
         return AugmentedAllocation(result.allocation, sigma), result.ctrs
 
     def ctr_rows(inst: Instance, bid_rows: np.ndarray) -> np.ndarray:
-        # core.mnl_ctr on every row at once: odds over 1 plus their
-        # sequential sum, in advertiser order as ``solve`` inserts them.
-        match = solve_mnl_wdp_rows(inst, bid_rows)
-        p = np.where(match >= 0, inst.p[np.arange(inst.n), match], 0.0)
-        odds = p / (1.0 - p)
-        return odds / (1.0 + np.cumsum(odds, axis=1)[:, -1:])
+        return match_ctrs(inst, solve_mnl_wdp_rows(inst, bid_rows))
 
     return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows)
 
@@ -233,9 +226,9 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
     t_i = (others' best welfare with i's bid zeroed)
         - (others' welfare at the chosen allocation),
     which is non-negative and never exceeds v_i * pi_i.  An advertiser
-    valued 0 and not allocated pays 0 and is not re-solved.  A handle with
-    ``ctr_rows`` reads the other leave-one-out CTR vectors in one call;
-    any other handle runs one ``solve`` per advertiser.
+    valued 0 and not allocated pays 0 and is not re-solved; every other
+    advertiser costs one ``solve``, whether or not the handle has
+    ``ctr_rows``.
     """
     require_valid(inst)
     if not solver.is_exact:
@@ -246,15 +239,13 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     chi, pi = solver.solve(inst, values)
-    payers = [i for i in range(inst.n) if values[i] != 0.0 or pi[i] != 0.0]
     payments = np.zeros(inst.n)
-    without = np.tile(values, (len(payers), 1))
-    without[np.arange(len(payers)), payers] = 0.0
-    if solver.ctr_rows is not None:
-        pis_wo = solver.ctr_rows(inst, without)
-    else:
-        pis_wo = (solver.solve(inst, bids)[1] for bids in without)
-    for i, pi_wo in zip(payers, pis_wo):
+    for i in range(inst.n):
+        if values[i] == 0.0 and pi[i] == 0.0:
+            continue
+        without = values.copy()
+        without[i] = 0.0
+        _chi_wo, pi_wo = solver.solve(inst, without)
         others = np.arange(inst.n) != i
         payments[i] = _clip_dust(
             float(values[others] @ pi_wo[others] - values[others] @ pi[others])

@@ -9,16 +9,11 @@ the number of such steps strongly polynomially for 0/1 linear-fractional
 problems.
 
 * ``solve_mnl_wdp`` is the production solver, the one-row case of
-  ``solve_mnl_wdp_rows``: the ratio loop on arrays, for many bid vectors of
-  one instance at once, over ``capped_matching``, a dense
-  successive-shortest-path matching kernel (Jonker-Volgenant, 1987, but
+  ``solve_mnl_wdp_rows``, which runs the ratio loop on arrays for many bid
+  vectors of one instance at once over ``capped_matching``: a dense
+  successive-shortest-path kernel (Jonker-Volgenant, 1987, but
   label-correcting: Bellman-Ford relaxations vectorized over numpy arrays,
-  no node potentials).  Each step matches every unsettled row's weights in
-  one kernel call, as block-diagonal unions of at most ``STACK_CELLS``
-  cells, and takes every row's ratio by sequential sums, so a row's
-  matchings do not depend on the stack.  Batching saves the numpy call
-  overhead that dominates at audit sizes (at most 4x4); the cell bound keeps
-  a large stack from growing with the square of its rows.
+  no node potentials).
 * ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
   ``linfrac``), kept as a cross-check.  It accepts at most
   ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
@@ -59,10 +54,8 @@ DINKELBACH_MAX_ITER = 100
 # Path gains and label improvements at or below this are rounding noise.
 MATCH_TOL = 1e-12
 # Cells of the block-diagonal union one ``capped_matching`` call matches at
-# once; a longer stack is matched in chunks.  A union's label rounds cost
-# its cells, so past the per-call overhead a bigger chunk only loses: per
-# row, stacks of 8k-32k cells solve 2.5-10x faster than one row at a time
-# from 4x4 to 50x25, and 300k cells no faster.
+# once; longer stacks go in chunks.  Per row, unions of 8k-32k cells solve
+# 2.5-10x faster than one row at a time from 4x4 to 50x25; 300k, no faster.
 STACK_CELLS = 1 << 15
 
 
@@ -75,16 +68,19 @@ class WdpResult:
     ctrs: CtrVector
 
 
-def _result(inst: Instance, bids: np.ndarray, alloc: Allocation) -> WdpResult:
-    pi = mnl_ctr(inst, alloc)
-    return WdpResult(allocation=alloc, objective=_objective(bids, pi), ctrs=pi)
+def _result(bids: np.ndarray, alloc: Allocation, pi: np.ndarray) -> WdpResult:
+    """``alloc`` with its CTRs and sum_i b_i pi_i over matched advertisers:
+    ``bids @ pi`` to the last bit, but an unmatched -inf counts 0, not NaN."""
+    return WdpResult(alloc, float(np.where(pi > 0.0, bids, 0.0) @ pi), pi)
 
 
-def _objective(bids: np.ndarray, pi: np.ndarray) -> float:
-    """sum_i b_i pi_i over the matched advertisers.  An unmatched bid counts
-    as 0.0, never as b * 0.0, which is NaN at b = -inf; on finite bids this
-    is the same dot product as ``bids @ pi``, to the last bit."""
-    return float(np.where(pi > 0.0, bids, 0.0) @ pi)
+def match_ctrs(inst: Instance, match: np.ndarray) -> np.ndarray:
+    """MNL CTRs of matching rows (position or -1 per advertiser): odds over
+    1 plus their sequential sum in advertiser order, on any Python (from
+    3.12 ``core.mnl_ctr``'s ``sum()`` compensates)."""
+    p = np.where(match >= 0, inst.p[np.arange(inst.n), match], 0.0)
+    odds = p / (1.0 - p)
+    return odds / (1.0 + np.cumsum(odds, axis=-1)[..., -1:])
 
 
 def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
@@ -110,7 +106,7 @@ def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
     match = solve_mnl_wdp_rows(inst, [bids])[0]
     rows = np.flatnonzero(match >= 0)
     alloc = Allocation(dict(zip(rows.tolist(), match[rows].tolist())))
-    return _result(inst, np.asarray(bids, dtype=float), alloc)
+    return _result(np.asarray(bids, float), alloc, match_ctrs(inst, match))
 
 
 def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
@@ -124,21 +120,26 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
     its lam rises by no more than DINKELBACH_TOL.  No step reads another
     row, so a row's matching is the same in any stack.
 
-    A row whose positive bids times their advertisers' largest odds sum
-    past the float range, +inf included, raises ``ValidationError`` before
-    any matching: a weight, path gain or ratio would overflow.
+    At most k advertisers lie on a matching or an augmenting path, so the
+    sum of a row's k largest positive bid times largest odds bounds every
+    weight, gain and ratio; where it overflows (+inf bids too), the row
+    raises ``ValidationError`` naming the advertiser that takes it there.
     """
     require_valid(inst, MNL)
     bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
                         dtype=float).reshape(-1, inst.n)
     expo = np.exp(inst.log_odds())
-    # At lam >= 0 a bid <= 0 has no edge; clipped to 0, -inf makes no NaN.
-    pos = np.maximum(bid_rows, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        load = np.cumsum(pos * expo.max(axis=1), axis=1)
-    bad = np.argwhere(~np.isfinite(load))
+    top = expo.max(axis=1)
+    # A bid <= 0, or any bid of an advertiser without odds, has no edge at
+    # lam >= 0; zeroed, neither -inf nor such a +inf makes a NaN.
+    pos = np.where(top > 0.0, np.maximum(bid_rows, 0.0), 0.0)
+    with np.errstate(over="ignore"):
+        load = pos * top
+        order = np.argsort(-load, axis=1, kind="stable")[:, :inst.k]
+        bad = np.argwhere(~np.isfinite(np.cumsum(
+            np.take_along_axis(load, order, axis=1), axis=1)))
     if bad.size:
-        r, i = bad[0].tolist()
+        r, i = int(bad[0, 0]), int(order[tuple(bad[0])])
         raise ValidationError(
             f"bid {bid_rows.item(r, i)!r} of advertiser {i} takes the MNL"
             " weights past the float range")
@@ -148,7 +149,8 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
     for _ in range(DINKELBACH_MAX_ITER):
         if not live.size:
             break
-        step = capped_matching((b - lam[:, None])[:, :, None] * expo, inst.k)
+        step = capped_matching(  # b <= lam: no edge, so 0, never overflowing
+            np.maximum(b - lam[:, None], 0.0)[:, :, None] * expo, inst.k)
         e = np.where(step >= 0, expo[np.arange(inst.n), step], 0.0)
         new_lam = (np.cumsum(b * e, axis=1)[:, -1]
                    / (1.0 + np.cumsum(e, axis=1)[:, -1]))
@@ -156,9 +158,8 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
         match[live[done]] = step[done]
         live, b, lam = live[~done], b[~done], new_lam[~done]
     if live.size:
-        raise RuntimeError(
-            f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
-        )
+        raise RuntimeError("parametric search did not settle in"
+                           f" {DINKELBACH_MAX_ITER} steps")
     return match
 
 
@@ -320,7 +321,7 @@ def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
         raise SimplexError(f"winner determination LP came back {sol.status}")
     sub_alloc = recover_allocation(sol)
     alloc = Allocation({keep[i]: j for i, j in sub_alloc.assignment.items()})
-    return _result(inst, bids, alloc)
+    return _result(bids, alloc, mnl_ctr(inst, alloc))
 
 
 def dinkelbach_check(inst: Instance, bids) -> WdpResult:
@@ -361,8 +362,7 @@ def dinkelbach_check(inst: Instance, bids) -> WdpResult:
         raise RuntimeError(
             f"parametric search did not settle in {DINKELBACH_MAX_ITER} steps"
         )
-    pi = mnl_ctr(inst, alloc)
-    return WdpResult(allocation=alloc, objective=_objective(bids, pi), ctrs=pi)
+    return _result(bids, alloc, mnl_ctr(inst, alloc))
 
 
 # ---------------------------------------------------------------------------

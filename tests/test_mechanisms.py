@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -108,45 +107,6 @@ def test_vcg_truthful_on_random_instances():
                 outcome = vcg(inst, bids, solver)
                 lie_utility = values[i] * outcome.ctrs[i] - outcome.payments[i]
                 assert lie_utility <= truthful.utilities[i] + 1e-9
-
-
-def test_vcg_reads_leave_one_out_ctrs_in_one_batch():
-    """With ``ctr_rows``, ``vcg`` solves once and reads every leave-one-out
-    CTR vector in one batch, leaving out the advertisers it skips; its
-    outcome is ``==`` that of one ``solve`` per advertiser."""
-    rng = np.random.default_rng(113)
-    exact = exact_mnl_solver()
-    for case in range(200):
-        inst = rand_mnl_instance(rng, nmax=6, mmax=5)
-        values = rand_bids(rng, inst.n)
-        values[rng.random(inst.n) < 0.3] = 0.0
-        if case % 4 == 0:
-            values[:] = rng.choice([0.0, 1.0, 2.0], inst.n)
-        solves, batches = [], []
-
-        def solve(inst, bids):
-            solves.append(1)
-            return exact.solve(inst, bids)
-
-        def ctr_rows(inst, rows):
-            batches.append(np.array(rows))
-            return exact.ctr_rows(inst, rows)
-
-        batched = vcg(inst, values, dataclasses.replace(
-            exact, solve=solve, ctr_rows=ctr_rows))
-        per_solve = vcg(inst, values, dataclasses.replace(exact,
-                                                          ctr_rows=None))
-        assert len(solves) == 1 and len(batches) == 1
-        pi = batched.ctrs
-        payers = [i for i in range(inst.n)
-                  if not (values[i] == 0.0 and pi[i] == 0.0)]
-        want = np.tile(values, (len(payers), 1))
-        want[np.arange(len(payers)), payers] = 0.0
-        assert np.array_equal(batches[0], want)
-        assert batched.augmented == per_solve.augmented
-        for field in ("payments", "ctrs", "utilities"):
-            assert np.array_equal(getattr(batched, field),
-                                  getattr(per_solve, field))
 
 
 # ------------------------------------------------------------ virtual values

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -276,8 +278,15 @@ def _one_row_loop(inst, bids):
         lam = new_lam
     else:
         raise AssertionError("reference loop did not settle")
-    pairs = dict(zip(keep[rows].tolist(), match[rows].tolist()))
-    return mnl_wdp._result(inst, bids, Allocation(pairs))
+    alloc = Allocation(dict(zip(keep[rows].tolist(), match[rows].tolist())))
+    # mnl_ctr's arithmetic, its sum taken sequentially in advertiser order
+    odds = {i: inst.p[i, j] / (1.0 - inst.p[i, j])
+            for i, j in sorted(alloc.assignment.items())}
+    total = 1.0 + functools.reduce(operator.add, odds.values(), 0.0)
+    pi = np.zeros(inst.n)
+    for i, w in odds.items():
+        pi[i] = w / total
+    return mnl_wdp._result(bids, alloc, pi)
 
 
 def test_solves_and_ctr_rows_equal_the_recorded_pack():
@@ -412,8 +421,9 @@ def test_infinite_weights_and_bids_are_rejected():
 
 
 def test_bids_whose_weights_overflow_are_rejected_by_name():
-    """A finite bid times its odds, or a row's such weights summed, past
-    the float range: rejected before any matching, naming the bid."""
+    """A finite bid times its odds, or the k largest such products of a
+    row summed, past the float range: rejected before any matching, naming
+    the bid."""
     inst = Instance(n=2, m=2, k=2, p=np.full((2, 2), 0.9), model=MNL)
     for bids, i in (([1e308, 1.0], 0), ([1.0, 1.5e307 * 9.0], 1),
                     ([1.5e307, 1.5e307], 1), ([np.inf, 1.0], 0)):
@@ -422,14 +432,32 @@ def test_bids_whose_weights_overflow_are_rejected_by_name():
             solve_mnl_wdp(inst, bids)
         with pytest.raises(ValidationError, match=named):
             solve_mnl_wdp_rows(inst, [[1.0, 2.0], bids])
-    # an advertiser with no odds anywhere gets no weight, but +inf is
-    # rejected all the same
-    zero = Instance(n=2, m=1, k=1, p=[[0.0], [0.5]], model=MNL)
-    with pytest.raises(ValidationError, match="bid inf of advertiser 0"):
-        solve_mnl_wdp(zero, [np.inf, 1.0])
+
+
+def test_bids_that_cannot_overflow_are_solved():
+    """Only the k largest bid-times-odds products of a row can be matched
+    at once, and weights below lam are no edge: none of these overflows."""
+    inst = Instance(n=2, m=2, k=2, p=np.full((2, 2), 0.9), model=MNL)
     big = solve_mnl_wdp(inst, [1e306, 1.0])
     assert big.allocation.assignment == {0: 0}
     assert big.objective == 1e306 * 0.9
+    # two weights of 1.35e308 each, but k = 1 matches only one of them
+    one = Instance(n=2, m=1, k=1, p=[[0.9], [0.9]], model=MNL)
+    got = solve_mnl_wdp(one, [1.5e307, 1.5e307])
+    assert got.allocation.assignment == {0: 0}
+    assert repr(got.objective) == "1.3499999999999999e+307"
+    assert got.ctrs.tolist() == [0.9, 0.0]
+    assert solve_mnl_wdp_rows(one, [[1.5e307, 1.5e307]]).tolist() == [[0, -1]]
+    # an advertiser with no odds anywhere has no edge, whatever its bid
+    zero = Instance(n=2, m=2, k=2, p=[[0.0, 0.0], [0.5, 0.2]], model=MNL)
+    got = solve_mnl_wdp(zero, [np.inf, 1.0])
+    assert got.allocation.assignment == {1: 0}
+    assert got.objective == 0.5 and got.ctrs.tolist() == [0.0, 0.5]
+    # lam = 5e299 less a bid of 1, times odds of 1e9: below -1e308, no edge
+    steep = Instance(n=2, m=1, k=1, p=[[0.5], [1 - 1e-9]], model=MNL)
+    got = solve_mnl_wdp(steep, [1e300, 1.0])
+    assert got.allocation.assignment == {0: 0}
+    assert got.objective == 1e300 * 0.5
 
 
 def test_minus_infinite_bid_is_never_matched_nor_counted():
