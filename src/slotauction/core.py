@@ -219,15 +219,48 @@ def mnl_ctr(inst: Instance, alloc: Allocation) -> CtrVector:
     """
     require_valid(inst, MNL)
     check_feasible(inst, alloc)
-    weights = {}
-    for i, j in alloc.assignment.items():
-        pij = inst.p[i, j]
-        weights[i] = pij / (1.0 - pij)
-    total = 1.0 + sum(weights.values())
-    pi = np.zeros(inst.n)
-    for i, w in weights.items():
-        pi[i] = w / total
-    return pi
+    match = np.full(inst.n, -1, dtype=np.intp)
+    match[list(alloc.assignment)] = list(alloc.assignment.values())
+    return match_ctrs(inst, match)
+
+
+def match_ctrs(inst: Instance, match: np.ndarray) -> np.ndarray:
+    """MNL CTRs of matching rows (position or -1 per advertiser): odds over
+    1 plus their sequential sum in advertiser order, on any Python (from
+    3.12 ``sum()`` compensates).  Unvalidated; callers check the instance
+    and the matching."""
+    p = np.where(match >= 0, inst.p[np.arange(inst.n), match], 0.0)
+    odds = p / (1.0 - p)
+    return odds / (1.0 + np.cumsum(odds, axis=-1)[..., -1:])
+
+
+def mnl_bids(inst: Instance, bid_rows) -> np.ndarray:
+    """Bid rows as the exact MNL solvers weigh them: an R x n array in
+    which every bid below 0, and every bid of an advertiser whose rates are
+    all 0, is 0 (neither has an edge, and zeroed neither -inf nor such a
+    +inf makes a NaN).
+
+    At most k advertisers are matched at once, so the sum of a row's k
+    largest bid times largest odds bounds every weight and ratio; where it
+    overflows (+inf bids too), ``ValidationError`` names the advertiser
+    that takes it there.
+    """
+    require_valid(inst, MNL)
+    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
+                        dtype=float).reshape(-1, inst.n)
+    top = np.exp(inst.log_odds()).max(axis=1)
+    pos = np.where(top > 0.0, np.maximum(bid_rows, 0.0), 0.0)
+    with np.errstate(over="ignore"):
+        load = pos * top
+        order = np.argsort(-load, axis=1, kind="stable")[:, :inst.k]
+        bad = np.argwhere(~np.isfinite(np.cumsum(
+            np.take_along_axis(load, order, axis=1), axis=1)))
+    if bad.size:
+        r, i = int(bad[0, 0]), int(order[tuple(bad[0])])
+        raise ValidationError(
+            f"bid {bid_rows.item(r, i)!r} of advertiser {i} takes the MNL"
+            " weights past the float range")
+    return pos
 
 
 def cascade_ctr(inst: Instance, chi: AugmentedAllocation) -> CtrVector:

@@ -8,14 +8,15 @@ constraints scaled by z, plus one normalization equality tying y and z
 together.  Any basic optimal solution has z > 0 and y / z integral, so the
 winning matching is read off directly.
 
-The solver is an in-house dense-tableau two-phase simplex with Bland's
-anti-cycling pivot rule, chosen for guaranteed termination and determinism
-over speed.  Its pivot count grows steeply with size, so this LP is the
-cross-check of the production MNL solver (``mnl_wdp.solve_mnl_wdp``), not
-the solver itself, and ``mnl_wdp.solve_mnl_lp`` accepts at most
-``MAX_LP_CELLS`` advertiser x position cells: larger inputs raise
-``SizeGuardError`` before a tableau is built, instead of running into the
-pivot cap mid-solve.
+The solver is an in-house dense-tableau simplex with Bland's anti-cycling
+pivot rule, chosen for guaranteed termination and determinism over speed.
+It needs no phase 1: y = 0, z = 1 is a vertex of every such LP, so it starts
+from the slacks of the ``<=`` rows plus z and only improves the objective.
+A dense pivot costs the whole tableau, so this LP is the cross-check of the
+production MNL solver (``mnl_wdp.solve_mnl_wdp``), not the solver itself,
+and ``mnl_wdp.solve_mnl_lp`` accepts at most ``MAX_LP_CELLS`` advertiser x
+position cells: larger inputs raise ``SizeGuardError`` before a tableau is
+built.
 """
 
 from __future__ import annotations
@@ -26,20 +27,20 @@ import numpy as np
 
 from .core import (
     Allocation, Instance, MNL, SlotauctionError, ValidationError, bid_vector,
-    require_valid,
+    mnl_bids, require_valid,
 )
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 FEAS_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 MAX_PIVOTS = 20_000
 # Largest advertiser x position count the MNL LP route accepts
-# (``mnl_wdp.solve_mnl_lp`` counts positive bidders only).  Bland pivots grow
-# steeply with size; see the README for the measurement behind this value.
-MAX_LP_CELLS = 800
+# (``mnl_wdp.solve_mnl_lp`` counts positive bidders only).  Every pivot costs
+# the whole dense tableau; see the README for the measurement behind this
+# value.
+MAX_LP_CELLS = 3200
 
 
 class SimplexError(SlotauctionError, RuntimeError):
@@ -52,7 +53,10 @@ class LpProblem:
 
     Variables are ordered y_00, ..., y_{n-1,m-1}, z (so nvars = n*m + 1 with
     ``shape`` = (n, m)).  ``senses`` holds "<=" or "==" per row; exactly one
-    row is an equality (the normalization row).
+    row is an equality (the normalization row).  As in every Charnes-Cooper
+    LP, y = 0 must be feasible with z > 0, which ``solve_lp`` starts from:
+    z has a positive coefficient in the equality row and one <= 0 in every
+    ``<=`` row, and no right-hand side is negative.
     """
 
     c: np.ndarray
@@ -79,6 +83,12 @@ class LpProblem:
             raise ValidationError("row senses must be '<=' or '=='")
         if sum(s == "==" for s in self.senses) != 1:
             raise ValidationError("expected exactly one equality row")
+        le = np.array(self.senses) == "<="
+        if not (a[~le, -1] > 0.0).all() or (a[le, -1] > 0.0).any():
+            raise ValidationError("z needs a positive coefficient in the"
+                                  " equality row and one <= 0 in '<=' rows")
+        if not (rhs >= 0.0).all():
+            raise ValidationError("right-hand sides must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,8 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
 
     Rows: per-advertiser sum_j y_ij <= z, per-position sum_i y_ij <= z,
     the cardinality row sum y <= K z, and the normalization
-    sum y_ij exp(rho_ij) + z = 1.  Objective: sum b_i y_ij exp(rho_ij).
+    sum y_ij exp(rho_ij) + z = 1.  Objective: sum b_i y_ij exp(rho_ij),
+    with the bids of ``core.mnl_bids``, which rejects bids that overflow.
     """
     require_valid(inst, MNL)
     bids = bid_vector(inst, bids)
@@ -108,7 +119,7 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
     expo = np.exp(inst.log_odds())  # n x m, finite because p < 1
 
     c = np.zeros(nvars)
-    c[: n * m] = (bids[:, None] * expo).ravel()
+    c[: n * m] = (mnl_bids(inst, [bids])[0][:, None] * expo).ravel()
 
     rows, rhs, senses = [], [], []
     for i in range(n):
@@ -147,8 +158,8 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
 
 
 def solve_lp(lp: LpProblem) -> LpSolution:
-    """Solve to a basic optimal solution, or report infeasible/unbounded."""
-    status, x, objective = _two_phase_simplex(lp.c, lp.a, lp.rhs, lp.senses)
+    """Solve to a basic optimal solution, or report unbounded."""
+    status, x, objective = _simplex(lp)
     n, m = lp.shape
     if status != OPTIMAL:
         return LpSolution(
@@ -201,83 +212,41 @@ def recover_allocation(sol: LpSolution) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex, Bland's rule.
+# Dense simplex, Bland's rule, from the problem's own vertex.
 #
 # Tableau layout: row 0 holds reduced costs and (negated) objective value in
 # the last column; rows 1.. hold B^{-1}A | B^{-1}b.  Maximization form.
 # ---------------------------------------------------------------------------
 
 
-def _two_phase_simplex(c, a, rhs, senses):
-    nrows, nvars = a.shape
-    a = a.copy()
-    rhs = rhs.copy()
-    senses = list(senses)
-    for r in range(nrows):
-        if rhs[r] < 0.0:
-            a[r] *= -1.0
-            rhs[r] *= -1.0
-            senses[r] = {"<=": ">=", ">=": "<=", "==": "=="}[senses[r]]
+def _simplex(lp: LpProblem):
+    """Bland's rule from the basis of the ``<=`` rows' slacks plus z.
 
-    n_slack = sum(s == "<=" for s in senses)
-    n_surplus = sum(s == ">=" for s in senses)
-    n_art = sum(s in (">=", "==") for s in senses)
-    ncols = nvars + n_slack + n_surplus + n_art
-
-    body = np.zeros((nrows, ncols + 1))
-    body[:, :nvars] = a
-    body[:, -1] = rhs
-    basis = np.empty(nrows, dtype=int)
-    slack_at = nvars
-    art_at = nvars + n_slack + n_surplus
-    art_cols = []
-    for r, sense in enumerate(senses):
-        if sense == "<=":
-            body[r, slack_at] = 1.0
-            basis[r] = slack_at
-            slack_at += 1
-        elif sense == ">=":
-            body[r, slack_at] = -1.0
-            slack_at += 1
-            body[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            body[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-
+    z enters on the equality row by one forced pivot; ``LpProblem``'s checks
+    keep every right-hand side non-negative through it, so the start is a
+    feasible vertex and Bland's rule terminates from it (Bland, 1977).
+    """
+    nrows, nvars = lp.a.shape
+    le = np.flatnonzero(np.array(lp.senses) == "<=")
+    slacks = nvars + np.arange(le.size)
+    ncols = nvars + le.size
     tab = np.zeros((nrows + 1, ncols + 1))
-    tab[1:] = body
+    tab[1:, :nvars] = lp.a
+    tab[1:, -1] = lp.rhs
+    tab[le + 1, slacks] = 1.0
+    basis = np.full(nrows, nvars - 1)  # z on the equality row
+    basis[le] = slacks
+    _pivot(tab, lp.senses.index("==") + 1, nvars - 1)
 
-    if art_cols:
-        cost1 = np.zeros(ncols)
-        cost1[art_cols] = -1.0  # maximize -(sum of artificials)
-        _load_objective(tab, basis, cost1)
-        status = _iterate(tab, basis)
-        if status != OPTIMAL:  # phase 1 is always bounded
-            raise SimplexError("phase-1 simplex failed to terminate")
-        if tab[0, -1] > FEAS_TOL:  # artificials stuck positive: max < 0
-            return INFEASIBLE, None, float("nan")
-        tab, basis, ncols = _drop_artificials(tab, basis, set(art_cols), nvars, ncols)
-
-    cost2 = np.zeros(ncols)
-    cost2[:nvars] = c
-    _load_objective(tab, basis, cost2)
-    status = _iterate(tab, basis)
-    if status == UNBOUNDED:
+    cost = np.zeros(ncols)
+    cost[:nvars] = lp.c
+    tab[0, :-1] = cost - cost[basis] @ tab[1:, :-1]
+    tab[0, -1] = -float(cost[basis] @ tab[1:, -1])
+    if _iterate(tab, basis) == UNBOUNDED:
         return UNBOUNDED, None, float("nan")
     x = np.zeros(ncols)
     x[basis] = tab[1:, -1]
     return OPTIMAL, x[:nvars], float(-tab[0, -1])
-
-
-def _load_objective(tab, basis, cost):
-    """Row 0 := reduced costs of ``cost`` w.r.t. the current basis."""
-    tab[0, :-1] = cost - cost[basis] @ tab[1:, :-1]
-    tab[0, -1] = -float(cost[basis] @ tab[1:, -1])
 
 
 def _iterate(tab, basis):
@@ -305,29 +274,3 @@ def _pivot(tab, row, col):
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row])
-
-
-def _drop_artificials(tab, basis, art_cols, nvars, ncols):
-    """Pivot leftover artificial basics out; drop rows proven redundant."""
-    keep_rows = list(range(1, tab.shape[0]))
-    for r in range(1, tab.shape[0]):
-        if basis[r - 1] not in art_cols:
-            continue
-        row = tab[r, :-1]
-        pivot_candidates = [
-            j for j in range(ncols)
-            if j not in art_cols and abs(row[j]) > FEAS_TOL
-        ]
-        if pivot_candidates:
-            j = pivot_candidates[0]
-            _pivot(tab, r, j)
-            basis[r - 1] = j
-        else:
-            keep_rows.remove(r)  # all-zero over real columns: redundant row
-    keep_cols = [j for j in range(ncols) if j not in art_cols] + [ncols]
-    new_tab = tab[np.ix_([0] + keep_rows, keep_cols)].copy()
-    col_map = {old: new for new, old in enumerate(keep_cols[:-1])}
-    new_basis = np.array(
-        [col_map[basis[r - 1]] for r in keep_rows], dtype=int
-    )
-    return new_tab, new_basis, ncols - len(art_cols)

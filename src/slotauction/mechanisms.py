@@ -48,11 +48,12 @@ from .core import (
     ValidationError,
     bid_vector,
     cascade_ctr,
+    match_ctrs,
     require_valid,
 )
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
-from .mnl_wdp import match_ctrs, solve_mnl_wdp, solve_mnl_wdp_rows
+from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
 from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
 
 EXACT_MNL = "exact_mnl"
@@ -115,7 +116,7 @@ class SolverHandle:
     per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
     those bids, bit-equal.  The audit reads every advertiser's sweep from it
     in one call when the handle has no ``curves``.  Only the exact MNL
-    handle sets it: ``mnl_wdp.match_ctrs`` of ``solve_mnl_wdp_rows``, the
+    handle sets it: ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the
     CTRs ``solve_mnl_wdp`` takes from its one row, with no allocation per
     row.
     """

@@ -14,10 +14,14 @@ problems.
   successive-shortest-path kernel (Jonker-Volgenant, 1987, but
   label-correcting: Bellman-Ford relaxations vectorized over numpy arrays,
   no node potentials).
-* ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program (see
-  ``linfrac``), kept as a cross-check.  It accepts at most
-  ``linfrac.MAX_LP_CELLS`` positive-bid advertiser x position cells and
-  raises ``SizeGuardError`` above that, before any tableau is built.
+* ``solve_mnl_lp`` is the paper's Charnes-Cooper linear program, solved by
+  a one-phase Bland simplex from the LP's own vertex (see ``linfrac``) and
+  kept as a cross-check.  It accepts at most ``linfrac.MAX_LP_CELLS``
+  positive-bid advertiser x position cells and raises ``SizeGuardError``
+  above that, before any tableau is built.
+* Both routes read bids through ``core.mnl_bids`` and CTRs through
+  ``core.match_ctrs``, so they accept the same bids and price a matching
+  to the same bit.
 * ``dinkelbach_check`` and the dict-based ``max_weight_matching`` are an
   independent loop-by-loop reference that shares no code with either route;
   past the LP's range they are the only cross-check.
@@ -38,6 +42,8 @@ from .core import (
     SizeGuardError,
     ValidationError,
     bid_vector,
+    match_ctrs,
+    mnl_bids,
     mnl_ctr,
     require_valid,
 )
@@ -72,15 +78,6 @@ def _result(bids: np.ndarray, alloc: Allocation, pi: np.ndarray) -> WdpResult:
     """``alloc`` with its CTRs and sum_i b_i pi_i over matched advertisers:
     ``bids @ pi`` to the last bit, but an unmatched -inf counts 0, not NaN."""
     return WdpResult(alloc, float(np.where(pi > 0.0, bids, 0.0) @ pi), pi)
-
-
-def match_ctrs(inst: Instance, match: np.ndarray) -> np.ndarray:
-    """MNL CTRs of matching rows (position or -1 per advertiser): odds over
-    1 plus their sequential sum in advertiser order, on any Python (from
-    3.12 ``core.mnl_ctr``'s ``sum()`` compensates)."""
-    p = np.where(match >= 0, inst.p[np.arange(inst.n), match], 0.0)
-    odds = p / (1.0 - p)
-    return odds / (1.0 + np.cumsum(odds, axis=-1)[..., -1:])
 
 
 def solve_mnl_wdp(inst: Instance, bids) -> WdpResult:
@@ -120,29 +117,12 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
     its lam rises by no more than DINKELBACH_TOL.  No step reads another
     row, so a row's matching is the same in any stack.
 
-    At most k advertisers lie on a matching or an augmenting path, so the
-    sum of a row's k largest positive bid times largest odds bounds every
-    weight, gain and ratio; where it overflows (+inf bids too), the row
+    The bids are ``core.mnl_bids`` of ``bid_rows``: a bid <= 0 has no
+    edge at lam >= 0, and a row whose weights, gains or ratios can overflow
     raises ``ValidationError`` naming the advertiser that takes it there.
     """
-    require_valid(inst, MNL)
-    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
-                        dtype=float).reshape(-1, inst.n)
+    pos = mnl_bids(inst, bid_rows)
     expo = np.exp(inst.log_odds())
-    top = expo.max(axis=1)
-    # A bid <= 0, or any bid of an advertiser without odds, has no edge at
-    # lam >= 0; zeroed, neither -inf nor such a +inf makes a NaN.
-    pos = np.where(top > 0.0, np.maximum(bid_rows, 0.0), 0.0)
-    with np.errstate(over="ignore"):
-        load = pos * top
-        order = np.argsort(-load, axis=1, kind="stable")[:, :inst.k]
-        bad = np.argwhere(~np.isfinite(np.cumsum(
-            np.take_along_axis(load, order, axis=1), axis=1)))
-    if bad.size:
-        r, i = int(bad[0, 0]), int(order[tuple(bad[0])])
-        raise ValidationError(
-            f"bid {bid_rows.item(r, i)!r} of advertiser {i} takes the MNL"
-            " weights past the float range")
     match = np.full(pos.shape, -1, dtype=np.intp)
     live = np.flatnonzero(pos.any(axis=1))
     b, lam = pos[live], np.zeros(live.size)
@@ -292,16 +272,16 @@ def _trace(pred_r, match, end, n, rows, cols):
 def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
     """The paper's exact route: the Charnes-Cooper LP, by dense simplex.
 
-    Kept as the cross-check of ``solve_mnl_wdp``.  Advertisers with
-    non-positive bids are excluded up front (``solve_mnl_wdp`` never matches
-    them either), which also keeps the LP's b >= 0, b != 0 precondition
-    satisfied.  Raises ``SizeGuardError`` before building the tableau when
-    the positive bidders times the positions exceed
+    Kept as the cross-check of ``solve_mnl_wdp``.  Both read the bids
+    through ``core.mnl_bids``, so they accept and reject the same bids.
+    Advertisers whose bid is then 0 are excluded up front (``solve_mnl_wdp``
+    never matches them either), which also keeps the LP's b >= 0, b != 0
+    precondition satisfied.  Raises ``SizeGuardError`` before building the
+    tableau when the positive bidders times the positions exceed
     ``linfrac.MAX_LP_CELLS``.  Under ties it returns the optimal vertex
     Bland's rule reaches, which may differ from ``solve_mnl_wdp``'s.
     """
-    require_valid(inst, MNL)
-    bids = bid_vector(inst, bids)
+    bids = mnl_bids(inst, [bids])[0]
     keep = np.flatnonzero(bids > 0.0).tolist()
     if not keep:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))

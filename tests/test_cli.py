@@ -82,10 +82,10 @@ def test_solve_routes_lp_through_its_size_guard(tmp_path, capsys):
     rng = np.random.default_rng(0)
     inst = write_json(
         tmp_path / "inst.json",
-        {"n": 50, "m": 25, "k": 25, "model": "mnl",
-         "p": rng.uniform(0.01, 0.5, (50, 25)).tolist()},
+        {"n": 200, "m": 25, "k": 25, "model": "mnl",
+         "p": rng.uniform(0.01, 0.5, (200, 25)).tolist()},
     )
-    vals = write_json(tmp_path / "v.json", rng.uniform(0.1, 10, 50).tolist())
+    vals = write_json(tmp_path / "v.json", rng.uniform(0.1, 10, 200).tolist())
     assert main(["solve", "--instance", inst, "--values", vals,
                  "--algorithm", "lp"]) == EXIT_SOLVER
     assert "exceeds the limit" in capsys.readouterr().err

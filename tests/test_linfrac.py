@@ -3,7 +3,6 @@ import pytest
 
 from slotauction.core import Instance, MNL, ValidationError
 from slotauction.linfrac import (
-    INFEASIBLE,
     LpProblem,
     LpSolution,
     OPTIMAL,
@@ -13,6 +12,7 @@ from slotauction.linfrac import (
     recover_allocation,
     solve_lp,
 )
+from slotauction.mnl_wdp import solve_mnl_wdp
 from slotauction.oracle import brute_force_wdp_mnl
 from conftest import rand_bids, rand_mnl_instance
 
@@ -76,16 +76,18 @@ def test_zero_objective_still_feasible():
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
 
-def test_infeasible_lp_reported():
-    # y + z >= 3 clashes with 2y + z = 1 on nonnegative variables
-    lp = LpProblem(
-        c=np.array([1.0, 0.0]),
-        a=np.array([[-1.0, -1.0], [2.0, 1.0]]),
-        rhs=np.array([-3.0, 1.0]),
-        senses=("<=", "=="),
-        shape=(1, 1),
-    )
-    assert solve_lp(lp).status == INFEASIBLE
+@pytest.mark.parametrize("a,rhs", [
+    # y + z >= 3 clashes with 2y + z = 1: a negative right-hand side
+    ([[-1.0, -1.0], [2.0, 1.0]], [-3.0, 1.0]),
+    # y + z <= 1: y = 0 needs z <= 1 here, which 2y + z = 2 breaks
+    ([[1.0, 1.0], [2.0, 1.0]], [1.0, 2.0]),
+    # z must carry the equality row for the start vertex y = 0, z > 0
+    ([[1.0, -1.0], [2.0, 0.0]], [0.0, 1.0]),
+], ids=["negative-rhs", "positive-z-in-le-row", "no-z-in-equality"])
+def test_problems_without_the_start_vertex_are_rejected(a, rhs):
+    with pytest.raises(ValidationError, match="z needs|non-negative"):
+        LpProblem(c=np.array([1.0, 0.0]), a=np.array(a), rhs=np.array(rhs),
+                  senses=("<=", "=="), shape=(1, 1))
 
 
 def test_unbounded_lp_reported():
@@ -150,3 +152,6 @@ def test_random_instances_recover_integral_and_optimal():
         assert alloc.size <= inst.k
         brute = brute_force_wdp_mnl(inst, bids)
         assert sol.objective == pytest.approx(brute.objective, abs=1e-6)
+        # continuous rates and bids: the optimum is unique, so every route
+        # returns the same matching
+        assert alloc == brute.allocation == solve_mnl_wdp(inst, bids).allocation

@@ -17,7 +17,7 @@ from slotauction.core import (
     instance_from_dict,
     mnl_ctr,
 )
-from slotauction.linfrac import MAX_LP_CELLS
+from slotauction.linfrac import MAX_LP_CELLS, build_charnes_cooper
 from slotauction.mechanisms import exact_mnl_solver, vcg
 from slotauction.mnl_wdp import (
     DINKELBACH_TOL,
@@ -131,8 +131,8 @@ def test_bid_equal_to_the_optimal_ratio_is_left_out():
 
 
 def _repro(seed, n=50, m=25):
-    """k = m, p ~ U(0.01, 0.5), bids ~ U(0.1, 10): at 50x25 the Bland
-    simplex runs into its pivot cap on most seeds."""
+    """k = m, p ~ U(0.01, 0.5), bids ~ U(0.1, 10), as the benchmark's MNL
+    ladder draws them."""
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.01, 0.5, (n, m))
     bids = rng.uniform(0.1, 10, n)
@@ -140,7 +140,7 @@ def _repro(seed, n=50, m=25):
 
 
 def test_lp_route_guard_fires_before_the_tableau(monkeypatch):
-    inst, bids = _repro(0)
+    inst, bids = _repro(0, 200, 25)
     assert inst.n * inst.m > MAX_LP_CELLS
 
     def no_tableau(*_args):
@@ -153,11 +153,23 @@ def test_lp_route_guard_fires_before_the_tableau(monkeypatch):
 
 
 def test_lp_route_guard_counts_positive_bidders_only():
-    inst, bids = _repro(0)
+    inst, bids = _repro(0, 200, 25)
+    assert inst.n * inst.m > MAX_LP_CELLS
     bids[8:] = 0.0  # 8 x 25 cells remain
     lp = solve_mnl_lp(inst, bids)
     assert lp.allocation == solve_mnl_wdp(inst, bids).allocation
     assert max(lp.allocation.assignment) < 8
+
+
+def test_lp_route_is_exact_at_its_size_limit():
+    """80x40 is MAX_LP_CELLS: Bland's rule from the LP's own vertex reaches
+    the production solver's matching in a few hundred pivots."""
+    inst, bids = _repro(0, 80, 40)
+    assert inst.n * inst.m == MAX_LP_CELLS
+    lp = solve_mnl_lp(inst, bids)
+    got = solve_mnl_wdp(inst, bids)
+    assert lp.allocation == got.allocation
+    assert lp.objective == got.objective
 
 
 def test_production_matches_lp_route():
@@ -458,6 +470,26 @@ def test_bids_that_cannot_overflow_are_solved():
     got = solve_mnl_wdp(steep, [1e300, 1.0])
     assert got.allocation.assignment == {0: 0}
     assert got.objective == 1e300 * 0.5
+
+
+def test_exact_routes_accept_and_reject_the_same_bids():
+    """Both exact routes, and the LP's own builder, read bids through
+    ``core.mnl_bids``: an overflowing bid is rejected by each with the same
+    message, and +inf on an advertiser with no odds is zeroed by each,
+    never multiplied."""
+    inst = Instance(n=2, m=2, k=2, p=np.full((2, 2), 0.9), model=MNL)
+    messages = set()
+    for solve in (solve_mnl_wdp, solve_mnl_lp, build_charnes_cooper):
+        with pytest.raises(ValidationError, match="past the float range") as err:
+            solve(inst, [1e308, 1.0])
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    zero = Instance(n=2, m=2, k=2, p=[[0.0, 0.0], [0.5, 0.4]], model=MNL)
+    wdp, lp = (solve(zero, [np.inf, 1.0])
+               for solve in (solve_mnl_wdp, solve_mnl_lp))
+    assert wdp.allocation.assignment == lp.allocation.assignment == {1: 0}
+    assert wdp.objective == lp.objective == 0.5
+    assert wdp.ctrs.tolist() == lp.ctrs.tolist() == [0.0, 0.5]
 
 
 def test_minus_infinite_bid_is_never_matched_nor_counted():
