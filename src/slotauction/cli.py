@@ -42,7 +42,7 @@ import json
 import math
 import sys
 import traceback
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -275,18 +275,21 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _run_mechanism(
-    name: str, inst: Instance, values: np.ndarray,
+    name: str, inst: Instance, profiles: list[np.ndarray],
     dists: list[ValueDistribution] | None, cfg: dict,
-) -> mechanisms.MechanismOutcome:
+) -> Iterable[mechanisms.MechanismOutcome]:
+    """The outcome of mechanism ``name`` at each of ``profiles``: vcg's all
+    at once from one ``vcg_rows`` call, myerson's lazily, one call each over
+    a new handle (the greedy one draws from --seed afresh)."""
     algorithm, (_route, handle) = _solver(cfg, inst)
     if handle is None:
         ready = [f"{a} ({m})" for (a, m), (_r, h) in SOLVERS.items() if h]
         raise UsageError(f"algorithm {algorithm!r} has no solver handle;"
                          f" entries with one: {', '.join(ready)}")
-    solver = handle(cfg)
     if name == "vcg":
-        return mechanisms.vcg(inst, values, solver)
-    return mechanisms.myerson(inst, values, dists, solver, cfg["grid"])
+        return mechanisms.vcg_rows(inst, profiles, handle(cfg))
+    return (mechanisms.myerson(inst, values, dists, handle(cfg), cfg["grid"])
+            for values in profiles)
 
 
 def cmd_mechanism(cfg: dict) -> int:
@@ -296,7 +299,7 @@ def cmd_mechanism(cfg: dict) -> int:
     if name not in MECHANISMS:
         raise UsageError("mechanism command needs --mechanism vcg|myerson")
     dists = _load_dists(cfg, inst.n) if name == "myerson" else None
-    outcome = _run_mechanism(name, inst, values, dists, cfg)
+    outcome, = _run_mechanism(name, inst, [values], dists, cfg)
     rows = [
         [i, repr(float(values[i])), repr(float(outcome.ctrs[i])),
          repr(float(outcome.payments[i])), repr(float(outcome.utilities[i]))]
@@ -320,16 +323,27 @@ def cmd_simulate(cfg: dict) -> int:
     rows = []
     totals = {n: [] for n in names}
     revenues = {n: [] for n in names}
-    for s in range(cfg["samples"]):
-        rng = np.random.default_rng([cfg["seed"], s])
-        values = np.array([sample(d, rng) for d in dists])
-        for name in names:
-            outcome = _run_mechanism(name, inst, values, dists, cfg)
-            w = welfare(values, outcome.ctrs)
-            r = float(np.sum(outcome.payments))
-            rows.append([s, name, repr(w), repr(r), cfg["seed"]])
-            totals[name].append(w)
-            revenues[name].append(r)
+    # Samples are priced a block at a time, so vcg reads the leave-one-out
+    # rows of a whole block in one batch.  A block's vcg outcomes are held
+    # until its rows are written: blocks of 7,281 samples at 4x3 add ~30 MB
+    # to peak RSS, whatever the sample count.
+    block = max(1, cascade_wdp.SCORE_BLOCK // (inst.n * inst.m) ** 2)
+    for lo in range(0, cfg["samples"], block):
+        samples = range(lo, min(lo + block, cfg["samples"]))
+        profiles = []
+        for s in samples:
+            rng = np.random.default_rng([cfg["seed"], s])
+            profiles.append(np.array([sample(d, rng) for d in dists]))
+        outcomes = [_run_mechanism(name, inst, profiles, dists, cfg)
+                    for name in names]
+        for s, values, *each in zip(samples, profiles, *outcomes):
+            for name, outcome in zip(names, each):
+                w = welfare(values, outcome.ctrs)
+                r = float(np.sum(outcome.payments))
+                rows.append([s, name, repr(w), repr(r), cfg["seed"]])
+                totals[name].append(w)
+                revenues[name].append(r)
+
     def _stderr(series):
         if len(series) < 2:
             return 0.0

@@ -1,7 +1,8 @@
 """Truthful mechanisms on top of the winner-determination solvers.
 
 VCG maximizes welfare with an exact solver and charges each advertiser the
-externality it imposes (n + 1 solver calls).  The revenue mechanism solves
+externality it imposes: one solve for the outcome, and n leave-one-out rows
+read in one batch (see below).  The revenue mechanism solves
 winner determination with virtual values as bids, excludes advertisers whose
 virtual value is non-positive, and prices by the envelope rule
 
@@ -20,13 +21,15 @@ Both the audit and the envelope sum need one advertiser's CTR at many own
 bids.  A handle whose ``curves`` is set (``greedy_cascade_solver``'s and
 ``brute_cascade_solver``'s) answers those from exact own-bid curves, built
 once per call of the audit or the pricing, from a copy of its bid template.
-The exact MNL handle has ``ctr_rows`` instead: the
-audit solves every advertiser's sweep of an instance through it in one
-batched call of the solver itself.  Every other handle (the planted-bug
-fixture) and the exact MNL handle's envelope sum are probed with one
-``solve`` per bid.  All paths give the same CTRs, and for a randomized
-handle (the greedy) the same random draws; the outcome itself always comes
-from one real ``solve``.
+The exact MNL handle has ``ctr_rows`` instead: the audit solves every
+advertiser's sweep of an instance through it in one batched call of the
+solver itself.  The exact MNL and brute cascade handles' ``ctr_rows`` also
+give VCG the leave-one-out rows of any number of profiles in one call
+(``vcg_rows``); a handle without it solves them one row at a time.  Every
+other handle (the planted-bug fixture) and the exact MNL handle's envelope
+sum are probed with one ``solve`` per bid.  All paths give the same CTRs,
+and for a randomized handle (the greedy) the same random draws; the outcome
+itself always comes from one real ``solve``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from .core import (
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
-from .oracle import BruteOwnBidCurves, brute_force_wdp_cascade
+from .oracle import (
+    BruteOwnBidCurves, brute_ctr_rows, brute_force_wdp_cascade,
+)
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -115,10 +120,12 @@ class SolverHandle:
     ``ctr_rows(inst, bid_rows)``, when set, returns an R x n array, one row
     per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
     those bids, bit-equal.  The audit reads every advertiser's sweep from it
-    in one call when the handle has no ``curves``.  Only the exact MNL
-    handle sets it: ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the
-    CTRs ``solve_mnl_wdp`` takes from its one row, with no allocation per
-    row.
+    in one call when the handle has no ``curves``, and ``vcg_rows`` reads
+    every leave-one-out row from it in one call.  The exact MNL handle sets
+    it to ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the CTRs
+    ``solve_mnl_wdp`` takes from its one row, with no allocation per row;
+    the brute cascade handle to ``oracle.brute_ctr_rows``, which scores one
+    matching table for every row.
     """
 
     solve: SolveFn
@@ -157,7 +164,8 @@ def brute_cascade_solver() -> SolverHandle:
     """Exhaustive cascade search over the advertisers bidding above 0.
 
     Its ``curves`` builds one
-    :class:`~slotauction.oracle.BruteOwnBidCurves` per reader."""
+    :class:`~slotauction.oracle.BruteOwnBidCurves` per reader; its
+    ``ctr_rows`` is :func:`~slotauction.oracle.brute_ctr_rows`."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
@@ -169,7 +177,8 @@ def brute_cascade_solver() -> SolverHandle:
     def curves(inst: Instance, bids: np.ndarray):
         return BruteOwnBidCurves(inst, bids).of
 
-    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curves=curves)
+    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curves=curves,
+                        ctr_rows=brute_ctr_rows)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
@@ -227,34 +236,58 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
     t_i = (others' best welfare with i's bid zeroed)
         - (others' welfare at the chosen allocation),
     which is non-negative and never exceeds v_i * pi_i.  An advertiser
-    valued 0 and not allocated pays 0 and is not re-solved; every other
-    advertiser costs one ``solve``, whether or not the handle has
-    ``ctr_rows``.
+    valued 0 and not allocated pays 0 and is not re-solved.  The
+    one-profile case of :func:`vcg_rows`, so whether or not the handle has
+    ``ctr_rows``, the leave-one-out CTRs are those ``solve`` reports.
     """
+    return vcg_rows(inst, [values], solver)[0]
+
+
+def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
+             ) -> list[MechanismOutcome]:
+    """:func:`vcg` at each profile of ``value_rows``: one ``solve`` per
+    profile for its outcome, and every profile's leave-one-out rows read
+    in one :func:`_ctr_rows` call."""
     require_valid(inst)
     if not solver.is_exact:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    values = _finite_values(inst, values)
-    if np.any(values < 0.0):
-        raise ValidationError("values must be non-negative")
-    chi, pi = solver.solve(inst, values)
-    payments = np.zeros(inst.n)
-    for i in range(inst.n):
-        if values[i] == 0.0 and pi[i] == 0.0:
-            continue
-        without = values.copy()
-        without[i] = 0.0
-        _chi_wo, pi_wo = solver.solve(inst, without)
+    solved = []
+    for values in value_rows:
+        values = _finite_values(inst, values)
+        if np.any(values < 0.0):
+            raise ValidationError("values must be non-negative")
+        solved.append((values, *solver.solve(inst, values)))
+    # (profile, advertiser) of each leave-one-out row
+    left_out = [(s, i) for s, (values, _chi, pi) in enumerate(solved)
+                for i in range(inst.n)
+                if not (values[i] == 0.0 and pi[i] == 0.0)]
+    rows = np.zeros((len(left_out), inst.n))
+    for row, (s, i) in zip(rows, left_out):
+        row[:] = solved[s][0]
+        row[i] = 0.0
+    payments = [np.zeros(inst.n) for _ in solved]
+    for (s, i), pi_wo in zip(left_out, _ctr_rows(solver, inst, rows)):
+        values, _chi, pi = solved[s]
         others = np.arange(inst.n) != i
-        payments[i] = _clip_dust(
+        payments[s][i] = _clip_dust(
             float(values[others] @ pi_wo[others] - values[others] @ pi[others])
         )
-    utilities = values * pi - payments
-    return MechanismOutcome(
-        augmented=chi, payments=payments, ctrs=pi, utilities=utilities
-    )
+    return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
+                             utilities=values * pi - paid)
+            for (values, chi, pi), paid in zip(solved, payments)]
+
+
+def _ctr_rows(solver: SolverHandle, inst: Instance,
+              bid_rows: np.ndarray) -> np.ndarray:
+    """The CTRs ``solve`` reports at each row of ``bid_rows`` (R x n): the
+    handle's ``ctr_rows`` in one call if it has it, else one ``solve`` per
+    row."""
+    if solver.ctr_rows is not None:
+        return solver.ctr_rows(inst, bid_rows)
+    return np.array([solver.solve(inst, bids)[1] for bids in bid_rows],
+                    dtype=float).reshape(-1, inst.n)
 
 
 def _virtual_or_excluded(dist: ValueDistribution, v: float) -> float:
@@ -402,7 +435,7 @@ def audit_drops(
         rows = np.tile(template, (len(advertisers), len(grid), 1))
         for s, i in enumerate(advertisers):
             rows[s, :, i] = grid
-        ctrs = solver.ctr_rows(inst, rows.reshape(-1, inst.n)).reshape(
+        ctrs = _ctr_rows(solver, inst, rows.reshape(-1, inst.n)).reshape(
             rows.shape)
         for s, i in enumerate(advertisers):
             yield i, _first_drop(grid, ctrs[s, :, i].tolist())

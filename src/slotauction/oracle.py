@@ -13,6 +13,8 @@ running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
 ``BruteOwnBidCurves`` scores a table on arrays, with the cascade oracle's
 own arithmetic, to give each advertiser's CTR as an exact function of its
 own bid; the mechanisms price the brute handle from it without re-solving.
+``brute_ctr_rows`` scores one table the same way for many bid rows at once,
+the brute handle's batched read.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .core import (
     SizeGuardError, ValidationError, bid_vector, cascade_ctr, mnl_ctr,
     require_valid, welfare,
 )
-from .cascade_wdp import optimal_permutation, restricted_ctr, sorted_view
+from .cascade_wdp import (
+    SCORE_BLOCK, optimal_permutation, restricted_ctr, sorted_view,
+)
 from .mnl_wdp import WdpResult
 
 # Acceptance packs draw n, m up to 6, so the guard admits 36 edges.
@@ -127,20 +131,34 @@ def _first_best(scored):
 
 def _first_best_rows(scores: np.ndarray) -> np.ndarray:
     """The index ``_first_best`` picks in each row of a 2-D score array
-    without NaN.  From a pick (b, s) the next is the first index after b
-    scoring above s + TIE_MARGIN; indices 1..b all score at most that, so
-    it is the first where the running maximum over indices 1.. does."""
-    running = np.maximum.accumulate(scores[:, 1:], axis=1)
-    best = np.zeros(scores.shape[0], dtype=np.intp)
-    live = np.arange(scores.shape[0])
+    without NaN, in a fixed number of array steps.
+
+    Each row's first maximum over indices 1.. beats every earlier score by
+    more than ``TIE_MARGIN`` unless some score lies below it but within the
+    margin, so it is the pick if it beats 0.0 + TIE_MARGIN, else index 0 is.
+    Only rows with such a near-tie walk the picks: from a pick (b, s) the
+    next is the first index after b scoring above s + TIE_MARGIN; indices
+    1..b all score at most that, so it is the first where the running
+    maximum over indices 1.. does."""
+    if scores.shape[1] < 2:
+        return np.zeros(scores.shape[0], dtype=np.intp)
+    rest = scores[:, 1:]
+    first = rest.argmax(axis=1)
+    top = rest[np.arange(rest.shape[0]), first][:, None]
+    best = np.where(top[:, 0] > 0.0 + TIE_MARGIN, first + 1, 0)
+    near = np.flatnonzero(
+        ((rest < top) & ~(top > rest + TIE_MARGIN)).any(axis=1))
+    running = np.maximum.accumulate(rest[near], axis=1)
+    best[near] = 0
+    live = np.arange(near.size)
     threshold = np.full(live.shape, 0.0 + TIE_MARGIN)
     while live.size:
         # running is non-decreasing: count the indices not past threshold
         after = (running[live] <= threshold[:, None]).sum(axis=1)
         found = after < running.shape[1]
         live, pick = live[found], after[found] + 1
-        best[live] = pick
-        threshold = scores[live, pick] + TIE_MARGIN
+        best[near[live]] = pick
+        threshold = scores[near[live], pick] + TIE_MARGIN
     return best
 
 
@@ -219,6 +237,59 @@ def _turn(survive, weight, p):
     survival after it.  On rows where the advertiser is unmatched, weight
     and p are 0.0, so the term is 0.0 and the survival is unchanged."""
     return weight * survive, survive * (1.0 - p)
+
+
+def brute_ctr_rows(inst: Instance, bid_rows) -> np.ndarray:
+    """Per row of ``bid_rows`` (R x n, R >= 0), the CTRs of
+    ``brute_force_wdp_cascade`` over that row's positive bidders, rendered
+    and rated as ``core.cascade_ctr`` does: the brute handle's CTRs at
+    those bids, bit-equal, from one matching table.
+
+    The table is the union of the rows' positive bidders.  Each row scores
+    it with ``scored()``'s recurrence in its own value order.  A bid <= 0
+    comes after every positive one there and adds a term of at most 0 (or
+    NaN), so a table row matching it scores at most what the same row
+    without it scores; that row comes earlier in the table, so the tie
+    rule never picks the former.  A NaN score (+-inf * 0.0) becomes -inf,
+    which never beats either, as NaN never does in the scalar loop.  Rows
+    are scored ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the
+    picked rows only.
+    """
+    require_valid(inst, CASCADE)
+    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
+                        dtype=float).reshape(-1, inst.n)
+    positive = np.flatnonzero((bid_rows > 0.0).any(axis=0)).tolist()
+    table, _ = _matchings(inst, CASCADE, None, positive)
+    rates = table.rates(inst.p)
+    by_advertiser, matched = rates.T, table.positions.T >= 0
+    # value order, as sorted_view: decreasing bid, ties index-ascending
+    order = np.argsort(-bid_rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(bid_rows, order, axis=1)
+    block = max(1, SCORE_BLOCK // rates.size)
+    picks = np.empty(bid_rows.shape[0], dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, bid_rows.shape[0], block):
+            at = slice(lo, lo + block)
+            w = np.zeros((order[at].shape[0], rates.shape[0]))
+            survive = np.ones(w.shape)
+            for t in range(inst.n):
+                i = order[at, t]
+                weight = np.multiply(ranked[at, t, None], by_advertiser[i],
+                                     out=np.zeros(w.shape), where=matched[i])
+                term, survive = _turn(survive, weight, by_advertiser[i])
+                w = w + term
+            w[np.isnan(w)] = -np.inf
+            picks[at] = _first_best_rows(w)
+    # core.cascade_rates at each picked row, which matches no bid <= 0
+    p = np.take_along_axis(rates[picks], order, axis=1)
+    ranked_ctrs = np.zeros(p.shape)
+    survive = np.ones(p.shape[0])
+    for t in range(inst.n):
+        ranked_ctrs[:, t] = survive * p[:, t]
+        survive = survive * (1.0 - p[:, t])
+    ctrs = np.empty(p.shape)
+    np.put_along_axis(ctrs, order, ranked_ctrs, axis=1)
+    return ctrs
 
 
 class _Segment(NamedTuple):

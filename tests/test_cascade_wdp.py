@@ -467,9 +467,10 @@ def test_audit_ptas_inputs_replay_the_audit(monkeypatch, capsys):
 
 
 def test_first_best_rows_equals_first_best():
-    """The record chain picks what a sequential ``_first_best`` scan picks,
-    also where scores climb in steps below the 1e-15 margin, so that the
-    maximum is not the pick, and on rows that never beat (-inf)."""
+    """The array pick is what a sequential ``_first_best`` scan picks: on
+    scores that climb in steps below the 1e-15 margin, so that the maximum
+    is not the pick; on rows that never beat (-inf) or reach +inf; on
+    continuous scores, exact ties and rows without a near-tie."""
     rng = np.random.default_rng(71)
     # 1 + 3 ulp does not beat 1.0 by 1e-15 and 1 + 6 ulp does, though it is
     # within 1e-15 of 1 + 3 ulp: a search kept to rows within 1e-15 of the
@@ -483,6 +484,16 @@ def test_first_best_rows_equals_first_best():
         scores[rng.random(rows) < 0.2] = -np.inf
         scores[rng.random(rows) < 0.1] = 0.0
         chains.append(scores.tolist())
+    for _ in range(100):
+        rows = int(rng.integers(1, 40))
+        continuous = rng.uniform(-1.0, 3.0, rows)
+        tied = rng.choice([-1.0, 0.0, 1e-15, 1.0, 2.0], rows)
+        infinite = np.where(rng.random(rows) < 0.3,
+                            rng.choice([np.inf, -np.inf], rows), continuous)
+        # distinct and 0.1 apart: the first maximum is the pick
+        spaced = rng.permutation(rows) * 0.1 - 0.5
+        chains += [continuous.tolist(), tied.tolist(), infinite.tolist(),
+                   spaced.tolist()]
     for length in {len(c) for c in chains}:
         block = np.array([c for c in chains if len(c) == length])
         got = oracle._first_best_rows(block)
@@ -490,6 +501,8 @@ def test_first_best_rows_equals_first_best():
             want, _ = oracle._first_best(zip(row.tolist(), itertools.count()))
             assert pick == want, row.tolist()
     assert oracle._first_best_rows(np.array(chains[:1])).tolist() == [3]
+    assert oracle._first_best_rows(np.ones((3, 1))).tolist() == [0, 0, 0]
+    assert oracle._first_best_rows(np.ones((0, 4))).shape == (0,)
 
 
 @pytest.mark.parametrize("length", [1, 2, 4])

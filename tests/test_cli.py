@@ -458,6 +458,28 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
         assert entry["vcg"] >= entry["myerson"] - 1e-12, sample_id
 
 
+@pytest.mark.parametrize("score_block", [None, 1, 200])
+def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch,
+                                           score_block):
+    """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at
+    4x3, brute vcg at 6x6, c11's certain-click tie instance, MNL vcg over
+    dinkelbach and greedy myerson.  Also with samples priced in blocks of
+    one or a few samples, and the brute rows scored a few at a time."""
+    if score_block is not None:
+        monkeypatch.setattr(cli.cascade_wdp, "SCORE_BLOCK", score_block)
+        monkeypatch.setattr(oracle, "SCORE_BLOCK", score_block)
+    pack = json.loads((Path(__file__).parent
+                       / "simulate_pack.json").read_text())
+    assert len(pack) == 5
+    out = tmp_path / "out.csv"
+    for case in pack:
+        inst = write_json(tmp_path / "inst.json", case["instance"])
+        dist = write_json(tmp_path / "dist.json", case["dist"])
+        assert main(["simulate", "--instance", inst, "--dist", dist,
+                     *case["flags"], "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == case["csv"].encode(), case["name"]
+
+
 def test_simulate_rejects_non_positive_samples_and_grid(tmp_path, capsys):
     inst = write_json(
         tmp_path / "inst.json",

@@ -91,6 +91,84 @@ def test_mechanisms_reject_wrong_length_values():
         vcg(inst, [[0.9, 0.7, 0.5]], brute_cascade_solver())
 
 
+def _vcg_loop(inst, values, solver):
+    """Reference VCG: one ``solve`` for the outcome and one more per
+    advertiser not both valued 0 and unallocated; (chi, ctrs, payments)."""
+    chi, pi = solver.solve(inst, values)
+    payments = np.zeros(inst.n)
+    for i in range(inst.n):
+        if values[i] == 0.0 and pi[i] == 0.0:
+            continue
+        without = values.copy()
+        without[i] = 0.0
+        _chi_wo, pi_wo = solver.solve(inst, without)
+        others = np.arange(inst.n) != i
+        payments[i] = mechanisms._clip_dust(
+            float(values[others] @ pi_wo[others] - values[others] @ pi[others])
+        )
+    return chi, pi, payments
+
+
+def test_vcg_rows_equal_the_per_advertiser_loop():
+    """``vcg_rows`` over 1-3 profiles per instance, read through each
+    handle's ``ctr_rows`` and through one ``solve`` per row, equals the
+    reference loop: allocation, rendering, CTRs, payments and utilities.
+    Half the instances are tie-heavy cascade ones under the brute handle,
+    half MNL under the exact handle; values repeat or are 0."""
+    rng = np.random.default_rng(2027)
+    brute, exact = brute_cascade_solver(), exact_mnl_solver()
+    instances = 0
+    while instances < 2000:
+        if instances % 2:
+            inst, solver = rand_mnl_instance(rng, nmax=4, mmax=3), exact
+        else:
+            inst, _values = tie_heavy_cascade_case(rng)
+            solver = brute
+            if inst.n * inst.m > 16:
+                continue
+        instances += 1
+        profiles = [np.where(rng.random(inst.n) < 0.5,
+                             rng.choice([0.0, 0.5, 1.0, 2.0], inst.n),
+                             rng.uniform(0.0, 5.0, inst.n))
+                    for _ in range(int(rng.integers(1, 4)))]
+        want = [_vcg_loop(inst, values, solver) for values in profiles]
+        per_row = SolverHandle(solve=solver.solve, kind=solver.kind)
+        for handle in (solver, per_row):
+            got = mechanisms.vcg_rows(inst, profiles, handle)
+            assert len(got) == len(profiles)
+            for values, outcome, (chi, pi, payments) in zip(
+                    profiles, got, want):
+                assert outcome.augmented == chi
+                assert np.array_equal(outcome.ctrs, pi)
+                assert np.array_equal(outcome.payments, payments)
+                assert np.array_equal(outcome.utilities,
+                                      values * pi - payments)
+    assert mechanisms.vcg_rows(inst, [], solver) == []
+
+
+def test_brute_ctr_rows_equal_solves():
+    """The brute handle's ``ctr_rows`` is its ``solve``'s CTRs row by row,
+    bit-equal, on tie-heavy rates with bids 0, negative and +-inf, k < m
+    included, and on no rows."""
+    handle = brute_cascade_solver()
+    rng = np.random.default_rng(431)
+    checked = fewer_slots = 0
+    while checked < 600:
+        inst, values = tie_heavy_cascade_case(rng)
+        if inst.n * inst.m > 20:
+            continue
+        rows = np.tile(values, (int(rng.integers(1, 6)), 1))
+        special = rng.choice([0.0, -1.0, np.inf, -np.inf], rows.shape)
+        rows = np.where(rng.random(rows.shape) < 0.3, special, rows)
+        want = np.array([handle.solve(inst, bids)[1] for bids in rows])
+        assert np.array_equal(handle.ctr_rows(inst, rows), want), rows
+        assert handle.ctr_rows(inst, np.empty((0, inst.n))).shape \
+            == (0, inst.n)
+        checked += 1
+        fewer_slots += inst.k < inst.m
+    assert fewer_slots > 100
+
+
 def test_vcg_truthful_on_random_instances():
     rng = np.random.default_rng(107)
     solver = exact_mnl_solver()

@@ -187,10 +187,11 @@ def test_production_matches_lp_route():
         assert got.objective == lp.objective
 
 
-@pytest.mark.parametrize("n,m,seed", [(50, 25, 0), (50, 25, 1),
-                                      (50, 25, 2), (200, 50, 0)],
-                         ids=["50x25-0", "50x25-1", "50x25-2", "200x50-0"])
+@pytest.mark.parametrize("n,m,seed", [(100, 40, 0), (100, 40, 1),
+                                      (100, 40, 2), (200, 50, 0)],
+                         ids=["100x40-0", "100x40-1", "100x40-2", "200x50-0"])
 def test_production_matches_parametric_reference_past_lp_range(n, m, seed):
+    assert n * m > MAX_LP_CELLS
     inst, bids = _repro(seed, n, m)
     got = solve_mnl_wdp(inst, bids)
     ref = dinkelbach_check(inst, bids)
