@@ -42,11 +42,11 @@ import json
 import math
 import sys
 import traceback
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import cascade_wdp, core, mechanisms, oracle, properties
+from . import cascade_wdp, core, mechanisms, mnl_wdp, oracle, properties
 from .core import (
     CASCADE,
     Instance,
@@ -66,6 +66,10 @@ EXIT_AUDIT = 3
 EXIT_INTERNAL = 4
 
 MECHANISMS = ("vcg", "myerson")
+# simulate prices at most this many samples per block.  Smaller blocks ran
+# slower, larger ones hold more outcomes at once (2x1, 60,000 samples of
+# both mechanisms: ~75 MB peak RSS at 1,024, ~125 MB at 8,192).
+SAMPLE_BLOCK = 1024
 
 
 class UsageError(Exception):
@@ -189,9 +193,13 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_writer(buf: io.StringIO):
+    return csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+
+
 def _csv_text(header: Sequence[str], rows: list[Sequence]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer = _csv_writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -277,10 +285,10 @@ def cmd_solve(cfg: dict) -> int:
 def _run_mechanism(
     name: str, inst: Instance, profiles: list[np.ndarray],
     dists: list[ValueDistribution] | None, cfg: dict,
-) -> Iterable[mechanisms.MechanismOutcome]:
-    """The outcome of mechanism ``name`` at each of ``profiles``: vcg's all
-    at once from one ``vcg_rows`` call, myerson's lazily, one call each over
-    a new handle (the greedy one draws from --seed afresh)."""
+) -> list[mechanisms.MechanismOutcome]:
+    """The outcome of mechanism ``name`` at each of ``profiles``, from one
+    ``vcg_rows`` or ``myerson_rows`` call over a new handle (the greedy one
+    draws from --seed afresh)."""
     algorithm, (_route, handle) = _solver(cfg, inst)
     if handle is None:
         ready = [f"{a} ({m})" for (a, m), (_r, h) in SOLVERS.items() if h]
@@ -288,8 +296,8 @@ def _run_mechanism(
                          f" entries with one: {', '.join(ready)}")
     if name == "vcg":
         return mechanisms.vcg_rows(inst, profiles, handle(cfg))
-    return (mechanisms.myerson(inst, values, dists, handle(cfg), cfg["grid"])
-            for values in profiles)
+    return mechanisms.myerson_rows(inst, profiles, dists, handle(cfg),
+                                   cfg["grid"])
 
 
 def cmd_mechanism(cfg: dict) -> int:
@@ -320,14 +328,17 @@ def cmd_simulate(cfg: dict) -> int:
     if any(n not in MECHANISMS for n in names):
         raise UsageError(f"unknown mechanism {which!r}")
 
-    rows = []
+    text = io.StringIO()
+    writer = _csv_writer(text)
+    writer.writerow(["sample", "mechanism", "welfare", "revenue", "seed"])
     totals = {n: [] for n in names}
     revenues = {n: [] for n in names}
-    # Samples are priced a block at a time, so vcg reads the leave-one-out
-    # rows of a whole block in one batch.  A block's vcg outcomes are held
-    # until its rows are written: blocks of 7,281 samples at 4x3 add ~30 MB
-    # to peak RSS, whatever the sample count.
-    block = max(1, cascade_wdp.SCORE_BLOCK // (inst.n * inst.m) ** 2)
+    # Samples are priced a block at a time, each mechanism reading a whole
+    # block's rows in batches, and a block's vcg rows (n x m cells, n per
+    # sample) fit one mnl_wdp.ROW_CELLS chunk: 1,024 samples at desk scale,
+    # 16 at 50x25, 1 at 100x100.  Outcomes go once their rows are written.
+    block = min(SAMPLE_BLOCK,
+                max(1, mnl_wdp.ROW_CELLS // (inst.n * inst.n * inst.m)))
     for lo in range(0, cfg["samples"], block):
         samples = range(lo, min(lo + block, cfg["samples"]))
         profiles = []
@@ -340,7 +351,7 @@ def cmd_simulate(cfg: dict) -> int:
             for name, outcome in zip(names, each):
                 w = welfare(values, outcome.ctrs)
                 r = float(np.sum(outcome.payments))
-                rows.append([s, name, repr(w), repr(r), cfg["seed"]])
+                writer.writerow([s, name, repr(w), repr(r), cfg["seed"]])
                 totals[name].append(w)
                 revenues[name].append(r)
 
@@ -350,14 +361,11 @@ def cmd_simulate(cfg: dict) -> int:
         return float(np.std(series, ddof=1) / math.sqrt(len(series)))
 
     for name in names:
-        rows.append(["mean", name, repr(float(np.mean(totals[name]))),
-                     repr(float(np.mean(revenues[name]))), cfg["seed"]])
-        rows.append(["stderr", name, repr(_stderr(totals[name])),
-                     repr(_stderr(revenues[name])), cfg["seed"]])
-    _emit(
-        _csv_text(["sample", "mechanism", "welfare", "revenue", "seed"], rows),
-        cfg["out"],
-    )
+        writer.writerow(["mean", name, repr(float(np.mean(totals[name]))),
+                         repr(float(np.mean(revenues[name]))), cfg["seed"]])
+        writer.writerow(["stderr", name, repr(_stderr(totals[name])),
+                         repr(_stderr(revenues[name])), cfg["seed"]])
+    _emit(text.getvalue(), cfg["out"])
     return EXIT_OK
 
 

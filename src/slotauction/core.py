@@ -198,6 +198,27 @@ def bid_vector(inst: Instance, values) -> np.ndarray:
     return values
 
 
+def bid_rows(inst: Instance, rows) -> np.ndarray:
+    """``rows`` as an R x n float array (R >= 0; ``[]`` is 0 x n), none NaN:
+    ``bid_vector``'s check on every row at once.  Ragged rows, a wrong
+    width or a NaN raise ``ValidationError``."""
+    try:
+        rows = np.array(rows, dtype=float)
+    except ValueError as exc:  # ragged rows, or entries that are no numbers
+        raise ValidationError(f"bad bid rows: {exc}") from None
+    if rows.shape == (0,):
+        rows = rows.reshape(0, inst.n)
+    if rows.ndim != 2 or rows.shape[1] != inst.n:
+        raise ValidationError(
+            f"expected rows of {inst.n} values, got shape {rows.shape}")
+    nan = np.isnan(rows).any(axis=1)
+    if nan.any():
+        r = int(nan.argmax())
+        raise ValidationError(
+            f"values must not be NaN, got {rows[r].tolist()} in row {r}")
+    return rows
+
+
 def check_feasible(inst: Instance, alloc: Allocation) -> None:
     """Raise unless ``alloc`` is a feasible matching for ``inst``."""
     require_valid(inst)
@@ -234,7 +255,7 @@ def match_ctrs(inst: Instance, match: np.ndarray) -> np.ndarray:
     return odds / (1.0 + np.cumsum(odds, axis=-1)[..., -1:])
 
 
-def mnl_bids(inst: Instance, bid_rows) -> np.ndarray:
+def mnl_bids(inst: Instance, rows) -> np.ndarray:
     """Bid rows as the exact MNL solvers weigh them: an R x n array in
     which every bid below 0, and every bid of an advertiser whose rates are
     all 0, is 0 (neither has an edge, and zeroed neither -inf nor such a
@@ -246,10 +267,9 @@ def mnl_bids(inst: Instance, bid_rows) -> np.ndarray:
     that takes it there.
     """
     require_valid(inst, MNL)
-    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
-                        dtype=float).reshape(-1, inst.n)
+    rows = bid_rows(inst, rows)
     top = np.exp(inst.log_odds()).max(axis=1)
-    pos = np.where(top > 0.0, np.maximum(bid_rows, 0.0), 0.0)
+    pos = np.where(top > 0.0, np.maximum(rows, 0.0), 0.0)
     with np.errstate(over="ignore"):
         load = pos * top
         order = np.argsort(-load, axis=1, kind="stable")[:, :inst.k]
@@ -258,7 +278,7 @@ def mnl_bids(inst: Instance, bid_rows) -> np.ndarray:
     if bad.size:
         r, i = int(bad[0, 0]), int(order[tuple(bad[0])])
         raise ValidationError(
-            f"bid {bid_rows.item(r, i)!r} of advertiser {i} takes the MNL"
+            f"bid {rows.item(r, i)!r} of advertiser {i} takes the MNL"
             " weights past the float range")
     return pos
 

@@ -18,18 +18,17 @@ Exact solvers are monotone automatically; approximate ones are admitted
 only after a monotonicity audit.
 
 Both the audit and the envelope sum need one advertiser's CTR at many own
-bids.  A handle whose ``curves`` is set (``greedy_cascade_solver``'s and
-``brute_cascade_solver``'s) answers those from exact own-bid curves, built
-once per call of the audit or the pricing, from a copy of its bid template.
-The exact MNL handle has ``ctr_rows`` instead: the audit solves every
-advertiser's sweep of an instance through it in one batched call of the
-solver itself.  The exact MNL and brute cascade handles' ``ctr_rows`` also
-give VCG the leave-one-out rows of any number of profiles in one call
-(``vcg_rows``); a handle without it solves them one row at a time.  Every
-other handle (the planted-bug fixture) and the exact MNL handle's envelope
-sum are probed with one ``solve`` per bid.  All paths give the same CTRs,
-and for a randomized handle (the greedy) the same random draws; the outcome
-itself always comes from one real ``solve``.
+bids.  The greedy handle, the only one whose ``curves`` is set, answers
+those from exact own-bid curves, built once per call of the audit or the
+pricing, from a copy of its bid template, and read in the order one
+``solve`` per bid would be, since its reads draw random numbers.  Every
+other handle is read in batches through :func:`_ctr_rows`: the handle's
+``ctr_rows`` (exact MNL, brute cascade), else one ``solve`` per row (the
+planted-bug fixture).  The audit reads every advertiser's sweep of an
+instance in one batch, ``vcg_rows`` every leave-one-out row of its profiles,
+and ``myerson_rows`` every envelope point of its profiles in one batch per
+bisection depth.  All paths give the same CTRs, and the greedy the same
+random draws; the outcome itself always comes from one real ``solve``.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ from .core import (
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
-from .oracle import (
-    BruteOwnBidCurves, brute_ctr_rows, brute_force_wdp_cascade,
-)
+from .oracle import brute_ctr_rows, brute_force_wdp_cascade
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -113,16 +110,14 @@ class SolverHandle:
     ``solve`` reports and, for a randomized handle, consuming the same random
     draws.  A reader may keep ``bids``, so callers pass a copy.  The audit
     and the envelope pricing each build one reader per call and read it in
-    place of one ``solve`` per bid; nothing is kept between calls.  The
-    greedy and brute cascade handles set it; the exact MNL handle and
-    ``threshold_dropping_solver`` do not.
+    place of one ``solve`` per bid; nothing is kept between calls.  Only
+    the greedy cascade handle sets it.
 
     ``ctr_rows(inst, bid_rows)``, when set, returns an R x n array, one row
     per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
-    those bids, bit-equal.  The audit reads every advertiser's sweep from it
-    in one call when the handle has no ``curves``, and ``vcg_rows`` reads
-    every leave-one-out row from it in one call.  The exact MNL handle sets
-    it to ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the CTRs
+    those bids, bit-equal.  Every read of a handle without ``curves`` goes
+    through it when it is set.  The exact MNL handle sets it to
+    ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the CTRs
     ``solve_mnl_wdp`` takes from its one row, with no allocation per row;
     the brute cascade handle to ``oracle.brute_ctr_rows``, which scores one
     matching table for every row.
@@ -161,11 +156,8 @@ def exact_mnl_solver() -> SolverHandle:
 
 
 def brute_cascade_solver() -> SolverHandle:
-    """Exhaustive cascade search over the advertisers bidding above 0.
-
-    Its ``curves`` builds one
-    :class:`~slotauction.oracle.BruteOwnBidCurves` per reader; its
-    ``ctr_rows`` is :func:`~slotauction.oracle.brute_ctr_rows`."""
+    """Exhaustive cascade search over the advertisers bidding above 0;
+    its ``ctr_rows`` is :func:`~slotauction.oracle.brute_ctr_rows`."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
@@ -174,10 +166,7 @@ def brute_cascade_solver() -> SolverHandle:
         chi, _w = brute_force_wdp_cascade(inst, bids, active=active)
         return chi, cascade_ctr(inst, chi)
 
-    def curves(inst: Instance, bids: np.ndarray):
-        return BruteOwnBidCurves(inst, bids).of
-
-    return SolverHandle(solve=solve, kind=BRUTE_CASCADE, curves=curves,
+    return SolverHandle(solve=solve, kind=BRUTE_CASCADE,
                         ctr_rows=brute_ctr_rows)
 
 
@@ -314,10 +303,29 @@ def myerson(
     reserve behavior; the solvers assume non-negative bids anyway).  The
     envelope integral uses a ``grid_size``-point right-endpoint sum, so the
     mechanism is individually rational exactly and incentive compatible up
-    to roughly v_max / grid_size.
+    to roughly v_max / grid_size.  The one-profile case of
+    :func:`myerson_rows`.
+    """
+    return myerson_rows(inst, [values], dists, solver, grid_size)[0]
+
+
+def myerson_rows(
+    inst: Instance,
+    value_rows,
+    dists: list[ValueDistribution],
+    solver: SolverHandle,
+    grid_size: int = DEFAULT_GRID_SIZE,
+) -> list[MechanismOutcome]:
+    """:func:`myerson` at each profile of ``value_rows``.
+
+    A handle that is not exact is audited, solved and read one profile at a
+    time, as one :func:`myerson` call each: the greedy's reads draw random
+    numbers.  An exact handle is solved once per profile, and the envelope
+    points of every payer of every profile are read by
+    :func:`_envelope_reads`, one :func:`_ctr_rows` call per bisection depth.
     """
     require_valid(inst)
-    values = _finite_values(inst, values)
+    value_rows = [_finite_values(inst, values) for values in value_rows]
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
@@ -332,34 +340,109 @@ def myerson(
                 "virtual values decrease on the check grid; ironing is not"
                 " supported"
             )
-    if not solver.is_exact:
+    if solver.is_exact:
+        return _priced(inst, value_rows, dists, solver, grid_size)
+    outcomes = []
+    for values in value_rows:
         _audit_or_raise(solver, inst, values)
+        outcomes += _priced(inst, [values], dists, solver, grid_size)
+    return outcomes
 
-    base_bids = np.maximum(
-        [_virtual_or_excluded(dists[t], float(values[t])) for t in range(inst.n)],
-        0.0,
-    )
 
-    chi, pi = solver.solve(inst, base_bids)
+def _priced(inst: Instance, value_rows: list[np.ndarray],
+            dists: list[ValueDistribution], solver: SolverHandle,
+            grid_size: int) -> list[MechanismOutcome]:
+    """The body of :func:`myerson_rows`, on checked inputs: each profile
+    solved at its virtual values, then every payment, from
+    :func:`_envelope_reads`, or, for a handle with ``curves``, which is
+    priced one profile per call, from one reader read lazily as the sum
+    asks."""
+    solved = []
+    for values in value_rows:
+        bids = np.maximum(
+            [_virtual_or_excluded(dists[t], float(values[t]))
+             for t in range(inst.n)],
+            0.0,
+        )
+        solved.append((values, bids, *solver.solve(inst, bids)))
 
     # A monotone curve below a zero endpoint integrates to 0: no payment.
-    payers = [i for i in range(inst.n) if pi[i] > 0.0 and values[i] > 0.0]
-    ctr_of = _own_bid_reader(solver, inst, base_bids) if payers else None
-    payments = np.zeros(inst.n)
-    for i in payers:
-        step = values[i] / grid_size
-        ctr_at = ctr_of(i)
-
-        def curve(g: int, _i=i, _step=step, _ctr_at=ctr_at) -> float:
-            return _ctr_at(
-                max(_virtual_or_excluded(dists[_i], g * _step), 0.0))
-
+    # (profile, advertiser, grid step) of each payer
+    payers = [(s, i, values[i] / grid_size)
+              for s, (values, _bids, _chi, pi) in enumerate(solved)
+              for i in range(inst.n) if pi[i] > 0.0 and values[i] > 0.0]
+    # each payer's CTR as a function of the grid point
+    if solver.curves is None:
+        envelopes = [read.__getitem__ for read in _envelope_reads(
+            solver, inst, [(solved[s][1], i, dists[i], step,
+                            float(solved[s][3][i])) for s, i, step in payers],
+            grid_size)]
+    elif payers:  # one profile: see myerson_rows
+        reader = solver.curves(inst, solved[0][1].copy())
+        envelopes = [partial(_curve_read, reader(i), dists[i], step)
+                     for _s, i, step in payers]
+    else:
+        envelopes = []
+    payments = [np.zeros(inst.n) for _ in solved]
+    for (s, i, step), curve in zip(payers, envelopes):
+        values, _bids, _chi, pi = solved[s]
         area = step * monotone_grid_sum(curve, grid_size, hi_value=float(pi[i]))
-        payments[i] = _clip_dust(values[i] * pi[i] - area)
-    utilities = values * pi - payments
-    return MechanismOutcome(
-        augmented=chi, payments=payments, ctrs=pi, utilities=utilities
-    )
+        payments[s][i] = _clip_dust(values[i] * pi[i] - area)
+    return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
+                             utilities=values * pi - paid)
+            for (values, _bids, chi, pi), paid in zip(solved, payments)]
+
+
+def _envelope_bid(dist: ValueDistribution, g: int, step: float) -> float:
+    """A payer's own bid at grid point ``g`` of its envelope: the virtual
+    value of its report ``g * step``, 0 if that is below 0."""
+    return max(_virtual_or_excluded(dist, g * step), 0.0)
+
+
+def _curve_read(ctr_at: Callable[[float], float], dist: ValueDistribution,
+                step: float, g: int) -> float:
+    """A curve reader's CTR at grid point ``g`` of a payer's envelope."""
+    return ctr_at(_envelope_bid(dist, g, step))
+
+
+def _envelope_reads(solver: SolverHandle, inst: Instance, payers: list,
+                    grid_size: int) -> list[dict[int, float]]:
+    """For each payer (template bids, advertiser i, its distribution, grid
+    step, i's CTR at the template), i's CTR at every grid point
+    :func:`monotone_grid_sum` visits on its envelope, as a dict.
+
+    The points are read one bisection depth at a time, spans split by
+    :func:`_halves` as the sum's recursion splits them (a one-point half
+    is read already).  Every payer's new ends of one depth go into one
+    :func:`_ctr_rows` call, at most ceil(log2 grid_size) calls in all.
+    """
+    templates = np.array([bids for bids, *_ in payers]).reshape(-1, inst.n)
+    reads = [{grid_size: top} for *_, top in payers]
+    spans = [[(1, grid_size)] if grid_size > 1 else [] for _ in payers]
+    while any(spans):
+        wanted = [(k, g) for k, live in enumerate(spans) for span in live
+                  for g in span if g not in reads[k]]
+        rows = templates[[k for k, _g in wanted]]
+        for row, (k, g) in zip(rows, wanted):
+            _bids, i, dist, step, _top = payers[k]
+            row[i] = _envelope_bid(dist, g, step)
+        for (k, g), ctrs in zip(wanted, _ctr_rows(solver, inst, rows)):
+            reads[k][g] = float(ctrs[payers[k][1]])
+        spans = [[half for lo, hi in live
+                  for half in _halves(lo, hi, reads[k][lo], reads[k][hi])
+                  if half[0] < half[1]]
+                 for k, live in enumerate(spans)]
+    return reads
+
+
+def _halves(lo: int, hi: int, at_lo: float, at_hi: float) -> tuple:
+    """:func:`monotone_grid_sum`'s split of the span (lo, hi), whose ends
+    read ``at_lo`` and ``at_hi``: none if those are equal or the ends
+    adjacent, else (lo, mid) and (mid + 1, hi), mid = (lo + hi) // 2."""
+    if at_lo == at_hi or lo + 1 >= hi:
+        return ()
+    mid = (lo + hi) // 2
+    return ((lo, mid), (mid + 1, hi))
 
 
 def monotone_grid_sum(
@@ -382,12 +465,12 @@ def monotone_grid_sum(
         cache[grid_size] = hi_value
 
     def span(lo: int, hi: int) -> float:
+        halves = _halves(lo, hi, at(lo), at(hi))
+        if halves:
+            return span(*halves[0]) + span(*halves[1])
         if at(lo) == at(hi):
             return (hi - lo + 1) * at(lo)
-        if lo + 1 == hi:
-            return at(lo) + at(hi)
-        mid = (lo + hi) // 2
-        return span(lo, mid) + span(mid + 1, hi)
+        return at(lo) + at(hi)
 
     if grid_size == 1:
         return at(1)
@@ -417,12 +500,12 @@ def audit_drops(
     """``(i, monotonicity_audit(solver, inst, bids_template, i, grid))``
     for each of ``advertisers`` in turn (default: all), read lazily.
 
-    A handle with ``ctr_rows`` and no ``curves`` answers every advertiser's
-    sweep in one call, on the first read.  Any other handle is read one
-    advertiser and one bid at a time, in order, through one reader built on
-    the first read, and stops being read at an advertiser's first drop, so a
-    randomized curve draws exactly as one ``monotonicity_audit`` per
-    advertiser would.
+    A handle without ``curves`` answers every advertiser's sweep in one
+    :func:`_ctr_rows` call, on the first read.  The greedy, whose
+    ``curves`` draw random numbers, is read one advertiser and one bid at a
+    time, in order, through one reader built on the first read from a copy
+    of the template, and stops being read at an advertiser's first drop, so
+    it draws exactly as one ``monotonicity_audit`` per advertiser would.
     """
     require_valid(inst)
     advertisers = range(inst.n) if advertisers is None else list(advertisers)
@@ -431,7 +514,7 @@ def audit_drops(
             raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
     template = bid_vector(inst, bids_template)
-    if solver.curves is None and solver.ctr_rows is not None:
+    if solver.curves is None:
         rows = np.tile(template, (len(advertisers), len(grid), 1))
         for s, i in enumerate(advertisers):
             rows[s, :, i] = grid
@@ -440,7 +523,7 @@ def audit_drops(
         for s, i in enumerate(advertisers):
             yield i, _first_drop(grid, ctrs[s, :, i].tolist())
     else:
-        ctr_of = _own_bid_reader(solver, inst, template)
+        ctr_of = solver.curves(inst, template.copy())
         for i in advertisers:
             yield i, _first_drop(grid, map(ctr_of(i), grid))
 
@@ -455,30 +538,6 @@ def _first_drop(grid: list[float], ctrs: Iterable[float]) -> Drop | None:
         if pi_i >= top_pi:
             top_bid, top_pi = b, pi_i
     return None
-
-
-def _own_bid_reader(
-    solver: SolverHandle, inst: Instance, bids_template
-) -> Callable[[int], Callable[[float], float]]:
-    """i -> advertiser i's reported CTR as a function of its own bid, the
-    others bidding ``bids_template``: the handle's ``curves``, built once,
-    when it has them, else one ``solve`` per bid."""
-    # A copy: a reader may keep it, and the probe writes own bids into it.
-    template = bid_vector(inst, bids_template).copy()
-    if solver.curves is not None:
-        return solver.curves(inst, template)
-
-    def of(i: int) -> Callable[[float], float]:
-        bids = template.copy()
-
-        def probe(b: float) -> float:
-            bids[i] = b
-            _chi, pi = solver.solve(inst, bids)
-            return float(pi[i])
-
-        return probe
-
-    return of
 
 
 def _audit_or_raise(solver: SolverHandle, inst: Instance, values) -> None:

@@ -63,6 +63,9 @@ MATCH_TOL = 1e-12
 # once; longer stacks go in chunks.  Per row, unions of 8k-32k cells solve
 # 2.5-10x faster than one row at a time from 4x4 to 50x25; 300k, no faster.
 STACK_CELLS = 1 << 15
+# Cells of R x n x m weights one ``solve_mnl_wdp_rows`` step holds at once
+# (8 MB of floats); more rows go in chunks.
+ROW_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,13 +118,19 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
     matched exactly as alone, then every row's lam, its numerator and
     denominator summed sequentially in advertiser order.  A row settles once
     its lam rises by no more than DINKELBACH_TOL.  No step reads another
-    row, so a row's matching is the same in any stack.
+    row, so a row's matching is the same in any stack, and rows are solved
+    in chunks of as many as keep the stacked weights within ``ROW_CELLS``
+    cells (one row at least).
 
     The bids are ``core.mnl_bids`` of ``bid_rows``: a bid <= 0 has no
     edge at lam >= 0, and a row whose weights, gains or ratios can overflow
     raises ``ValidationError`` naming the advertiser that takes it there.
     """
     pos = mnl_bids(inst, bid_rows)
+    per = max(1, ROW_CELLS // (inst.n * inst.m))
+    if len(pos) > per:  # mnl_bids leaves checked rows as they are
+        return np.concatenate([solve_mnl_wdp_rows(inst, pos[lo:lo + per])
+                               for lo in range(0, len(pos), per)])
     expo = np.exp(inst.log_odds())
     match = np.full(pos.shape, -1, dtype=np.intp)
     live = np.flatnonzero(pos.any(axis=1))

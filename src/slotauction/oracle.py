@@ -10,27 +10,24 @@ the free active advertisers in ascending order; the first row is the empty
 matching.  Ties follow one rule: the first row whose score beats the
 running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
 
-``BruteOwnBidCurves`` scores a table on arrays, with the cascade oracle's
-own arithmetic, to give each advertiser's CTR as an exact function of its
-own bid; the mechanisms price the brute handle from it without re-solving.
-``brute_ctr_rows`` scores one table the same way for many bid rows at once,
-the brute handle's batched read.
+``brute_ctr_rows`` scores one table on arrays for many bid rows at once,
+with the cascade oracle's own arithmetic: the brute handle's batched read,
+through which the mechanisms take every leave-one-out row and every
+envelope point of the brute handle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from bisect import bisect_left
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .core import (
     Allocation, AugmentedAllocation, CASCADE, Instance, MNL, Permutation,
-    SizeGuardError, ValidationError, bid_vector, cascade_ctr, mnl_ctr,
-    require_valid, welfare,
+    SizeGuardError, ValidationError, bid_rows, bid_vector, cascade_ctr,
+    mnl_ctr, require_valid, welfare,
 )
 from .cascade_wdp import (
     SCORE_BLOCK, optimal_permutation, restricted_ctr, sorted_view,
@@ -231,16 +228,8 @@ def brute_force_wdp_cascade(
     return chi, best_w
 
 
-def _turn(survive, weight, p):
-    """One advertiser's turn in ``scored()``'s recurrence above, on every
-    row at once: the term ``weight * survive`` that ``w`` adds, and the
-    survival after it.  On rows where the advertiser is unmatched, weight
-    and p are 0.0, so the term is 0.0 and the survival is unchanged."""
-    return weight * survive, survive * (1.0 - p)
-
-
-def brute_ctr_rows(inst: Instance, bid_rows) -> np.ndarray:
-    """Per row of ``bid_rows`` (R x n, R >= 0), the CTRs of
+def brute_ctr_rows(inst: Instance, rows) -> np.ndarray:
+    """Per row of ``rows`` (R x n, R >= 0), the CTRs of
     ``brute_force_wdp_cascade`` over that row's positive bidders, rendered
     and rated as ``core.cascade_ctr`` does: the brute handle's CTRs at
     those bids, bit-equal, from one matching table.
@@ -256,28 +245,30 @@ def brute_ctr_rows(inst: Instance, bid_rows) -> np.ndarray:
     picked rows only.
     """
     require_valid(inst, CASCADE)
-    bid_rows = np.array([bid_vector(inst, bids) for bids in bid_rows],
-                        dtype=float).reshape(-1, inst.n)
-    positive = np.flatnonzero((bid_rows > 0.0).any(axis=0)).tolist()
+    rows = bid_rows(inst, rows)
+    positive = np.flatnonzero((rows > 0.0).any(axis=0)).tolist()
     table, _ = _matchings(inst, CASCADE, None, positive)
     rates = table.rates(inst.p)
     by_advertiser, matched = rates.T, table.positions.T >= 0
     # value order, as sorted_view: decreasing bid, ties index-ascending
-    order = np.argsort(-bid_rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(bid_rows, order, axis=1)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
     block = max(1, SCORE_BLOCK // rates.size)
-    picks = np.empty(bid_rows.shape[0], dtype=np.intp)
+    picks = np.empty(rows.shape[0], dtype=np.intp)
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, bid_rows.shape[0], block):
+        for lo in range(0, rows.shape[0], block):
             at = slice(lo, lo + block)
             w = np.zeros((order[at].shape[0], rates.shape[0]))
             survive = np.ones(w.shape)
             for t in range(inst.n):
+                # advertiser i's turn on every table row; where i is
+                # unmatched its weight and rate are 0.0, which adds 0.0 and
+                # leaves the survival as it is
                 i = order[at, t]
                 weight = np.multiply(ranked[at, t, None], by_advertiser[i],
                                      out=np.zeros(w.shape), where=matched[i])
-                term, survive = _turn(survive, weight, by_advertiser[i])
-                w = w + term
+                w = w + weight * survive
+                survive = survive * (1.0 - by_advertiser[i])
             w[np.isnan(w)] = -np.inf
             picks[at] = _first_best_rows(w)
     # core.cascade_rates at each picked row, which matches no bid <= 0
@@ -290,96 +281,6 @@ def brute_ctr_rows(inst: Instance, bid_rows) -> np.ndarray:
     ctrs = np.empty(p.shape)
     np.put_along_axis(ctrs, order, ranked_ctrs, axis=1)
     return ctrs
-
-
-class _Segment(NamedTuple):
-    """Every row's recurrence around advertiser i for one place of i in
-    value order: the welfare and survival before i, the terms after it,
-    and i's CTR."""
-
-    prefix: np.ndarray
-    survive: np.ndarray
-    tail: list[np.ndarray]
-    ctr: list[float]
-
-
-class BruteOwnBidCurves:
-    """Every advertiser's CTR under ``brute_force_wdp_cascade`` over the
-    advertisers bidding above 0, as the mechanisms' brute handle solves it,
-    as an exact function of its own bid, all other bids fixed at ``bids``.
-
-    At own bid b <= 0 advertiser i is never matched.  At any b > 0 the
-    active set is the template's positive bidders plus i, so one matching
-    table serves every such b.  Value order puts i where (-b, i) falls among
-    the others' (-v_t, t), which leaves at most n segments.  Within one, each
-    row's welfare is a b-free prefix, then ``w += (b * p_ij) * survive``,
-    then b-free terms added in turn: the same IEEE operations in the same
-    order as the full solve, so the same first-better rule picks the same
-    row, and i's CTR there is its survival times p_ij, as in
-    ``core.cascade_rates``.  Segments are scored lazily, on every row at once.
-
-    A NaN among ``bids`` raises ``ValidationError``: with one, the solver's
-    value sort is no order, and its outcome no function of the bids.
-    """
-
-    def __init__(self, inst: Instance, bids) -> None:
-        require_valid(inst, CASCADE)
-        self.inst = inst
-        self.bids = bid_vector(inst, bids)
-        v = self.bids.tolist()
-        self._positive = {t for t in range(inst.n) if v[t] > 0.0}
-        self._keys = sorted((-v[t], t) for t in self._positive)
-        self._columns: dict[tuple[int, ...], tuple] = {}
-        self._table(self._positive)  # the oracle's checks, before any work
-
-    def _table(self, active: set[int]):
-        """Per advertiser, over the rows of ``active``'s matching table:
-        the template's weight v_t * p and p, both 0.0 where unmatched, and
-        whether it is matched."""
-        key = tuple(sorted(active))
-        if key not in self._columns:
-            table, values = _matchings(self.inst, CASCADE, self.bids, key)
-            p = table.rates(self.inst.p)
-            self._columns[key] = (table.weights(values, p).T, p.T,
-                                  table.positions.T >= 0)
-        return self._columns[key]
-
-    def of(self, i: int):
-        """Advertiser i's curve: own bid -> CTR."""
-        weight, p, matched = self._table(self._positive | {i})
-        keys = [key for key in self._keys if key[1] != i]
-        others = [t for _, t in keys]
-        own_p, own_matched = p[i], matched[i]
-        segments: dict[int, _Segment] = {}
-
-        def segment(c: int) -> _Segment:
-            w, survive = np.zeros(own_p.shape), np.ones(own_p.shape)
-            for t in others[:c]:
-                term, survive = _turn(survive, weight[t], p[t])
-                w = w + term
-            own = survive
-            _, survive = _turn(own, own_p, own_p)  # i's term waits for b
-            tail = []
-            for t in others[c:]:
-                term, survive = _turn(survive, weight[t], p[t])
-                tail.append(term)
-            return _Segment(w, own, tail, (own * own_p).tolist())
-
-        def ctr(b: float) -> float:
-            if not b > 0.0:
-                return 0.0
-            c = bisect_left(keys, (-b, i))
-            seg = segments.get(c) or segments.setdefault(c, segment(c))
-            weight_b = b * own_p
-            if b == math.inf:  # inf * 0.0 is nan off the matched rows
-                weight_b[~own_matched] = 0.0
-            w = seg.prefix + weight_b * seg.survive
-            for term in seg.tail:
-                w += term
-            row, _w = _first_best(zip(w.tolist(), itertools.count()))
-            return seg.ctr[row]
-
-        return ctr
 
 
 def _every_rendering(inst, values, table):

@@ -32,6 +32,7 @@ from slotauction.mechanisms import (
     brute_cascade_solver,
     exact_mnl_solver,
     myerson,
+    myerson_rows,
 )
 from slotauction.mnl_wdp import dinkelbach_check, solve_mnl_wdp
 from slotauction.oracle import (
@@ -277,21 +278,23 @@ def test_c10_myerson_textbook():
     assert abs(_textbook_revenue_by_quadrature() - closed_form) < 1e-4
 
     rng = np.random.default_rng(1010)
-    samples = 100_000
+    samples, block = 100_000, 10_000
     total_revenue = 0.0
-    for _ in range(samples):
-        values = np.array([sample(dists[0], rng), sample(dists[1], rng)])
-        out = myerson(inst, values, dists, solver, grid_size=grid_size)
-        top = int(np.argmax(values))
-        if values[top] > 0.5:
-            assert out.ctrs[top] == 1.0 and out.ctrs[1 - top] == 0.0
-            expected_payment = max(0.5, float(values[1 - top]))
-            assert abs(out.payments[top] - expected_payment) \
-                <= 1.0 / grid_size + 1e-12
-            total_revenue += float(out.payments.sum())
-        else:
-            assert np.all(out.ctrs == 0.0)
-            assert np.all(out.payments == 0.0)
+    for _ in range(samples // block):
+        profiles = [np.array([sample(dists[0], rng), sample(dists[1], rng)])
+                    for _ in range(block)]
+        outs = myerson_rows(inst, profiles, dists, solver, grid_size=grid_size)
+        for values, out in zip(profiles, outs):
+            top = int(np.argmax(values))
+            if values[top] > 0.5:
+                assert out.ctrs[top] == 1.0 and out.ctrs[1 - top] == 0.0
+                expected_payment = max(0.5, float(values[1 - top]))
+                assert abs(out.payments[top] - expected_payment) \
+                    <= 1.0 / grid_size + 1e-12
+                total_revenue += float(out.payments.sum())
+            else:
+                assert np.all(out.ctrs == 0.0)
+                assert np.all(out.payments == 0.0)
     mc_revenue = total_revenue / samples
     assert abs(mc_revenue - closed_form) <= 0.01
 
@@ -306,11 +309,10 @@ def test_c10_myerson_textbook():
             base = values * truthful.ctrs - truthful.payments
             for i in range(2):
                 best = 0.0
-                for lie in np.linspace(0.05, 1.0, 48):
-                    reported = values.copy()
-                    reported[i] = lie
-                    out = myerson(inst, reported, dists, solver,
-                                  grid_size=gsize)
+                lies = np.tile(values, (48, 1))
+                lies[:, i] = np.linspace(0.05, 1.0, 48)
+                for out in myerson_rows(inst, lies, dists, solver,
+                                        grid_size=gsize):
                     utility = values[i] * out.ctrs[i] - out.payments[i]
                     best = max(best, utility - base[i])
                 assert best <= 1.0 / gsize + 1e-9

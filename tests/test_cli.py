@@ -9,6 +9,8 @@ import pytest
 
 import slotauction
 import slotauction.cli as cli
+import slotauction.mechanisms as mechanisms
+import slotauction.mnl_wdp as mnl_wdp
 import slotauction.oracle as oracle
 from slotauction.core import CASCADE, MNL, SlotauctionError, instance_from_dict
 from slotauction.mechanisms import (
@@ -458,16 +460,15 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
         assert entry["vcg"] >= entry["myerson"] - 1e-12, sample_id
 
 
-@pytest.mark.parametrize("score_block", [None, 1, 200])
-def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch,
-                                           score_block):
+@pytest.mark.parametrize("block", [None, 1, 200])
+def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch, block):
     """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at
     4x3, brute vcg at 6x6, c11's certain-click tie instance, MNL vcg over
     dinkelbach and greedy myerson.  Also with samples priced in blocks of
     one or a few samples, and the brute rows scored a few at a time."""
-    if score_block is not None:
-        monkeypatch.setattr(cli.cascade_wdp, "SCORE_BLOCK", score_block)
-        monkeypatch.setattr(oracle, "SCORE_BLOCK", score_block)
+    if block is not None:
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(oracle, "SCORE_BLOCK", block)
     pack = json.loads((Path(__file__).parent
                        / "simulate_pack.json").read_text())
     assert len(pack) == 5
@@ -478,6 +479,36 @@ def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch,
         assert main(["simulate", "--instance", inst, "--dist", dist,
                      *case["flags"], "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == case["csv"].encode(), case["name"]
+
+
+def test_simulate_blocks_follow_the_instance(tmp_path, monkeypatch):
+    """``simulate`` prices at most ``mnl_wdp.ROW_CELLS // (n * n * m)``
+    samples per block, so a block's vcg rows fit one
+    ``solve_mnl_wdp_rows`` chunk; the CSV is that of one block."""
+    case = next(c for c in json.loads((Path(__file__).parent
+                                      / "simulate_pack.json").read_text())
+                if c["instance"]["model"] == "mnl")
+    inst = write_json(tmp_path / "inst.json", case["instance"])
+    dist = write_json(tmp_path / "dist.json", case["dist"])
+    args = ["simulate", "--instance", inst, "--dist", dist, "--algorithm",
+            "dinkelbach", "--mechanism", "both", "--samples", "20",
+            "--seed", "11", "--grid", "64"]
+    sizes = {"vcg_rows": [], "myerson_rows": []}
+    for name, seen in sizes.items():
+        def spied(inst, value_rows, *rest, _run=getattr(mechanisms, name),
+                  _seen=seen):
+            _seen.append(len(value_rows))
+            return _run(inst, value_rows, *rest)
+        monkeypatch.setattr(mechanisms, name, spied)
+    assert main([*args, "--out", str(tmp_path / "one.csv")]) == EXIT_OK
+    assert sizes == {"vcg_rows": [20], "myerson_rows": [20]}
+    for seen in sizes.values():
+        seen.clear()
+    monkeypatch.setattr(mnl_wdp, "ROW_CELLS", 6 * 6 * 3 * 3)
+    assert main([*args, "--out", str(tmp_path / "three.csv")]) == EXIT_OK
+    assert sizes == {"vcg_rows": [3] * 6 + [2], "myerson_rows": [3] * 6 + [2]}
+    assert ((tmp_path / "three.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
 
 
 def test_simulate_rejects_non_positive_samples_and_grid(tmp_path, capsys):

@@ -14,6 +14,7 @@ from slotauction.core import (
     MNL,
     Permutation,
     ValidationError,
+    bid_rows,
     bid_vector,
     cascade_ctr,
     check_feasible,
@@ -327,6 +328,47 @@ def test_bid_vector_rejects_nan_only_and_never_warns():
         for values in ([np.nan, 1.0, 1.0], [1e308, np.inf, np.nan]):
             with pytest.raises(ValidationError):
                 bid_vector(inst, values)
+
+
+def _row_readers():
+    """Every reader of bid rows: ``bid_rows`` and the two batched solvers
+    that read through it."""
+    mnl = Instance(3, 1, 1, [[0.5]] * 3, MNL)
+    cascade = Instance(3, 1, 1, [[0.5]] * 3, CASCADE)
+    return [(cascade, bid_rows), (mnl, mnl_wdp.solve_mnl_wdp_rows),
+            (cascade, brute_cascade_solver().ctr_rows)]
+
+
+def test_bid_rows_take_any_number_of_rows():
+    inst = Instance(3, 1, 1, [[0.5]] * 3, CASCADE)
+    for rows in ([], np.empty((0, 3)), [[1.0, 2.0, 3.0]],
+                 np.arange(12.0).reshape(4, 3), [[np.inf, -np.inf, 0.0]]):
+        got = bid_rows(inst, rows)
+        assert got.dtype == float and got.shape == (len(rows), 3)
+        assert got.tolist() == np.asarray(rows, dtype=float).tolist()
+
+
+def test_bid_rows_reject_a_wrong_width():
+    for inst, read in _row_readers():
+        for rows in ([[1.0, 2.0]], [[1.0, 2.0, 3.0, 4.0]], np.empty((0, 2)),
+                     [1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], 1.0):
+            with pytest.raises(ValidationError):
+                read(inst, rows)
+
+
+def test_bid_rows_reject_ragged_rows():
+    for inst, read in _row_readers():
+        for rows in ([[1.0, 2.0, 3.0], [1.0, 2.0]],
+                     [[1.0, 2.0, 3.0], [1.0, [2.0], 3.0]]):
+            with pytest.raises(ValidationError):
+                read(inst, rows)
+
+
+def test_bid_rows_reject_nan():
+    for inst, read in _row_readers():
+        for rows in ([[1.0, 2.0, np.nan]], [[1.0, 2.0, 3.0], [np.nan] * 3]):
+            with pytest.raises(ValidationError):
+                read(inst, rows)
 
 
 def test_model_mismatch_is_reported_ahead_of_the_size_guard():

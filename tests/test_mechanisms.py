@@ -146,10 +146,73 @@ def test_vcg_rows_equal_the_per_advertiser_loop():
     assert mechanisms.vcg_rows(inst, [], solver) == []
 
 
+def _float_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _bits_float(bits):
+    return np.asarray(bits, dtype=np.int64).view(np.float64)
+
+
+def _own_bid_rows(values, who, bids):
+    """``values`` once per entry of ``who``, with advertiser who[r]'s bid
+    set to bids[r]."""
+    rows = np.tile(values, (len(who), 1))
+    rows[np.arange(len(who)), who] = bids
+    return rows
+
+
+def _adjacent_steps(ctr_rows, inst, values, grids):
+    """(advertiser, below, above): for each advertiser i and each pair of
+    consecutive bids of grids[i] (all positive) between which i's CTR
+    changes, a pair of adjacent floats between which it changes, found by
+    bisection over the floats' bit patterns, which order positive floats.
+    Each bisection step reads every pair's midpoint in one ``ctr_rows``
+    call."""
+
+    def ctrs(who, bids):
+        return ctr_rows(inst, _own_bid_rows(values, who, bids))[
+            np.arange(len(who)), who]
+
+    who = np.repeat(np.arange(inst.n), [len(grid) for grid in grids])
+    bids = np.concatenate(grids)
+    at = ctrs(who, bids)
+    steps = np.flatnonzero((who[1:] == who[:-1]) & (at[1:] != at[:-1]))
+    who, below = who[steps], at[steps]
+    lo, hi = _float_bits(bids[steps]), _float_bits(bids[steps + 1])
+    while True:
+        live = np.flatnonzero(hi - lo > 1)
+        if not live.size:
+            return who, _bits_float(lo), _bits_float(hi)
+        mid = lo[live] + (hi[live] - lo[live]) // 2
+        same = ctrs(who[live], _bits_float(mid)) == below[live]
+        lo[live[same]], hi[live[~same]] = mid[same], mid[~same]
+
+
+def _brute_curve_test_bids(values, i):
+    """Own bids for advertiser i: non-positive, a tiny positive one, every
+    other advertiser's value and its float neighbours, where i's place in
+    value order changes, and one above every value."""
+    bids = {-1.0, 0.0, 1e-300, float(np.max(values)) + 1.0}
+    for k in range(len(values)):
+        if k != i:
+            v = float(values[k])
+            bids.update((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
+    return sorted(float(b) for b in bids)
+
+
+def _solved_rows(handle, inst, rows):
+    return np.array([handle.solve(inst, bids)[1] for bids in rows])
+
+
 def test_brute_ctr_rows_equal_solves():
     """The brute handle's ``ctr_rows`` is its ``solve``'s CTRs row by row,
-    bit-equal, on tie-heavy rates with bids 0, negative and +-inf, k < m
-    included, and on no rows."""
+    bit-equal: on tie-heavy rates with bids 0, negative and +-inf, k < m
+    included, and on no rows; at own bids on the float neighbours of the
+    others' values; at own bids 1 and +inf, with and without another +inf
+    bidder; and on both floats of every step of an advertiser's CTR in its
+    own bid, where rounding in another order than the solver would step one
+    float early or late.  A NaN row raises ``ValidationError``."""
     handle = brute_cascade_solver()
     rng = np.random.default_rng(431)
     checked = fewer_slots = 0
@@ -160,13 +223,61 @@ def test_brute_ctr_rows_equal_solves():
         rows = np.tile(values, (int(rng.integers(1, 6)), 1))
         special = rng.choice([0.0, -1.0, np.inf, -np.inf], rows.shape)
         rows = np.where(rng.random(rows.shape) < 0.3, special, rows)
-        want = np.array([handle.solve(inst, bids)[1] for bids in rows])
+        want = _solved_rows(handle, inst, rows)
         assert np.array_equal(handle.ctr_rows(inst, rows), want), rows
         assert handle.ctr_rows(inst, np.empty((0, inst.n))).shape \
             == (0, inst.n)
         checked += 1
         fewer_slots += inst.k < inst.m
     assert fewer_slots > 100
+
+    rng = np.random.default_rng(149)
+    cases = 0
+    while cases < 300:
+        inst, values = tie_heavy_cascade_case(rng)
+        if inst.n * inst.m > 36:  # the oracle's size guard
+            continue
+        cases += 1
+        grids = [_brute_curve_test_bids(values, i) for i in range(inst.n)]
+        rows = _own_bid_rows(
+            values, np.repeat(np.arange(inst.n), [len(g) for g in grids]),
+            np.concatenate(grids))
+        assert np.array_equal(handle.ctr_rows(inst, rows),
+                              _solved_rows(handle, inst, rows)), cases
+
+    rng = np.random.default_rng(163)
+    for case in range(100):
+        inst, values = tie_heavy_cascade_case(rng)
+        if inst.n * inst.m > 36:
+            continue
+        if case % 2:  # someone else bids inf
+            values[rng.integers(inst.n)] = np.inf
+        rows = _own_bid_rows(values, np.repeat(np.arange(inst.n), 2),
+                             np.tile([1.0, np.inf], inst.n))
+        assert np.array_equal(handle.ctr_rows(inst, rows),
+                              _solved_rows(handle, inst, rows)), case
+
+    rng = np.random.default_rng(157)
+    steps = 0
+    for _ in range(200):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
+                        p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
+        values = rng.uniform(0.0, 1.0, n)
+        grids = [sorted({*np.geomspace(1e-3, 4.0, 24).tolist(),
+                         *np.delete(values, i).tolist()}) for i in range(n)]
+        who, below, above = _adjacent_steps(handle.ctr_rows, inst, values,
+                                            grids)
+        rows = _own_bid_rows(values, np.concatenate([who, who]),
+                             np.concatenate([below, above]))
+        assert np.array_equal(handle.ctr_rows(inst, rows),
+                              _solved_rows(handle, inst, rows)), inst
+        steps += len(rows)
+    assert steps > 1000
+
+    inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
+    with pytest.raises(ValidationError):
+        handle.ctr_rows(inst, [[1.0, 3.0, 2.0], [1.0, np.nan, 2.0]])
 
 
 def test_vcg_truthful_on_random_instances():
@@ -468,114 +579,6 @@ def test_myerson_over_curve_equals_probe_path():
         assert curve_rng.bit_generator.state == probe_rng.bit_generator.state
 
 
-def _brute_curve_test_bids(values, i):
-    """Own bids for advertiser i: non-positive, a tiny positive one, every
-    other advertiser's value and its float neighbours, where i's place in
-    value order changes, and one above every value."""
-    bids = {-1.0, 0.0, 1e-300, float(np.max(values)) + 1.0}
-    for k in range(len(values)):
-        if k != i:
-            v = float(values[k])
-            bids.update((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
-    return sorted(float(b) for b in bids)
-
-
-def test_brute_curve_equals_probes():
-    rng = np.random.default_rng(149)
-    handle = brute_cascade_solver()
-    cases = 0
-    while cases < 300:
-        inst, values = tie_heavy_cascade_case(rng)
-        if inst.n * inst.m > 36:  # the oracle's size guard
-            continue
-        cases += 1
-        read = handle.curves(inst, values)
-        for i in range(inst.n):
-            ctr_at = read(i)
-            for b in _brute_curve_test_bids(values, i):
-                bids = values.copy()
-                bids[i] = b
-                _chi, pi = handle.solve(inst, bids)
-                assert ctr_at(b) == pi[i], (cases, i, b)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_brute_curve_equals_probes_at_infinite_bids():
-    rng = np.random.default_rng(163)
-    handle = brute_cascade_solver()
-    for case in range(100):
-        inst, values = tie_heavy_cascade_case(rng)
-        if inst.n * inst.m > 36:
-            continue
-        if case % 2:  # someone else bids inf
-            values[rng.integers(inst.n)] = np.inf
-        read = handle.curves(inst, values)
-        for i in range(inst.n):
-            ctr_at = read(i)
-            for b in (1.0, np.inf):
-                bids = values.copy()
-                bids[i] = b
-                _chi, pi = handle.solve(inst, bids)
-                assert ctr_at(b) == pi[i], (case, i, b)
-
-
-def test_brute_curve_rejects_a_nan_template():
-    inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
-    handle = brute_cascade_solver()
-    with pytest.raises(ValidationError):
-        handle.curves(inst, np.array([1.0, np.nan, 2.0]))
-    assert handle.curves(inst, np.array([1.0, 3.0, 2.0]))(0)(np.nan) == 0.0
-
-
-def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.int64))
-
-
-def _adjacent_steps(ctr_at, bids):
-    """Pairs of adjacent floats between which the curve changes value, one
-    per change between consecutive ``bids`` (all positive), found by
-    bisection over the floats' bit patterns, which order positive floats."""
-    for a, z in zip(bids, bids[1:]):
-        below = ctr_at(a)
-        if below == ctr_at(z):
-            continue
-        lo, hi = _float_bits(a), _float_bits(z)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ctr_at(float(np.int64(mid).view(np.float64))) == below:
-                lo = mid
-            else:
-                hi = mid
-        yield tuple(float(np.int64(t).view(np.float64)) for t in (lo, hi))
-
-
-def test_brute_curve_steps_at_the_probes_last_bit():
-    """Random rates and values make every welfare sum round, so a curve
-    that rounded in another order than the solver would step one float
-    early or late somewhere; probe both floats at every step."""
-    rng = np.random.default_rng(157)
-    handle = brute_cascade_solver()
-    steps = 0
-    for _ in range(200):
-        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        inst = Instance(n=n, m=m, k=int(rng.integers(1, m + 1)),
-                        p=rng.uniform(0.01, 1.0, (n, m)), model=CASCADE)
-        values = rng.uniform(0.0, 1.0, n)
-        read = handle.curves(inst, values)
-        for i in range(n):
-            ctr_at = read(i)
-            grid = {*np.geomspace(1e-3, 4.0, 24).tolist(),
-                    *np.delete(values, i).tolist()}
-            for pair in _adjacent_steps(ctr_at, sorted(grid)):
-                for b in pair:
-                    bids = values.copy()
-                    bids[i] = b
-                    _chi, pi = handle.solve(inst, bids)
-                    assert ctr_at(b) == pi[i], (inst, values, i, b)
-                    steps += 1
-    assert steps > 1000
-
-
 def _brute_auction_cases(rng):
     """cli_simulate-shaped 4x3 instances, then the textbook 2x1 slot of
     c10 with its uniform values."""
@@ -588,6 +591,8 @@ def _brute_auction_cases(rng):
 
 
 def test_myerson_over_brute_curve_equals_probe_path():
+    """The brute handle's envelope reads through its ``ctr_rows`` price as
+    one ``solve`` per point read does."""
     rng = np.random.default_rng(151)
     handle = brute_cascade_solver()
     probed = SolverHandle(solve=handle.solve, kind=handle.kind)
@@ -601,10 +606,128 @@ def test_myerson_over_brute_curve_equals_probe_path():
         assert np.array_equal(fast.payments, slow.payments)
 
 
-def test_curves_only_on_the_greedy_and_brute_handles():
+def _seeded_handles():
+    """(model, make) per handle under test: make(seed) builds a fresh
+    handle and returns it with the generator it draws from, if any."""
+
+    def greedy(seed):
+        rng = np.random.default_rng(seed)
+        return greedy_cascade_solver(rng), rng
+
+    def planted(base):
+        def make(seed):
+            handle, rng = base(seed)
+            return threshold_dropping_solver(handle, 2.0), rng
+        return make
+
+    def exact(seed):
+        return exact_mnl_solver(), None
+
+    def brute(seed):
+        return brute_cascade_solver(), None
+
+    return [(MNL, exact), (CASCADE, brute), (CASCADE, greedy),
+            (MNL, planted(exact)), (CASCADE, planted(brute)),
+            (CASCADE, planted(greedy))]
+
+
+def _priced_or_error(price):
+    """``price()``, or the message of the ``NonMonotoneSolverError`` it
+    raises."""
+    try:
+        return price()
+    except NonMonotoneSolverError as exc:
+        return str(exc)
+
+
+def test_myerson_rows_equals_one_call_per_profile():
+    """``myerson_rows`` over 0-4 profiles equals one ``myerson`` call per
+    profile, in turn, on one handle: outcome, CTRs, payments and
+    utilities, or the audit's error.  Over the exact MNL, brute and greedy
+    handles and the planted-bug fixture over each; the greedy's generator
+    ends each prefix of the profiles in the state it ends the calls in."""
+    rng = np.random.default_rng(173)
+    factories = _seeded_handles()
+    paid = errors = 0
+    for case in range(150):
+        model, make = factories[case % len(factories)]
+        inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
+                else rand_cascade_instance(rng, nmax=4, mmax=3))
+        dists = [Uniform(0.0, 3.0)] * inst.n
+        grid = int(rng.choice([1, 2, 7, 64, 256]))
+        profiles = [np.where(rng.random(inst.n) < 0.2, 0.0,
+                             rng.uniform(0.0, 3.0, inst.n))
+                    for _ in range(int(rng.integers(0, 5)))]
+        one, one_rng = make(case)
+        want, states = [], []
+        for values in profiles:
+            want.append(_priced_or_error(
+                lambda: myerson(inst, values, dists, one, grid)))
+            states.append(one_rng and one_rng.bit_generator.state)
+            if isinstance(want[-1], str):
+                errors += 1
+                break
+        for end in range(len(want) + 1):
+            batched, batched_rng = make(case)
+            got = _priced_or_error(lambda: mechanisms.myerson_rows(
+                inst, profiles[:end], dists, batched, grid))
+            if end and batched_rng is not None:
+                assert batched_rng.bit_generator.state == states[end - 1]
+            if end and isinstance(want[end - 1], str):
+                assert got == want[end - 1], case
+                continue
+            assert len(got) == end
+            for outcome, expected in zip(got, want):
+                assert outcome.augmented == expected.augmented, case
+                assert np.array_equal(outcome.ctrs, expected.ctrs), case
+                assert np.array_equal(outcome.payments, expected.payments)
+                assert np.array_equal(outcome.utilities, expected.utilities)
+        paid += sum(np.count_nonzero(out.payments) for out in want
+                    if not isinstance(out, str))
+    assert paid > 100 and errors > 3
+
+
+def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
+    """One ``myerson_rows`` call over an exact handle makes one ``solve``
+    per profile and at most ceil(log2 grid) + 1 ``ctr_rows`` calls,
+    whatever the number of profiles and payers, and prices as one
+    ``myerson`` call per profile."""
+    rng = np.random.default_rng(179)
+    paid = 0
+    for base, model in ((exact_mnl_solver(), MNL),
+                        (brute_cascade_solver(), CASCADE)):
+        for grid in (1, 2, 3, 64, 1000, 1024):
+            solves, reads = [], []
+
+            def solve(inst, bids, _base=base):
+                solves.append(1)
+                return _base.solve(inst, bids)
+
+            def ctr_rows(inst, rows, _base=base):
+                reads.append(len(rows))
+                return _base.ctr_rows(inst, rows)
+
+            counted = SolverHandle(solve=solve, kind=base.kind,
+                                   ctr_rows=ctr_rows)
+            inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
+                    else rand_cascade_instance(rng, nmax=4, mmax=3))
+            dists = [Uniform(0.0, 2.0)] * inst.n
+            profiles = [rng.uniform(0.0, 2.0, inst.n) for _ in range(6)]
+            got = mechanisms.myerson_rows(inst, profiles, dists, counted,
+                                          grid)
+            assert len(solves) == len(profiles)
+            assert len(reads) <= int(np.ceil(np.log2(grid))) + 1
+            for values, outcome in zip(profiles, got):
+                want = myerson(inst, values, dists, base, grid)
+                assert np.array_equal(outcome.payments, want.payments)
+                paid += np.count_nonzero(want.payments)
+    assert paid > 20
+
+
+def test_curves_only_on_the_greedy_handle():
     greedy = greedy_cascade_solver(np.random.default_rng(0))
     brute = brute_cascade_solver()
-    assert greedy.curves is not None and brute.curves is not None
+    assert greedy.curves is not None and brute.curves is None
     assert threshold_dropping_solver(greedy).curves is None
     assert threshold_dropping_solver(brute).curves is None
     assert exact_mnl_solver().curves is None
@@ -623,42 +746,36 @@ def _spied(handle, readers):
 def test_readers_ignore_template_edits_after_build():
     """``audit_drops`` builds its reader on the first read, from a copy of
     the template, so editing the template in place afterwards changes
-    nothing the reader gives.  Advertiser 0 bids 0 in the template, so the
-    brute reader builds the table it reads for advertiser 0 only after the
-    edit."""
+    nothing the reader gives."""
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=CASCADE)
-    for handle in (greedy_cascade_solver(np.random.default_rng(0)),
-                   brute_cascade_solver()):
-        readers = []
-        bids = np.array([0.0, 2.0])
-        drops = audit_drops(_spied(handle, readers), inst, bids, [1.5],
-                            [1, 0])
-        assert next(drops) == (1, None)
-        bids[1] = 1.0
-        assert list(drops) == [(0, None)]
-        assert len(readers) == 1
-        assert readers[0](0)(1.5) == 0.0  # advertiser 1 still bids 2.0
-        assert handle.curves(inst, np.array([0.0, 1.0]))(0)(1.5) == 0.5
+    handle = greedy_cascade_solver(np.random.default_rng(0))
+    readers = []
+    bids = np.array([0.0, 2.0])
+    drops = audit_drops(_spied(handle, readers), inst, bids, [1.5], [1, 0])
+    assert next(drops) == (1, None)
+    bids[1] = 1.0
+    assert list(drops) == [(0, None)]
+    assert len(readers) == 1
+    assert readers[0](0)(1.5) == 0.0  # advertiser 1 still bids 2.0
+    assert handle.curves(inst, np.array([0.0, 1.0]))(0)(1.5) == 0.5
 
 
 def _counted_builds(monkeypatch, builds):
-    """Count every ``OwnBidCurves`` and ``BruteOwnBidCurves`` the handles
-    build, by class name."""
-    for name in ("OwnBidCurves", "BruteOwnBidCurves"):
-        cls = getattr(mechanisms, name)
+    """Count every ``OwnBidCurves`` the handles build, by class name."""
+    cls = mechanisms.OwnBidCurves
 
-        def counted(inst, bids, _cls=cls):
-            builds.append(_cls.__name__)
-            return _cls(inst, bids)
+    def counted(inst, bids):
+        builds.append(cls.__name__)
+        return cls(inst, bids)
 
-        monkeypatch.setattr(mechanisms, name, counted)
+    monkeypatch.setattr(mechanisms, "OwnBidCurves", counted)
 
 
 def test_one_reader_per_template_per_call(monkeypatch):
     """``myerson`` over the greedy builds one reader for its audit (on the
     values) and one for its pricing (on the virtual values) if anyone pays;
-    over the exact brute handle only the pricing one.  ``audit_drops``
-    builds one."""
+    over the exact brute handle, which has no ``curves``, none.
+    ``audit_drops`` builds one over the greedy, none over the brute."""
     builds = []
     _counted_builds(monkeypatch, builds)
     rng = np.random.default_rng(167)
@@ -677,11 +794,10 @@ def test_one_reader_per_template_per_call(monkeypatch):
         del builds[:]
         out = myerson(inst, values, dists, brute, grid_size=64)
         payers = bool(np.any((out.ctrs > 0.0) & (values > 0.0)))
-        assert builds == ["BruteOwnBidCurves"] * payers
+        assert builds == []
         paid += payers
-        del builds[:]
         list(audit_drops(brute, inst, values, [0.5, 1.0, 2.0]))
-        assert builds == ["BruteOwnBidCurves"]
+        assert builds == []
     assert paid > 100
 
 
@@ -695,11 +811,10 @@ def test_planted_bug_over_brute_is_probed():
         return brute.solve(inst, bids)
 
     broken = threshold_dropping_solver(
-        SolverHandle(solve=counted, kind=brute.kind, curves=brute.curves),
-        threshold=0.5)
+        SolverHandle(solve=counted, kind=brute.kind), threshold=0.5)
     values = np.array([0.9, 0.6])
     myerson(inst, values, [Uniform(0.0, 1.0)] * 2, broken)
-    assert len(calls) > 1  # the outcome's solve, then one probe per bid
+    assert len(calls) > 1  # the outcome's solve, then one per point read
     hit = monotonicity_audit(
         broken, inst, np.array([0.2, 0.1]), 0, [0.3, 0.4, 0.6])
     assert hit == (0.4, 0.6, 0.5, 0.0)
@@ -774,8 +889,9 @@ def test_audit_through_ctr_rows_equals_probes():
                     batched, inst, bids, i, grid[::-1]) == each[-1]
             assert list(audit_drops(batched, inst, bids, grid[::-1])) \
                 == list(enumerate(each))
-            # the probe-only handle through the reader: same drops, and
-            # it still stops each advertiser's sweep at its first drop
+            # the probe-only handle over every advertiser at once: same
+            # drops, from one solve per sweep bid, as one advertiser at a
+            # time
             probes = len(calls)
             assert list(audit_drops(probe_only, inst, bids, grid)) \
                 == list(enumerate(each))

@@ -385,7 +385,8 @@ def test_stacked_matching_equals_one_call_per_block():
 
 
 def test_chunked_stacks_equal_one_union(monkeypatch):
-    """Under small cell budgets a stack is matched in several chunks; the
+    """Under small cell budgets a stack is matched in several chunks, and
+    ``solve_mnl_wdp_rows`` solves its rows in several chunks; the
     matchings, and every batched solve built on them, are ``==`` those of
     the whole stack matched as one union."""
     rng = np.random.default_rng(73)
@@ -409,6 +410,7 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
     monkeypatch.setattr(mnl_wdp, "capped_matching", counted)
     for budget in (1, 20, 90):
         monkeypatch.setattr(mnl_wdp, "STACK_CELLS", budget)
+        monkeypatch.setattr(mnl_wdp, "ROW_CELLS", budget)
         for stack, k, whole, inst, rows, solved, ctrs in cases:
             chunks.clear()
             got = capped_matching(stack, k)

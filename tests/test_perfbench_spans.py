@@ -60,18 +60,21 @@ def test_rebuilt_handles_still_solve(spans):
 
 
 def test_rebuilt_handles_price_as_their_curves(spans):
-    """Traced runs drop ``curves`` and price by probing; the outcome must be
-    the one untraced runs get from the curves, so both pass the same gate."""
+    """Traced runs drop ``curves`` and ``ctr_rows`` and price by one solve
+    per read; the outcome must be the one untraced runs get from them, so
+    both pass the same gate.  Each handle with either field prices an
+    instance of its model."""
     rng = np.random.default_rng(11)
-    inst = Instance(4, 3, 2, rng.uniform(0.01, 1.0, (4, 3)), CASCADE)
     values = rng.uniform(0.0, 1.0, 4)
     dists = [distributions.Uniform(0.0, 1.0)] * 4
     with_curve = 0
     for name in spans.HANDLE_FACTORIES:
         args, model = FACTORY_ARGS[name]
-        if getattr(mechanisms, name)(*args).curves is None:
+        handle = getattr(mechanisms, name)(*args)
+        if handle.curves is None and handle.ctr_rows is None:
             continue
         with_curve += 1
+        inst = Instance(4, 3, 2, rng.uniform(0.01, 0.99, (4, 3)), model)
         # Each outcome gets a fresh handle, so the greedy's generator
         # starts from the same seed for both.
         handle = getattr(mechanisms, name)(*_fresh(args))
@@ -85,7 +88,7 @@ def test_rebuilt_handles_price_as_their_curves(spans):
                 == slow.augmented.permutation.rank), name
         assert np.array_equal(fast.payments, slow.payments), name
         assert np.array_equal(fast.ctrs, slow.ctrs), name
-    assert with_curve == 2
+    assert with_curve == 3
 
 
 def test_cli_solver_table_is_traced(spans, tmp_path):
