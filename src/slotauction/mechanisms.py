@@ -18,25 +18,27 @@ Exact solvers are monotone automatically; approximate ones are admitted
 only after a monotonicity audit.
 
 Both the audit and the envelope sum need one advertiser's CTR at many own
-bids.  The greedy handle, the only one whose ``curves`` is set, answers
-those from exact own-bid curves, built once per call of the audit or the
-pricing, from a copy of its bid template, and read in the order one
-``solve`` per bid would be, since its reads draw random numbers.  Every
-other handle is read in batches through :func:`_ctr_rows`: the handle's
-``ctr_rows`` (exact MNL, brute cascade), else one ``solve`` per row (the
-planted-bug fixture).  The audit reads every advertiser's sweep of an
-instance in one batch, ``vcg_rows`` every leave-one-out row of its profiles,
-and ``myerson_rows`` every envelope point of its profiles in one batch per
-bisection depth.  All paths give the same CTRs, and the greedy the same
-random draws; the outcome itself always comes from one real ``solve``.
+bids, and :func:`_reader` is the one code that reads a handle for them.
+It takes points (template, advertiser, own bid), a list per call, to the
+handle's ``curves`` (the greedy: exact own-bid curves whose reads make the
+random draws one ``solve`` per point would), else to its ``ctr_rows``
+(exact MNL, brute cascade), else to one ``solve`` per row (the planted-bug
+fixture).  The audit reads every advertiser's sweep of an instance in one
+call, and :func:`_grid_sums` every envelope point of a block of payers in
+one call per bisection depth; ``vcg_rows`` reads its leave-one-out rows
+through :func:`_ctr_rows`.  All paths give the same CTRs, and the greedy
+the same random draws; the outcome itself always comes from one real
+``solve``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from functools import cache, partial
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -61,14 +63,17 @@ from .oracle import brute_ctr_rows, brute_force_wdp_cascade
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
 GREEDY_CASCADE = "greedy_cascade"
+PLANTED_BUG = "planted_bug"
 
 DEFAULT_GRID_SIZE = 1024
 MONOTONE_TOL = 1e-9
 
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
-# (inst, bids) -> advertiser i -> (own bid -> CTR): see SolverHandle.
+# (inst, bids) -> ([(advertiser, own bid), ...] -> [CTR, ...]): SolverHandle
 CurvesFn = Callable[[Instance, np.ndarray],
-                    Callable[[int], Callable[[float], float]]]
+                    Callable[[list[tuple[int, float]]], list[float]]]
+# [(template, advertiser, own bid), ...] -> [CTR, ...]: see _reader.
+ReadFn = Callable[[list[tuple[int, int, float]]], list[float]]
 CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
 # (bid_before, bid_after, ctr_before, ctr_after): see monotonicity_audit.
 Drop = tuple[float, float, float, float]
@@ -105,13 +110,14 @@ class SolverHandle:
     per-bucket outcomes (the sampled allocation is representative only).
 
     ``curves(inst, bids)``, when set, builds a reader for the bid template
-    ``bids``: ``curves(inst, bids)(i)`` is advertiser i's CTR as a function
-    of its own bid, the others fixed at ``bids``, bit-equal to what
-    ``solve`` reports and, for a randomized handle, consuming the same random
-    draws.  A reader may keep ``bids``, so callers pass a copy.  The audit
-    and the envelope pricing each build one reader per call and read it in
-    place of one ``solve`` per bid; nothing is kept between calls.  Only
-    the greedy cascade handle sets it.
+    ``bids``: ``curves(inst, bids)(points)`` takes a list of (advertiser i,
+    own bid b) and returns i's CTR at b for each point, the others fixed at
+    ``bids``, bit-equal to what ``solve`` reports.  A randomized handle's
+    reader makes, in each call, the random draws one ``solve`` per point
+    would, in order.  A reader may keep ``bids``; :func:`_reader`, its one
+    caller, passes a private copy and builds at most one reader per
+    template, and nothing is kept between audit or pricing calls.  Only the
+    greedy cascade handle sets it.
 
     ``ctr_rows(inst, bid_rows)``, when set, returns an R x n array, one row
     per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
@@ -176,26 +182,27 @@ def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
     whose CTRs are the deterministic uniform mixture over populated buckets
     and whose allocation is one sampled bucket's outcome.
 
-    Its ``curves`` builds one
-    :class:`~slotauction.cascade_wdp.OwnBidCurves` per reader and replays
-    the draw ``solve`` would make at each bid read, so ``rng`` ends in the
-    same state either way."""
+    Its ``curves`` builds one :class:`~slotauction.cascade_wdp.OwnBidCurves`
+    per reader.  Each read makes the draws of one ``solve`` per point, in
+    order, as one ``rng.integers`` call over the points' bucket counts:
+    numpy draws an array of bounds as it draws each alone, and a count of 1
+    draws nothing.  So ``rng`` ends in the same state either way."""
 
     def curves(inst: Instance, bids: np.ndarray):
-        of = OwnBidCurves(inst, bids).of
+        of = cache(OwnBidCurves(inst, bids).of)
 
-        def reader(i: int):
-            own_bid = of(i)
-
-            def ctr(b: float) -> float:
-                value, populated = own_bid(b)
+        def read(points: list[tuple[int, float]]) -> list[float]:
+            ctrs, counts = [], []
+            for i, b in points:
+                value, populated = of(i)(b)
+                ctrs.append(float(value))
                 if populated:
-                    rng.integers(populated)
-                return float(value)
+                    counts.append(populated)
+            if counts:
+                rng.integers(counts)
+            return ctrs
 
-            return ctr
-
-        return reader
+        return read
 
     return SolverHandle(solve=partial(greedy_outcome, rng=rng),
                         kind=GREEDY_CASCADE, curves=curves)
@@ -206,7 +213,8 @@ def threshold_dropping_solver(
 ) -> SolverHandle:
     """Diagnostic fixture with a planted monotonicity bug: once the highest
     bid passes ``threshold``, that bidder is dropped before solving.  The
-    audit must catch it; never use for payments."""
+    audit must catch it; never use for payments.  Its kind is not exact
+    whatever ``base`` is, so ``vcg`` refuses it and ``myerson`` audits it."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst)
@@ -216,7 +224,7 @@ def threshold_dropping_solver(
             bids[top] = 0.0
         return base.solve(inst, bids)
 
-    return SolverHandle(solve=solve, kind=base.kind)
+    return SolverHandle(solve=solve, kind=PLANTED_BUG)
 
 
 def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
@@ -279,6 +287,34 @@ def _ctr_rows(solver: SolverHandle, inst: Instance,
                     dtype=float).reshape(-1, inst.n)
 
 
+def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
+    """The one way a handle is read: ``read(points)`` gives, for each point
+    (template index t, advertiser i, own bid b), the CTR ``solve`` reports
+    for i at row t of ``templates`` with i bidding b.
+
+    A handle with ``curves`` is read through one reader per template, built
+    from a private copy on its first read; each run of points on one
+    template is one reader call.  Any other handle answers each ``read`` in
+    one :func:`_ctr_rows` call."""
+    templates = np.array(templates, dtype=float).reshape(-1, inst.n)
+    if solver.curves is not None:
+        curve = cache(lambda t: solver.curves(inst, templates[t]))
+
+        def read(points):
+            return [ctr for t, run in groupby(points, itemgetter(0))
+                    for ctr in curve(t)([(i, b) for _t, i, b in run])]
+
+        return read
+
+    def read(points):
+        at, ii = np.arange(len(points)), [i for _t, i, _b in points]
+        rows = templates[[t for t, _i, _b in points]]
+        rows[at, ii] = [b for _t, _i, b in points]
+        return _ctr_rows(solver, inst, rows)[at, ii].tolist()
+
+    return read
+
+
 def _virtual_or_excluded(dist: ValueDistribution, v: float) -> float:
     """Virtual value extended off-support: reports below the support can
     never win (treated as -inf) and reports above it have no hazard mass
@@ -319,21 +355,17 @@ def myerson_rows(
     """:func:`myerson` at each profile of ``value_rows``.
 
     A handle that is not exact is audited, solved and read one profile at a
-    time, as one :func:`myerson` call each: the greedy's reads draw random
-    numbers.  An exact handle is solved once per profile, and the envelope
-    points of every payer of every profile are read by
-    :func:`_envelope_reads`, one :func:`_ctr_rows` call per bisection depth.
+    time, as one :func:`myerson` call each, since each profile is audited
+    before its outcome is drawn.  An exact handle is solved once per
+    profile, and the envelope points of every payer of every profile are
+    read by :func:`_grid_sums`, one reader call per bisection depth.
     """
     require_valid(inst)
     value_rows = [_finite_values(inst, values) for values in value_rows]
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
-    if not (isinstance(grid_size, numbers.Real) and grid_size >= 1
-            and float(grid_size).is_integer()):
-        raise ValidationError(
-            f"grid_size must be a positive integer, got {grid_size!r}")
-    grid_size = int(grid_size)
+    grid_size = _grid_size(grid_size)
     for dist in dists:
         if not is_regular(dist):
             raise IrregularDistributionError(
@@ -353,10 +385,8 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
             dists: list[ValueDistribution], solver: SolverHandle,
             grid_size: int) -> list[MechanismOutcome]:
     """The body of :func:`myerson_rows`, on checked inputs: each profile
-    solved at its virtual values, then every payment, from
-    :func:`_envelope_reads`, or, for a handle with ``curves``, which is
-    priced one profile per call, from one reader read lazily as the sum
-    asks."""
+    solved at its virtual values, then every payment from one
+    :func:`_grid_sums` walk over every payer's envelope."""
     solved = []
     for values in value_rows:
         bids = np.maximum(
@@ -371,23 +401,18 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
     payers = [(s, i, values[i] / grid_size)
               for s, (values, _bids, _chi, pi) in enumerate(solved)
               for i in range(inst.n) if pi[i] > 0.0 and values[i] > 0.0]
-    # each payer's CTR as a function of the grid point
-    if solver.curves is None:
-        envelopes = [read.__getitem__ for read in _envelope_reads(
-            solver, inst, [(solved[s][1], i, dists[i], step,
-                            float(solved[s][3][i])) for s, i, step in payers],
-            grid_size)]
-    elif payers:  # one profile: see myerson_rows
-        reader = solver.curves(inst, solved[0][1].copy())
-        envelopes = [partial(_curve_read, reader(i), dists[i], step)
-                     for _s, i, step in payers]
-    else:
-        envelopes = []
+    read = _reader(solver, inst, [bids for _values, bids, *_ in solved])
+
+    def envelope(points):  # (payer, grid point) -> the payer's CTR there
+        return read([(s, i, _envelope_bid(dists[i], g, step))
+                     for k, g in points for s, i, step in [payers[k]]])
+
+    tops = [float(solved[s][3][i]) for s, i, _step in payers]
+    areas = _grid_sums(envelope, tops, grid_size)
     payments = [np.zeros(inst.n) for _ in solved]
-    for (s, i, step), curve in zip(payers, envelopes):
+    for (s, i, step), area in zip(payers, areas):
         values, _bids, _chi, pi = solved[s]
-        area = step * monotone_grid_sum(curve, grid_size, hi_value=float(pi[i]))
-        payments[s][i] = _clip_dust(values[i] * pi[i] - area)
+        payments[s][i] = _clip_dust(values[i] * pi[i] - step * area)
     return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
                              utilities=values * pi - paid)
             for (values, _bids, chi, pi), paid in zip(solved, payments)]
@@ -399,82 +424,68 @@ def _envelope_bid(dist: ValueDistribution, g: int, step: float) -> float:
     return max(_virtual_or_excluded(dist, g * step), 0.0)
 
 
-def _curve_read(ctr_at: Callable[[float], float], dist: ValueDistribution,
-                step: float, g: int) -> float:
-    """A curve reader's CTR at grid point ``g`` of a payer's envelope."""
-    return ctr_at(_envelope_bid(dist, g, step))
+def _grid_size(grid_size) -> int:
+    """``grid_size`` as an int, if it is a positive integral real."""
+    if not (isinstance(grid_size, numbers.Real) and grid_size >= 1
+            and float(grid_size).is_integer()):
+        raise ValidationError(
+            f"grid_size must be a positive integer, got {grid_size!r}")
+    return int(grid_size)
 
 
-def _envelope_reads(solver: SolverHandle, inst: Instance, payers: list,
-                    grid_size: int) -> list[dict[int, float]]:
-    """For each payer (template bids, advertiser i, its distribution, grid
-    step, i's CTR at the template), i's CTR at every grid point
-    :func:`monotone_grid_sum` visits on its envelope, as a dict.
+def _grid_sums(read: Callable[[list[tuple[int, int]]], list[float]],
+               tops: list[float | None], grid_size: int) -> list[float]:
+    """:func:`monotone_grid_sum` of each curve k, whose value at grid
+    point g is ``read([(k, g), ...])``'s, and at ``grid_size`` ``tops[k]``
+    unless that is None.
 
-    The points are read one bisection depth at a time, spans split by
-    :func:`_halves` as the sum's recursion splits them (a one-point half
-    is read already).  Every payer's new ends of one depth go into one
-    :func:`_ctr_rows` call, at most ceil(log2 grid_size) calls in all.
-    """
-    templates = np.array([bids for bids, *_ in payers]).reshape(-1, inst.n)
-    reads = [{grid_size: top} for *_, top in payers]
-    spans = [[(1, grid_size)] if grid_size > 1 else [] for _ in payers]
-    while any(spans):
-        wanted = [(k, g) for k, live in enumerate(spans) for span in live
-                  for g in span if g not in reads[k]]
-        rows = templates[[k for k, _g in wanted]]
-        for row, (k, g) in zip(rows, wanted):
-            _bids, i, dist, step, _top = payers[k]
-            row[i] = _envelope_bid(dist, g, step)
-        for (k, g), ctrs in zip(wanted, _ctr_rows(solver, inst, rows)):
-            reads[k][g] = float(ctrs[payers[k][1]])
-        spans = [[half for lo, hi in live
-                  for half in _halves(lo, hi, reads[k][lo], reads[k][hi])
-                  if half[0] < half[1]]
-                 for k, live in enumerate(spans)]
-    return reads
-
-
-def _halves(lo: int, hi: int, at_lo: float, at_hi: float) -> tuple:
-    """:func:`monotone_grid_sum`'s split of the span (lo, hi), whose ends
-    read ``at_lo`` and ``at_hi``: none if those are equal or the ends
-    adjacent, else (lo, mid) and (mid + 1, hi), mid = (lo + hi) // 2."""
-    if at_lo == at_hi or lo + 1 >= hi:
-        return ()
-    mid = (lo + hi) // 2
-    return ((lo, mid), (mid + 1, hi))
+    Each curve's spans are walked one depth at a time: a span (lo, hi) whose
+    ends read equal sums to (hi - lo + 1) copies of one value, adjacent ends
+    to their sum, and any other span splits at mid = (lo + hi) // 2 into
+    (lo, mid) and (mid + 1, hi).  Each depth's new span ends, of every
+    curve, are one ``read`` call.  Then each tree is summed from its deepest
+    spans up, halves added as a recursion would add them, bit for bit."""
+    ends = [{} if top is None else {grid_size: top} for top in tops]
+    spans = [(k, 1, grid_size) for k in range(len(tops))]
+    depths = []  # per depth: each span's (first child, or None; sum if leaf)
+    while spans:
+        new = list(dict.fromkeys((k, g) for k, lo, hi in spans
+                                 for g in (lo, hi) if g not in ends[k]))
+        for (k, g), value in zip(new, read(new) if new else ()):
+            ends[k][g] = value
+        nodes, below = [], []
+        for k, lo, hi in spans:
+            at_lo, at_hi = ends[k][lo], ends[k][hi]
+            if at_lo == at_hi:
+                nodes.append((None, (hi - lo + 1) * at_lo))
+            elif lo + 1 >= hi:
+                nodes.append((None, at_lo + at_hi))
+            else:
+                mid = (lo + hi) // 2
+                nodes.append((len(below), None))
+                below += [(k, lo, mid), (k, mid + 1, hi)]
+        depths.append(nodes)
+        spans = below
+    sums: list[float] = []
+    for nodes in reversed(depths):
+        sums = [total if c is None else sums[c] + sums[c + 1]
+                for c, total in nodes]
+    return sums
 
 
 def monotone_grid_sum(
     curve: Callable[[int], float], grid_size: int, hi_value: float | None = None
 ) -> float:
-    """Sum curve(1) + ... + curve(grid_size) for a non-decreasing curve.
+    """Sum curve(1) + ... + curve(grid_size) for a non-decreasing curve,
+    given curve(grid_size) as ``hi_value`` if known.
 
     Identical by construction to evaluating every grid point, but equal
     endpoint values pin every point between them, so the number of curve
     evaluations scales with the number of level changes, not the grid size.
+    The one-curve case of :func:`_grid_sums`.
     """
-    cache: dict[int, float] = {}
-
-    def at(g: int) -> float:
-        if g not in cache:
-            cache[g] = curve(g)
-        return cache[g]
-
-    if hi_value is not None:
-        cache[grid_size] = hi_value
-
-    def span(lo: int, hi: int) -> float:
-        halves = _halves(lo, hi, at(lo), at(hi))
-        if halves:
-            return span(*halves[0]) + span(*halves[1])
-        if at(lo) == at(hi):
-            return (hi - lo + 1) * at(lo)
-        return at(lo) + at(hi)
-
-    if grid_size == 1:
-        return at(1)
-    return span(1, grid_size)
+    return _grid_sums(lambda points: [curve(g) for _k, g in points],
+                      [hi_value], _grid_size(grid_size))[0]
 
 
 def monotonicity_audit(
@@ -498,14 +509,12 @@ def audit_drops(
     advertisers=None,
 ) -> Iterator[tuple[int, Drop | None]]:
     """``(i, monotonicity_audit(solver, inst, bids_template, i, grid))``
-    for each of ``advertisers`` in turn (default: all), read lazily.
+    for each of ``advertisers`` in turn (default: all).
 
-    A handle without ``curves`` answers every advertiser's sweep in one
-    :func:`_ctr_rows` call, on the first read.  The greedy, whose
-    ``curves`` draw random numbers, is read one advertiser and one bid at a
-    time, in order, through one reader built on the first read from a copy
-    of the template, and stops being read at an advertiser's first drop, so
-    it draws exactly as one ``monotonicity_audit`` per advertiser would.
+    On the first read, every advertiser's sweep is read in one call of the
+    handle's :func:`_reader`, in advertiser then bid order: one
+    :func:`_ctr_rows` call, or, over the greedy, one reader call that
+    draws as one ``solve`` per sweep bid would.
     """
     require_valid(inst)
     advertisers = range(inst.n) if advertisers is None else list(advertisers)
@@ -513,24 +522,14 @@ def audit_drops(
         if not 0 <= i < inst.n:
             raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
-    template = bid_vector(inst, bids_template)
-    if solver.curves is None:
-        rows = np.tile(template, (len(advertisers), len(grid), 1))
-        for s, i in enumerate(advertisers):
-            rows[s, :, i] = grid
-        ctrs = _ctr_rows(solver, inst, rows.reshape(-1, inst.n)).reshape(
-            rows.shape)
-        for s, i in enumerate(advertisers):
-            yield i, _first_drop(grid, ctrs[s, :, i].tolist())
-    else:
-        ctr_of = solver.curves(inst, template.copy())
-        for i in advertisers:
-            yield i, _first_drop(grid, map(ctr_of(i), grid))
+    read = _reader(solver, inst, [bid_vector(inst, bids_template)])
+    ctrs = read([(0, i, b) for i in advertisers for b in grid])
+    for s, i in enumerate(advertisers):
+        yield i, _first_drop(grid, ctrs[s * len(grid):(s + 1) * len(grid)])
 
 
-def _first_drop(grid: list[float], ctrs: Iterable[float]) -> Drop | None:
-    """The audit's drop rule over CTRs read along the sorted ``grid``; it
-    stops reading ``ctrs`` at the first drop."""
+def _first_drop(grid: list[float], ctrs: list[float]) -> Drop | None:
+    """The audit's drop rule over CTRs read along the sorted ``grid``."""
     top_bid, top_pi = None, -np.inf
     for b, pi_i in zip(grid, ctrs):
         if pi_i < top_pi - MONOTONE_TOL:

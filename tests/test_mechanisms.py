@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -322,6 +323,73 @@ def test_monotone_grid_sum_equals_naive_sum():
         assert monotone_grid_sum(curve, size) == pytest.approx(naive, rel=1e-12)
 
 
+def _recursive_grid_sum(curve, grid_size, hi_value=None):
+    """The closure recursion ``monotone_grid_sum`` was before it became a
+    walk by depth, kept here as its reference."""
+    cache = {} if hi_value is None else {grid_size: hi_value}
+
+    def at(g):
+        if g not in cache:
+            cache[g] = curve(g)
+        return cache[g]
+
+    def span(lo, hi):
+        if at(lo) != at(hi) and lo + 1 < hi:
+            mid = (lo + hi) // 2
+            return span(lo, mid) + span(mid + 1, hi)
+        if at(lo) == at(hi):
+            return (hi - lo + 1) * at(lo)
+        return at(lo) + at(hi)
+
+    return at(1) if grid_size == 1 else span(1, grid_size)
+
+
+def _step_curve(rng, size):
+    """A random non-decreasing step curve on 1..size with 0-6 steps at
+    non-dyadic levels, so a reordered addition shows in the last bit."""
+    jumps = np.sort(rng.integers(1, size + 1, int(rng.integers(0, 7))))
+    levels = np.cumsum(rng.uniform(0.0, 1.0, len(jumps) + 1) / 3.0)
+    return lambda g: float(levels[np.searchsorted(jumps, g, side="right")])
+
+
+def test_monotone_grid_sum_equals_the_recursion_bit_for_bit():
+    """The walk by depth sums as the recursion did, to the last bit, with
+    and without the top value given, one curve at a time and many in one
+    walk, in at most ceil(log2 grid) + 1 reads."""
+    rng = np.random.default_rng(197)
+    for size in (1, 2, 3, 7, 1000, 1024):
+        curves = [_step_curve(rng, size) for _ in range(40)]
+        want = [_recursive_grid_sum(curve, size) for curve in curves]
+        assert [monotone_grid_sum(curve, size) for curve in curves] == want
+        tops = [curve(size) if k % 2 else None
+                for k, curve in enumerate(curves)]
+        assert [monotone_grid_sum(curve, size, top) for curve, top
+                in zip(curves, tops)] == want
+        reads = []
+
+        def read(points):
+            reads.append(points)
+            return [curves[k](g) for k, g in points]
+
+        assert mechanisms._grid_sums(read, tops, size) == want
+        assert len(reads) <= int(np.ceil(np.log2(size))) + 1
+
+
+def test_monotone_grid_sum_checks_grid_size():
+    reads = []
+
+    def curve(g):
+        reads.append(g)
+        return float(g)
+
+    for bad in (0, -3, 2.5, 0.0, float("nan"), float("inf"), "8", None):
+        with pytest.raises(ValidationError):
+            monotone_grid_sum(curve, bad)
+    assert reads == []
+    for size in (4, 4.0, np.int64(4)):
+        assert monotone_grid_sum(curve, size) == 10.0
+
+
 # ------------------------------------------------------------------- myerson
 
 
@@ -528,23 +596,50 @@ def _curve_test_bids(inst, values, i):
 
 
 def test_greedy_curve_equals_probes():
+    """The greedy's ``curves`` reader, read one point per call or all points
+    in one call, gives the CTRs one ``solve`` per point reports and leaves
+    the generator where those solves leave theirs."""
     rng = np.random.default_rng(137)
     for case in range(200):
         inst, values = tie_heavy_cascade_case(rng)
-        curve_rng = np.random.default_rng(case)
-        handle = greedy_cascade_solver(curve_rng)
+        points = [(i, b) for i in range(inst.n)
+                  for b in _curve_test_bids(inst, values, i)]
         probe_rng = np.random.default_rng(case)
         probe = greedy_cascade_solver(probe_rng)
-        read = handle.curves(inst, values)
-        for i in range(inst.n):
-            ctr_at = read(i)
-            for b in _curve_test_bids(inst, values, i):
-                bids = values.copy()
-                bids[i] = b
-                _chi, pi = probe.solve(inst, bids)
-                assert ctr_at(b) == pi[i], (case, i, b)
-                assert (curve_rng.bit_generator.state
-                        == probe_rng.bit_generator.state), (case, i, b)
+        want, states = [], []
+        for i, b in points:
+            bids = values.copy()
+            bids[i] = b
+            want.append(probe.solve(inst, bids)[1][i])
+            states.append(probe_rng.bit_generator.state)
+        alone_rng = np.random.default_rng(case)
+        read = greedy_cascade_solver(alone_rng).curves(inst, values)
+        for point, ctr, state in zip(points, want, states):
+            assert read([point]) == [ctr], (case, point)
+            assert alone_rng.bit_generator.state == state, (case, point)
+        batch_rng = np.random.default_rng(case)
+        read = greedy_cascade_solver(batch_rng).curves(inst, values)
+        assert read(points) == want, case
+        assert batch_rng.bit_generator.state == states[-1], case
+
+
+def test_rng_draws_an_array_of_bounds_as_scalar_draws():
+    """The greedy reader draws for a batch of points with one
+    ``rng.integers(counts)`` call.  That leaves the generator where one
+    scalar draw per count does, and a count of 1 draws nothing."""
+    seeds = np.random.default_rng(181)
+    for case in range(300):
+        batched = np.random.default_rng(case)
+        scalar = np.random.default_rng(case)
+        for _ in range(int(seeds.integers(1, 4))):
+            counts = seeds.integers(1, 13, int(seeds.integers(1, 30))).tolist()
+            got = batched.integers(counts)
+            assert got.tolist() == [int(scalar.integers(c)) for c in counts]
+            assert batched.bit_generator.state == scalar.bit_generator.state
+    ones = np.random.default_rng(0)
+    state = ones.bit_generator.state
+    ones.integers([1, 1, 1])
+    assert ones.bit_generator.state == state
 
 
 def _auction_cases(rng):
@@ -649,7 +744,7 @@ def test_myerson_rows_equals_one_call_per_profile():
     rng = np.random.default_rng(173)
     factories = _seeded_handles()
     paid = errors = 0
-    for case in range(150):
+    for case in range(210):
         model, make = factories[case % len(factories)]
         inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
                 else rand_cascade_instance(rng, nmax=4, mmax=3))
@@ -687,28 +782,48 @@ def test_myerson_rows_equals_one_call_per_profile():
     assert paid > 100 and errors > 3
 
 
+def _read_counted(base, solves, reads):
+    """``base`` counting its ``solve`` calls, and tagging each call of its
+    ``ctr_rows`` or of a ``curves`` reader with the solves made so far."""
+
+    def solve(inst, bids):
+        solves.append(1)
+        return base.solve(inst, bids)
+
+    if base.curves is None:
+        def ctr_rows(inst, rows):
+            reads.append(len(solves))
+            return base.ctr_rows(inst, rows)
+
+        return SolverHandle(solve=solve, kind=base.kind, ctr_rows=ctr_rows)
+
+    def curves(inst, bids):
+        read = base.curves(inst, bids)
+
+        def counted(points):
+            reads.append(len(solves))
+            return read(points)
+
+        return counted
+
+    return SolverHandle(solve=solve, kind=base.kind, curves=curves)
+
+
 def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
-    """One ``myerson_rows`` call over an exact handle makes one ``solve``
-    per profile and at most ceil(log2 grid) + 1 ``ctr_rows`` calls,
-    whatever the number of profiles and payers, and prices as one
-    ``myerson`` call per profile."""
+    """One ``myerson_rows`` call makes one ``solve`` per profile.  Over an
+    exact handle it makes at most ceil(log2 grid) + 1 ``ctr_rows`` calls,
+    whatever the number of profiles and payers.  Over the greedy, each
+    profile is audited in one reader call and priced in at most that many.
+    Either way it prices as one ``myerson`` call per profile."""
     rng = np.random.default_rng(179)
     paid = 0
-    for base, model in ((exact_mnl_solver(), MNL),
-                        (brute_cascade_solver(), CASCADE)):
+    makers = ((exact_mnl_solver, MNL), (brute_cascade_solver, CASCADE),
+              (lambda: greedy_cascade_solver(np.random.default_rng(5)),
+               CASCADE))
+    for make, model in makers:
         for grid in (1, 2, 3, 64, 1000, 1024):
             solves, reads = [], []
-
-            def solve(inst, bids, _base=base):
-                solves.append(1)
-                return _base.solve(inst, bids)
-
-            def ctr_rows(inst, rows, _base=base):
-                reads.append(len(rows))
-                return _base.ctr_rows(inst, rows)
-
-            counted = SolverHandle(solve=solve, kind=base.kind,
-                                   ctr_rows=ctr_rows)
+            counted = _read_counted(make(), solves, reads)
             inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
                     else rand_cascade_instance(rng, nmax=4, mmax=3))
             dists = [Uniform(0.0, 2.0)] * inst.n
@@ -716,12 +831,17 @@ def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
             got = mechanisms.myerson_rows(inst, profiles, dists, counted,
                                           grid)
             assert len(solves) == len(profiles)
-            assert len(reads) <= int(np.ceil(np.log2(grid))) + 1
+            # Reads tagged s follow the s-th solve: its profile's pricing
+            # and, over the greedy, the next profile's audit.
+            depths = int(np.ceil(np.log2(grid))) + 1
+            audit = 0 if counted.is_exact else 1
+            assert max(Counter(reads).values(), default=0) <= depths + audit
+            one = make()
             for values, outcome in zip(profiles, got):
-                want = myerson(inst, values, dists, base, grid)
+                want = myerson(inst, values, dists, one, grid)
                 assert np.array_equal(outcome.payments, want.payments)
                 paid += np.count_nonzero(want.payments)
-    assert paid > 20
+    assert paid > 30
 
 
 def test_curves_only_on_the_greedy_handle():
@@ -756,8 +876,37 @@ def test_readers_ignore_template_edits_after_build():
     bids[1] = 1.0
     assert list(drops) == [(0, None)]
     assert len(readers) == 1
-    assert readers[0](0)(1.5) == 0.0  # advertiser 1 still bids 2.0
-    assert handle.curves(inst, np.array([0.0, 1.0]))(0)(1.5) == 0.5
+    assert readers[0]([(0, 1.5)]) == [0.0]  # advertiser 1 still bids 2.0
+    read = handle.curves(inst, np.array([0.0, 1.0]))
+    assert read([(0, 1.5), (1, 1.0), (0, 0.5)]) == [0.5, 0.5, 0.0]
+
+
+def test_reader_equals_one_solve_per_point():
+    """``_reader`` over every handle kind, on interleaved templates, gives
+    the CTR one ``solve`` per point reports, and over the greedy leaves the
+    generator where those solves leave it."""
+    rng = np.random.default_rng(191)
+    for case in range(60):
+        model, make = _seeded_handles()[case % 6]
+        inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
+                else rand_cascade_instance(rng, nmax=4, mmax=3))
+        templates = rng.uniform(0.0, 3.0, (3, inst.n))
+        points = [(int(rng.integers(3)), int(rng.integers(inst.n)),
+                   float(rng.choice([0.0, rng.uniform(0.0, 3.0)])))
+                  for _ in range(int(rng.integers(0, 12)))]
+        probe, probe_rng = make(case)
+        want = []
+        for t, i, b in points:
+            bids = templates[t].copy()
+            bids[i] = b
+            want.append(float(probe.solve(inst, bids)[1][i]))
+        handle, handle_rng = make(case)
+        read = mechanisms._reader(handle, inst, templates)
+        templates[:] = -1.0  # the reader keeps its own copy
+        assert read(points) == want, case
+        if handle_rng is not None:
+            assert (handle_rng.bit_generator.state
+                    == probe_rng.bit_generator.state), case
 
 
 def _counted_builds(monkeypatch, builds):
@@ -802,6 +951,8 @@ def test_one_reader_per_template_per_call(monkeypatch):
 
 
 def test_planted_bug_over_brute_is_probed():
+    """The planted bug over the brute handle is audited one ``solve`` per
+    sweep bid, and the audit raises before anything is priced."""
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=CASCADE)
     brute = brute_cascade_solver()
     calls = []
@@ -813,13 +964,31 @@ def test_planted_bug_over_brute_is_probed():
     broken = threshold_dropping_solver(
         SolverHandle(solve=counted, kind=brute.kind), threshold=0.5)
     values = np.array([0.9, 0.6])
-    myerson(inst, values, [Uniform(0.0, 1.0)] * 2, broken)
-    assert len(calls) > 1  # the outcome's solve, then one per point read
+    with pytest.raises(NonMonotoneSolverError):
+        myerson(inst, values, [Uniform(0.0, 1.0)] * 2, broken)
+    assert len(calls) == 2 * 9  # each advertiser's 9 audit bids, no outcome
     hit = monotonicity_audit(
         broken, inst, np.array([0.2, 0.1]), 0, [0.3, 0.4, 0.6])
     assert hit == (0.4, 0.6, 0.5, 0.0)
     assert monotonicity_audit(
         brute, inst, np.array([0.2, 0.1]), 0, [0.3, 0.4, 0.6]) is None
+
+
+def test_planted_bug_over_an_exact_base_is_not_exact():
+    """Over either exact base the planted-bug fixture is not exact:
+    ``vcg`` refuses it and ``myerson`` audits it and raises, where the
+    honest base charges the top bidder."""
+    values, dists = [9.0, 1.0], [Uniform(0.0, 10.0)] * 2
+    for base, model in ((exact_mnl_solver(), MNL),
+                        (brute_cascade_solver(), CASCADE)):
+        inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=model)
+        broken = threshold_dropping_solver(base, threshold=5.0)
+        assert base.is_exact and not broken.is_exact
+        with pytest.raises(NonMonotoneSolverError):
+            vcg(inst, values, broken)
+        with pytest.raises(NonMonotoneSolverError):
+            myerson(inst, values, dists, broken)
+        assert myerson(inst, values, dists, base).payments[0] > 0.0
 
 
 def test_audit_catches_planted_bug():
