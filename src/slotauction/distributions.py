@@ -54,6 +54,13 @@ class ValueDistribution:
             )
         return v - (1.0 - self.cdf(v)) / density
 
+    def virtual_values(self, v: np.ndarray) -> np.ndarray:
+        """``virtual_value`` at each point of ``v``, bit for bit.  Families
+        override this loop only where numpy repeats the scalar operations
+        (``np.exp`` is not ``math.exp`` to the last bit; numpy has no erf)."""
+        return np.array([self.virtual_value(x) for x in np.ravel(v).tolist()],
+                        dtype=float).reshape(np.shape(v))
+
 
 @dataclass(frozen=True)
 class Uniform(ValueDistribution):
@@ -80,6 +87,13 @@ class Uniform(ValueDistribution):
 
     def quantile(self, q: float) -> float:
         return self.a + q * (self.b - self.a)
+
+    def virtual_values(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if not np.all((self.a <= v) & (v <= self.b)):
+            raise DistributionError("zero density off [a, b]: no virtual value")
+        cdf = np.minimum(1.0, np.maximum(0.0, (v - self.a) / (self.b - self.a)))
+        return v - (1.0 - cdf) / (1.0 / (self.b - self.a))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ fixture).  The audit reads every advertiser's sweep of an instance in one
 call, and :func:`_grid_sums` every envelope point of a block of payers in
 one call per bisection depth; ``vcg_rows`` reads its leave-one-out rows
 through :func:`_ctr_rows`.  All paths give the same CTRs, and the greedy
-the same random draws; the outcome itself always comes from one real
-``solve``.
+the same random draws.  The outcomes of a block of profiles come from
+:func:`_solve_rows`: one ``solve_rows`` call over an exact handle, equal
+to one ``solve`` per profile, which is what every other handle makes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .core import (
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
-from .oracle import brute_ctr_rows, brute_force_wdp_cascade
+from .oracle import brute_ctr_rows, brute_force_wdp_cascade, brute_solve_rows
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -75,6 +76,8 @@ CurvesFn = Callable[[Instance, np.ndarray],
 # [(template, advertiser, own bid), ...] -> [CTR, ...]: see _reader.
 ReadFn = Callable[[list[tuple[int, int, float]]], list[float]]
 CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
+SolveRowsFn = Callable[[Instance, np.ndarray],
+                       list[tuple[AugmentedAllocation, CtrVector]]]
 # (bid_before, bid_after, ctr_before, ctr_after): see monotonicity_audit.
 Drop = tuple[float, float, float, float]
 
@@ -127,12 +130,17 @@ class SolverHandle:
     ``solve_mnl_wdp`` takes from its one row, with no allocation per row;
     the brute cascade handle to ``oracle.brute_ctr_rows``, which scores one
     matching table for every row.
+
+    ``solve_rows(inst, bid_rows)``, when set, returns what ``solve``
+    returns at each row (``[]`` for none), ``==`` in allocation, permutation
+    and CTRs, from one batched solve.  Only the exact handles set it.
     """
 
     solve: SolveFn
     kind: str
     curves: CurvesFn | None = None
     ctr_rows: CtrRowsFn | None = None
+    solve_rows: SolveRowsFn | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -158,12 +166,20 @@ def exact_mnl_solver() -> SolverHandle:
     def ctr_rows(inst: Instance, bid_rows: np.ndarray) -> np.ndarray:
         return match_ctrs(inst, solve_mnl_wdp_rows(inst, bid_rows))
 
-    return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows)
+    def solve_rows(inst: Instance, bid_rows: np.ndarray):
+        match = solve_mnl_wdp_rows(inst, bid_rows)  # ranked as solve ranks
+        return [(AugmentedAllocation.from_pairs(
+                    [(i, j) for i, j in enumerate(row) if j >= 0]), pi)
+                for row, pi in zip(match.tolist(), match_ctrs(inst, match))]
+
+    return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows,
+                        solve_rows=solve_rows)
 
 
 def brute_cascade_solver() -> SolverHandle:
-    """Exhaustive cascade search over the advertisers bidding above 0;
-    its ``ctr_rows`` is :func:`~slotauction.oracle.brute_ctr_rows`."""
+    """Exhaustive cascade search over the advertisers bidding above 0; its
+    ``ctr_rows`` and ``solve_rows`` are ``oracle.brute_ctr_rows`` and
+    ``oracle.brute_solve_rows``."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
@@ -173,7 +189,7 @@ def brute_cascade_solver() -> SolverHandle:
         return chi, cascade_ctr(inst, chi)
 
     return SolverHandle(solve=solve, kind=BRUTE_CASCADE,
-                        ctr_rows=brute_ctr_rows)
+                        ctr_rows=brute_ctr_rows, solve_rows=brute_solve_rows)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
@@ -242,38 +258,31 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
 
 def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
              ) -> list[MechanismOutcome]:
-    """:func:`vcg` at each profile of ``value_rows``: one ``solve`` per
-    profile for its outcome, and every profile's leave-one-out rows read
-    in one :func:`_ctr_rows` call."""
+    """:func:`vcg` at each profile of ``value_rows``: every profile's
+    outcome from one :func:`_solve_rows` call, and every profile's
+    leave-one-out rows read in one :func:`_ctr_rows` call."""
     require_valid(inst)
     if not solver.is_exact:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    solved = []
-    for values in value_rows:
-        values = _finite_values(inst, values)
-        if np.any(values < 0.0):
-            raise ValidationError("values must be non-negative")
-        solved.append((values, *solver.solve(inst, values)))
+    values = _stacked(inst, [_finite_values(inst, v) for v in value_rows])
+    if np.any(values < 0.0):
+        raise ValidationError("values must be non-negative")
+    solved = _solve_rows(solver, inst, values)
+    ctrs = _stacked(inst, [pi for _chi, pi in solved])
     # (profile, advertiser) of each leave-one-out row
-    left_out = [(s, i) for s, (values, _chi, pi) in enumerate(solved)
-                for i in range(inst.n)
-                if not (values[i] == 0.0 and pi[i] == 0.0)]
-    rows = np.zeros((len(left_out), inst.n))
-    for row, (s, i) in zip(rows, left_out):
-        row[:] = solved[s][0]
-        row[i] = 0.0
-    payments = [np.zeros(inst.n) for _ in solved]
-    for (s, i), pi_wo in zip(left_out, _ctr_rows(solver, inst, rows)):
-        values, _chi, pi = solved[s]
-        others = np.arange(inst.n) != i
-        payments[s][i] = _clip_dust(
-            float(values[others] @ pi_wo[others] - values[others] @ pi[others])
-        )
+    s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
+    rows = values[s_of]
+    rows[np.arange(s_of.size), i_of] = 0.0
+    payments = np.zeros(values.shape)
+    for s, i, pi_wo in zip(s_of, i_of, _ctr_rows(solver, inst, rows)):
+        v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
+        payments[s, i] = _clip_dust(
+            float(v[others] @ pi_wo[others] - v[others] @ pi[others]))
     return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
-                             utilities=values * pi - paid)
-            for (values, chi, pi), paid in zip(solved, payments)]
+                             utilities=v * pi - paid)
+            for v, (chi, pi), paid in zip(values, solved, payments)]
 
 
 def _ctr_rows(solver: SolverHandle, inst: Instance,
@@ -283,8 +292,21 @@ def _ctr_rows(solver: SolverHandle, inst: Instance,
     row."""
     if solver.ctr_rows is not None:
         return solver.ctr_rows(inst, bid_rows)
-    return np.array([solver.solve(inst, bids)[1] for bids in bid_rows],
-                    dtype=float).reshape(-1, inst.n)
+    return _stacked(inst, [solver.solve(inst, bids)[1] for bids in bid_rows])
+
+
+def _solve_rows(solver: SolverHandle, inst: Instance, bid_rows: np.ndarray
+                ) -> list[tuple[AugmentedAllocation, CtrVector]]:
+    """What ``solve`` returns at each row of ``bid_rows``: the handle's
+    ``solve_rows`` in one call if it has it, else one ``solve`` per row."""
+    if solver.solve_rows is not None:
+        return solver.solve_rows(inst, bid_rows)
+    return [solver.solve(inst, bids) for bids in bid_rows]
+
+
+def _stacked(inst: Instance, rows: list[np.ndarray]) -> np.ndarray:
+    """Rows of n floats as one R x n array (0 x n for none)."""
+    return np.array(rows, dtype=float).reshape(-1, inst.n)
 
 
 def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
@@ -315,15 +337,19 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
     return read
 
 
-def _virtual_or_excluded(dist: ValueDistribution, v: float) -> float:
-    """Virtual value extended off-support: reports below the support can
-    never win (treated as -inf) and reports above it have no hazard mass
-    left, so phi continues as the identity."""
-    if v < dist.lo:
-        return float("-inf")
-    if v > dist.hi:
-        return float(v)
-    return dist.virtual_value(v)
+def _bids_at(kinds: list[ValueDistribution], which: np.ndarray,
+            v: np.ndarray) -> np.ndarray:
+    """The bid of each report ``v[k]`` valued by ``kinds[which[k]]``: its
+    virtual value, at least 0, from one ``virtual_values`` call per
+    distribution.  Reports below the support can never win (-inf), and
+    above it no hazard mass is left, so phi continues as the identity."""
+    phi = np.array(v, dtype=float)
+    for d, dist in enumerate(kinds):
+        mine = which == d  # broadcasts along v's rows
+        inside = mine & (dist.lo <= phi) & (phi <= dist.hi)
+        phi[mine & (phi < dist.lo)] = -np.inf
+        phi[inside] = dist.virtual_values(phi[inside])
+    return np.maximum(phi, 0.0)
 
 
 def myerson(
@@ -356,9 +382,9 @@ def myerson_rows(
 
     A handle that is not exact is audited, solved and read one profile at a
     time, as one :func:`myerson` call each, since each profile is audited
-    before its outcome is drawn.  An exact handle is solved once per
-    profile, and the envelope points of every payer of every profile are
-    read by :func:`_grid_sums`, one reader call per bisection depth.
+    before its outcome is drawn.  An exact handle solves every profile in
+    one ``solve_rows`` call, and the envelope points of every payer of every
+    profile are read by :func:`_grid_sums`, one reader call per depth.
     """
     require_valid(inst)
     value_rows = [_finite_values(inst, values) for values in value_rows]
@@ -384,44 +410,37 @@ def myerson_rows(
 def _priced(inst: Instance, value_rows: list[np.ndarray],
             dists: list[ValueDistribution], solver: SolverHandle,
             grid_size: int) -> list[MechanismOutcome]:
-    """The body of :func:`myerson_rows`, on checked inputs: each profile
-    solved at its virtual values, then every payment from one
-    :func:`_grid_sums` walk over every payer's envelope."""
-    solved = []
-    for values in value_rows:
-        bids = np.maximum(
-            [_virtual_or_excluded(dists[t], float(values[t]))
-             for t in range(inst.n)],
-            0.0,
-        )
-        solved.append((values, bids, *solver.solve(inst, bids)))
+    """The body of :func:`myerson_rows`, on checked inputs: every profile
+    solved at its virtual values in one :func:`_solve_rows` call, then
+    every payment from one :func:`_grid_sums` walk over every payer's
+    envelope."""
+    kinds = list(dict.fromkeys(dists))  # equal distributions go together
+    which = np.array([kinds.index(d) for d in dists])
+    values = _stacked(inst, value_rows)
+    bid_rows = _bids_at(kinds, which, values)
+    solved = _solve_rows(solver, inst, bid_rows)
 
     # A monotone curve below a zero endpoint integrates to 0: no payment.
-    # (profile, advertiser, grid step) of each payer
-    payers = [(s, i, values[i] / grid_size)
-              for s, (values, _bids, _chi, pi) in enumerate(solved)
-              for i in range(inst.n) if pi[i] > 0.0 and values[i] > 0.0]
-    read = _reader(solver, inst, [bids for _values, bids, *_ in solved])
+    # (profile, advertiser) of each payer, and its grid step
+    ctrs = _stacked(inst, [pi for _chi, pi in solved])
+    s_of, i_of = np.nonzero((ctrs > 0.0) & (values > 0.0))
+    steps = values[s_of, i_of] / grid_size
+    read = _reader(solver, inst, bid_rows)
 
     def envelope(points):  # (payer, grid point) -> the payer's CTR there
-        return read([(s, i, _envelope_bid(dists[i], g, step))
-                     for k, g in points for s, i, step in [payers[k]]])
+        k, g = np.array(points, dtype=np.intp).reshape(-1, 2).T
+        bids = _bids_at(kinds, which[i_of[k]], g * steps[k])
+        return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
+                             bids.tolist())))
 
-    tops = [float(solved[s][3][i]) for s, i, _step in payers]
+    tops = ctrs[s_of, i_of].tolist()
     areas = _grid_sums(envelope, tops, grid_size)
-    payments = [np.zeros(inst.n) for _ in solved]
-    for (s, i, step), area in zip(payers, areas):
-        values, _bids, _chi, pi = solved[s]
-        payments[s][i] = _clip_dust(values[i] * pi[i] - step * area)
+    payments = np.zeros(values.shape)
+    for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas):
+        payments[s, i] = _clip_dust(values[s, i] * ctrs[s, i] - step * area)
     return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
-                             utilities=values * pi - paid)
-            for (values, _bids, chi, pi), paid in zip(solved, payments)]
-
-
-def _envelope_bid(dist: ValueDistribution, g: int, step: float) -> float:
-    """A payer's own bid at grid point ``g`` of its envelope: the virtual
-    value of its report ``g * step``, 0 if that is below 0."""
-    return max(_virtual_or_excluded(dist, g * step), 0.0)
+                             utilities=v * pi - paid)
+            for v, (chi, pi), paid in zip(values, solved, payments)]
 
 
 def _grid_size(grid_size) -> int:

@@ -13,7 +13,7 @@ running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
 ``brute_ctr_rows`` scores one table on arrays for many bid rows at once,
 with the cascade oracle's own arithmetic: the brute handle's batched read,
 through which the mechanisms take every leave-one-out row and every
-envelope point of the brute handle.
+envelope point of the brute handle; ``brute_solve_rows`` renders its picks.
 """
 
 from __future__ import annotations
@@ -244,6 +244,23 @@ def brute_ctr_rows(inst: Instance, rows) -> np.ndarray:
     are scored ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the
     picked rows only.
     """
+    return _brute_picks(inst, rows)[-1]
+
+
+def brute_solve_rows(inst: Instance, rows
+                     ) -> list[tuple[AugmentedAllocation, np.ndarray]]:
+    """Per row of ``rows``, ``==`` what the brute handle's ``solve`` returns:
+    ``brute_ctr_rows``' pick, which its docstring shows is the row's own
+    oracle pick, rendered by ``optimal_permutation``, and its CTRs."""
+    rows, table, picks, ctrs = _brute_picks(inst, rows)
+    allocs = [Allocation(dict(table.pairs[pick])) for pick in picks.tolist()]
+    return [(AugmentedAllocation(a, optimal_permutation(a, row)), pi)
+            for a, row, pi in zip(allocs, rows, ctrs)]
+
+
+def _brute_picks(inst: Instance, rows):
+    """(checked rows, union table, each row's pick in it, each row's CTRs)
+    for ``brute_ctr_rows`` and ``brute_solve_rows``."""
     require_valid(inst, CASCADE)
     rows = bid_rows(inst, rows)
     positive = np.flatnonzero((rows > 0.0).any(axis=0)).tolist()
@@ -280,7 +297,7 @@ def brute_ctr_rows(inst: Instance, rows) -> np.ndarray:
         survive = survive * (1.0 - p[:, t])
     ctrs = np.empty(p.shape)
     np.put_along_axis(ctrs, order, ranked_ctrs, axis=1)
-    return ctrs
+    return rows, table, picks, ctrs
 
 
 def _every_rendering(inst, values, table):

@@ -26,6 +26,26 @@ FAMILIES = [
 ]
 
 
+def test_virtual_values_equal_virtual_value_bit_for_bit():
+    """``virtual_values`` equals ``virtual_value`` at every point, on
+    seeded points that include the support's ends, for every family and a
+    custom distribution, and keeps the shape it is given; off the support
+    it raises as ``virtual_value`` does."""
+    rng = np.random.default_rng(227)
+    for dist in [*FAMILIES, Uniform(0.3, 2.0), Exponential(1.5),
+                 TruncatedNormal(0.5, 0.3, 0.0, 1.0), bimodal_fixture()]:
+        top = dist.hi if math.isfinite(dist.hi) else dist.quantile(0.9999)
+        ends = [dist.lo, dist.hi] if math.isfinite(dist.hi) else [dist.lo]
+        points = np.concatenate([ends, rng.uniform(dist.lo, top, 500),
+                                 [dist.quantile(q) for q in rng.random(50)]])
+        want = [dist.virtual_value(v) for v in points.tolist()]
+        assert np.array_equal(dist.virtual_values(points), want), dist
+        assert dist.virtual_values(points[:550].reshape(2, -1)).shape \
+            == (2, 275)
+        with pytest.raises(DistributionError):
+            dist.virtual_values(np.array([dist.lo - 1.0, dist.lo]))
+
+
 def test_uniform_closed_forms():
     u = Uniform(0.0, 1.0)
     assert u.cdf(0.3) == pytest.approx(0.3)

@@ -30,6 +30,7 @@ from conftest import (
     tie_heavy_cascade_case,
 )
 from test_distributions import bimodal_fixture
+from test_mnl_wdp import _tie_heavy_stack
 
 
 def textbook_slot(n=2):
@@ -279,6 +280,53 @@ def test_brute_ctr_rows_equal_solves():
     inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
     with pytest.raises(ValidationError):
         handle.ctr_rows(inst, [[1.0, 3.0, 2.0], [1.0, np.nan, 2.0]])
+
+
+def test_solve_rows_equal_solves():
+    """Each exact handle's ``solve_rows`` returns, row by row, what its
+    ``solve`` returns: allocation, permutation and CTRs ``==``.  On
+    tie-heavy pools whose rows hold zero and negative bids and differ in
+    their positive bidders, and on no rows, which give ``[]``."""
+    rng = np.random.default_rng(197)
+    checked, mixed = Counter(), 0
+    while min(checked[MNL], checked[CASCADE]) < 300:
+        if rng.random() < 0.5:
+            handle, (inst, rows) = exact_mnl_solver(), _tie_heavy_stack(rng)
+        else:
+            handle = brute_cascade_solver()
+            inst, values = tie_heavy_cascade_case(rng)
+            if inst.n * inst.m > 20:
+                continue
+            rows = np.tile(values, (int(rng.integers(1, 7)), 1))
+            rows = np.where(rng.random(rows.shape) < 0.3,
+                            rng.choice([-1.0, 0.0, 0.5, 2.0], rows.shape), rows)
+        got = handle.solve_rows(inst, rows)
+        assert len(got) == len(rows)
+        for bids, (chi, pi) in zip(rows, got):
+            want_chi, want_pi = handle.solve(inst, bids)
+            assert chi.allocation == want_chi.allocation, (inst, bids)
+            assert chi.permutation == want_chi.permutation, (inst, bids)
+            assert np.array_equal(pi, want_pi), (inst, bids)
+        assert handle.solve_rows(inst, np.empty((0, inst.n))) == []
+        checked[inst.model] += 1
+        mixed += len({tuple(row > 0.0) for row in rows}) > 1
+    assert mixed > 200
+
+
+def test_envelope_bids_follow_the_off_support_rule():
+    """``_bids_at`` is ``max(phi(v), 0)`` on the support, 0 below it (where
+    phi is -inf) and v above it, per each report's distribution; a vector
+    of distribution indices broadcasts along rows of reports."""
+    kinds = [Uniform(0.5, 2.0), Exponential(1.0), Uniform(-3.0, -2.0)]
+    which = np.array([0, 0, 0, 0, 1, 1, 2])
+    v = np.array([0.25, 0.5, 1.5, 3.0, 0.3, 2.5, -1.0])
+    uniform, exponential = kinds[0].virtual_value, kinds[1].virtual_value
+    want = [0.0, 0.0, uniform(1.5), 3.0, 0.0, exponential(2.5), 0.0]
+    assert mechanisms._bids_at(kinds, which, v).tolist() == want
+    rows = np.array([[0.25, 2.0, 0.3, 2.5], [1.5, 7.0, 0.0, 9.0]])
+    got = mechanisms._bids_at(kinds[:2], np.array([0, 0, 1, 1]), rows)
+    assert got.tolist() == [[0.0, uniform(2.0), 0.0, exponential(2.5)],
+                            [uniform(1.5), 7.0, 0.0, exponential(9.0)]]
 
 
 def test_vcg_truthful_on_random_instances():
@@ -782,9 +830,11 @@ def test_myerson_rows_equals_one_call_per_profile():
     assert paid > 100 and errors > 3
 
 
-def _read_counted(base, solves, reads):
-    """``base`` counting its ``solve`` calls, and tagging each call of its
-    ``ctr_rows`` or of a ``curves`` reader with the solves made so far."""
+def _read_counted(base, solves, reads, batches):
+    """``base`` counting the rows it solves, through ``solve`` or
+    ``solve_rows``, with each ``solve_rows`` call's row count in
+    ``batches``, and tagging each call of its ``ctr_rows`` or of a
+    ``curves`` reader with the rows solved so far."""
 
     def solve(inst, bids):
         solves.append(1)
@@ -795,7 +845,13 @@ def _read_counted(base, solves, reads):
             reads.append(len(solves))
             return base.ctr_rows(inst, rows)
 
-        return SolverHandle(solve=solve, kind=base.kind, ctr_rows=ctr_rows)
+        def solve_rows(inst, rows):
+            solves.extend([1] * len(rows))
+            batches.append(len(rows))
+            return base.solve_rows(inst, rows)
+
+        return SolverHandle(solve=solve, kind=base.kind, ctr_rows=ctr_rows,
+                            solve_rows=solve_rows)
 
     def curves(inst, bids):
         read = base.curves(inst, bids)
@@ -810,10 +866,11 @@ def _read_counted(base, solves, reads):
 
 
 def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
-    """One ``myerson_rows`` call makes one ``solve`` per profile.  Over an
-    exact handle it makes at most ceil(log2 grid) + 1 ``ctr_rows`` calls,
-    whatever the number of profiles and payers.  Over the greedy, each
-    profile is audited in one reader call and priced in at most that many.
+    """One ``myerson_rows`` call solves one row per profile.  Over an
+    exact handle it solves them all in one ``solve_rows`` call and makes at
+    most ceil(log2 grid) + 1 ``ctr_rows`` calls, whatever the number of
+    profiles and payers.  Over the greedy, each profile is solved by one
+    ``solve``, audited in one reader call and priced in at most that many.
     Either way it prices as one ``myerson`` call per profile."""
     rng = np.random.default_rng(179)
     paid = 0
@@ -822,8 +879,8 @@ def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
                CASCADE))
     for make, model in makers:
         for grid in (1, 2, 3, 64, 1000, 1024):
-            solves, reads = [], []
-            counted = _read_counted(make(), solves, reads)
+            solves, reads, batches = [], [], []
+            counted = _read_counted(make(), solves, reads, batches)
             inst = (rand_mnl_instance(rng, nmax=4, mmax=3) if model == MNL
                     else rand_cascade_instance(rng, nmax=4, mmax=3))
             dists = [Uniform(0.0, 2.0)] * inst.n
@@ -831,6 +888,7 @@ def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
             got = mechanisms.myerson_rows(inst, profiles, dists, counted,
                                           grid)
             assert len(solves) == len(profiles)
+            assert batches == ([len(profiles)] if counted.is_exact else [])
             # Reads tagged s follow the s-th solve: its profile's pricing
             # and, over the greedy, the next profile's audit.
             depths = int(np.ceil(np.log2(grid))) + 1

@@ -60,34 +60,42 @@ def test_rebuilt_handles_still_solve(spans):
 
 
 def test_rebuilt_handles_price_as_their_curves(spans):
-    """Traced runs drop ``curves`` and ``ctr_rows`` and price by one solve
-    per read; the outcome must be the one untraced runs get from them, so
-    both pass the same gate.  Each handle with either field prices an
-    instance of its model."""
+    """Traced runs drop ``curves``, ``ctr_rows`` and ``solve_rows`` and
+    price by one solve per row; the outcomes must be the ones untraced runs
+    get from them, so both pass the same gate.  Each handle with any of
+    those fields prices an instance of its model: ``myerson``, and
+    ``myerson_rows`` and (exact handles) ``vcg_rows`` over a block of
+    profiles, zero values included."""
     rng = np.random.default_rng(11)
     values = rng.uniform(0.0, 1.0, 4)
+    block = np.where(rng.random((5, 4)) < 0.2, 0.0, rng.random((5, 4)))
     dists = [distributions.Uniform(0.0, 1.0)] * 4
     with_curve = 0
     for name in spans.HANDLE_FACTORIES:
         args, model = FACTORY_ARGS[name]
         handle = getattr(mechanisms, name)(*args)
-        if handle.curves is None and handle.ctr_rows is None:
+        if (handle.curves is None and handle.ctr_rows is None
+                and handle.solve_rows is None):
             continue
         with_curve += 1
         inst = Instance(4, 3, 2, rng.uniform(0.01, 0.99, (4, 3)), model)
-        # Each outcome gets a fresh handle, so the greedy's generator
-        # starts from the same seed for both.
-        handle = getattr(mechanisms, name)(*_fresh(args))
-        probed = getattr(mechanisms, name)(*_fresh(args))
-        rebuilt = mechanisms.SolverHandle(solve=probed.solve, kind=probed.kind)
-        fast = mechanisms.myerson(inst, values, dists, handle)
-        slow = mechanisms.myerson(inst, values, dists, rebuilt)
-        assert (fast.augmented.allocation.assignment
-                == slow.augmented.allocation.assignment), name
-        assert (fast.augmented.permutation.rank
-                == slow.augmented.permutation.rank), name
-        assert np.array_equal(fast.payments, slow.payments), name
-        assert np.array_equal(fast.ctrs, slow.ctrs), name
+        runs = [lambda h: [mechanisms.myerson(inst, values, dists, h)],
+                lambda h: mechanisms.myerson_rows(inst, block, dists, h)]
+        if handle.is_exact:
+            runs.append(lambda h: mechanisms.vcg_rows(inst, block, h))
+        for run in runs:
+            # Each run gets fresh handles, so the greedy's generator
+            # starts from the same seed for both.
+            probed = getattr(mechanisms, name)(*_fresh(args))
+            rebuilt = mechanisms.SolverHandle(solve=probed.solve,
+                                              kind=probed.kind)
+            fast = run(getattr(mechanisms, name)(*_fresh(args)))
+            slow = run(rebuilt)
+            assert len(fast) == len(slow)
+            for got, want in zip(fast, slow):
+                assert got.augmented == want.augmented, name
+                assert np.array_equal(got.payments, want.payments), name
+                assert np.array_equal(got.ctrs, want.ctrs), name
     assert with_curve == 3
 
 
