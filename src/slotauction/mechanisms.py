@@ -21,15 +21,14 @@ Both the audit and the envelope sum need one advertiser's CTR at many own
 bids, and :func:`_reader` is the one code that reads a handle for them.
 It takes points (template, advertiser, own bid), a list per call, to the
 handle's ``curves`` (the greedy: exact own-bid curves whose reads make the
-random draws one ``solve`` per point would), else to its ``ctr_rows``
-(exact MNL, brute cascade), else to one ``solve`` per row (the planted-bug
-fixture).  The audit reads every advertiser's sweep of an instance in one
-call, and :func:`_grid_sums` every envelope point of a block of payers in
-one call per bisection depth; ``vcg_rows`` reads its leave-one-out rows
-through :func:`_ctr_rows`.  All paths give the same CTRs, and the greedy
-the same random draws.  The outcomes of a block of profiles come from
-:func:`_solve_rows`: one ``solve_rows`` call over an exact handle, equal
-to one ``solve`` per profile, which is what every other handle makes.
+random draws one ``solve`` per point would), else to :func:`_solve_rows`:
+the exact handles' ``solve_rows``, else one ``solve`` per row (the
+planted-bug fixture).  It gives a block's CTRs in one call and each row's
+outcome only when asked, so no read builds an allocation.  The audit reads
+every advertiser's sweep of an instance in one call, :func:`_grid_sums`
+every envelope point of a block of payers in one call per bisection depth,
+and ``vcg_rows`` every leave-one-out row in one.  All paths give the same
+CTRs and outcomes, and the greedy the same random draws.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .core import (
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
 from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
-from .oracle import brute_ctr_rows, brute_force_wdp_cascade, brute_solve_rows
+from .oracle import brute_force_wdp_cascade, brute_solve_rows
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -75,9 +74,9 @@ CurvesFn = Callable[[Instance, np.ndarray],
                     Callable[[list[tuple[int, float]]], list[float]]]
 # [(template, advertiser, own bid), ...] -> [CTR, ...]: see _reader.
 ReadFn = Callable[[list[tuple[int, int, float]]], list[float]]
-CtrRowsFn = Callable[[Instance, np.ndarray], np.ndarray]
+# (inst, bid_rows) -> (R x n CTRs, row -> outcome): SolverHandle
 SolveRowsFn = Callable[[Instance, np.ndarray],
-                       list[tuple[AugmentedAllocation, CtrVector]]]
+                       tuple[np.ndarray, Callable[[int], AugmentedAllocation]]]
 # (bid_before, bid_after, ctr_before, ctr_after): see monotonicity_audit.
 Drop = tuple[float, float, float, float]
 
@@ -122,24 +121,21 @@ class SolverHandle:
     template, and nothing is kept between audit or pricing calls.  Only the
     greedy cascade handle sets it.
 
-    ``ctr_rows(inst, bid_rows)``, when set, returns an R x n array, one row
-    per row of ``bid_rows`` (0 x n for none): the CTRs ``solve`` reports at
-    those bids, bit-equal.  Every read of a handle without ``curves`` goes
-    through it when it is set.  The exact MNL handle sets it to
-    ``core.match_ctrs`` of ``solve_mnl_wdp_rows``, the CTRs
-    ``solve_mnl_wdp`` takes from its one row, with no allocation per row;
-    the brute cascade handle to ``oracle.brute_ctr_rows``, which scores one
-    matching table for every row.
-
-    ``solve_rows(inst, bid_rows)``, when set, returns what ``solve``
-    returns at each row (``[]`` for none), ``==`` in allocation, permutation
-    and CTRs, from one batched solve.  Only the exact handles set it.
+    ``solve_rows(inst, bid_rows)``, when set, returns ``(ctrs, outcome)``
+    from one batched solve: ``ctrs`` is an R x n array, one row per row of
+    ``bid_rows`` (0 x n for none), bit-equal to the CTRs ``solve`` reports
+    at those bids, and ``outcome(r)`` is ``==`` the ``AugmentedAllocation``
+    ``solve`` returns at row r, built only when called.  Every read of a
+    handle without ``curves`` goes through it when it is set.  Only the
+    exact handles set it: the exact MNL handle to one
+    ``solve_mnl_wdp_rows`` call and ``core.match_ctrs`` of its matchings,
+    the brute cascade handle to ``oracle.brute_solve_rows``, which scores
+    one matching table for every row.
     """
 
     solve: SolveFn
     kind: str
     curves: CurvesFn | None = None
-    ctr_rows: CtrRowsFn | None = None
     solve_rows: SolveRowsFn | None = None
 
     @property
@@ -163,23 +159,18 @@ def exact_mnl_solver() -> SolverHandle:
         )
         return AugmentedAllocation(result.allocation, sigma), result.ctrs
 
-    def ctr_rows(inst: Instance, bid_rows: np.ndarray) -> np.ndarray:
-        return match_ctrs(inst, solve_mnl_wdp_rows(inst, bid_rows))
-
     def solve_rows(inst: Instance, bid_rows: np.ndarray):
-        match = solve_mnl_wdp_rows(inst, bid_rows)  # ranked as solve ranks
-        return [(AugmentedAllocation.from_pairs(
-                    [(i, j) for i, j in enumerate(row) if j >= 0]), pi)
-                for row, pi in zip(match.tolist(), match_ctrs(inst, match))]
+        match = solve_mnl_wdp_rows(inst, bid_rows)
+        return match_ctrs(inst, match), lambda r: (  # ranked as solve ranks
+            AugmentedAllocation.from_pairs(
+                [(i, j) for i, j in enumerate(match[r].tolist()) if j >= 0]))
 
-    return SolverHandle(solve=solve, kind=EXACT_MNL, ctr_rows=ctr_rows,
-                        solve_rows=solve_rows)
+    return SolverHandle(solve=solve, kind=EXACT_MNL, solve_rows=solve_rows)
 
 
 def brute_cascade_solver() -> SolverHandle:
     """Exhaustive cascade search over the advertisers bidding above 0; its
-    ``ctr_rows`` and ``solve_rows`` are ``oracle.brute_ctr_rows`` and
-    ``oracle.brute_solve_rows``."""
+    ``solve_rows`` is ``oracle.brute_solve_rows``."""
 
     def solve(inst: Instance, bids: np.ndarray):
         require_valid(inst, CASCADE)
@@ -189,7 +180,7 @@ def brute_cascade_solver() -> SolverHandle:
         return chi, cascade_ctr(inst, chi)
 
     return SolverHandle(solve=solve, kind=BRUTE_CASCADE,
-                        ctr_rows=brute_ctr_rows, solve_rows=brute_solve_rows)
+                        solve_rows=brute_solve_rows)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:
@@ -251,7 +242,7 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
     which is non-negative and never exceeds v_i * pi_i.  An advertiser
     valued 0 and not allocated pays 0 and is not re-solved.  The
     one-profile case of :func:`vcg_rows`, so whether or not the handle has
-    ``ctr_rows``, the leave-one-out CTRs are those ``solve`` reports.
+    ``solve_rows``, the leave-one-out CTRs are those ``solve`` reports.
     """
     return vcg_rows(inst, [values], solver)[0]
 
@@ -259,8 +250,8 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
 def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
              ) -> list[MechanismOutcome]:
     """:func:`vcg` at each profile of ``value_rows``: every profile's
-    outcome from one :func:`_solve_rows` call, and every profile's
-    leave-one-out rows read in one :func:`_ctr_rows` call."""
+    CTRs from one :func:`_solve_rows` call, every profile's leave-one-out
+    rows read in one more, and each profile's outcome built once."""
     require_valid(inst)
     if not solver.is_exact:
         raise NonMonotoneSolverError(
@@ -269,39 +260,30 @@ def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
     values = _stacked(inst, [_finite_values(inst, v) for v in value_rows])
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
-    solved = _solve_rows(solver, inst, values)
-    ctrs = _stacked(inst, [pi for _chi, pi in solved])
+    ctrs, outcome = _solve_rows(solver, inst, values)
     # (profile, advertiser) of each leave-one-out row
     s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
     rows = values[s_of]
     rows[np.arange(s_of.size), i_of] = 0.0
     payments = np.zeros(values.shape)
-    for s, i, pi_wo in zip(s_of, i_of, _ctr_rows(solver, inst, rows)):
+    for s, i, pi_wo in zip(s_of, i_of, _solve_rows(solver, inst, rows)[0]):
         v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
         payments[s, i] = _clip_dust(
             float(v[others] @ pi_wo[others] - v[others] @ pi[others]))
-    return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
+    return [MechanismOutcome(augmented=outcome(s), payments=paid, ctrs=pi,
                              utilities=v * pi - paid)
-            for v, (chi, pi), paid in zip(values, solved, payments)]
-
-
-def _ctr_rows(solver: SolverHandle, inst: Instance,
-              bid_rows: np.ndarray) -> np.ndarray:
-    """The CTRs ``solve`` reports at each row of ``bid_rows`` (R x n): the
-    handle's ``ctr_rows`` in one call if it has it, else one ``solve`` per
-    row."""
-    if solver.ctr_rows is not None:
-        return solver.ctr_rows(inst, bid_rows)
-    return _stacked(inst, [solver.solve(inst, bids)[1] for bids in bid_rows])
+            for s, (v, pi, paid) in enumerate(zip(values, ctrs, payments))]
 
 
 def _solve_rows(solver: SolverHandle, inst: Instance, bid_rows: np.ndarray
-                ) -> list[tuple[AugmentedAllocation, CtrVector]]:
-    """What ``solve`` returns at each row of ``bid_rows``: the handle's
-    ``solve_rows`` in one call if it has it, else one ``solve`` per row."""
+                ) -> tuple[np.ndarray, Callable[[int], AugmentedAllocation]]:
+    """What ``solve`` returns at each row of ``bid_rows``, as ``solve_rows``
+    returns it: the handle's ``solve_rows`` in one call if it has it, else
+    one ``solve`` per row, stacked."""
     if solver.solve_rows is not None:
         return solver.solve_rows(inst, bid_rows)
-    return [solver.solve(inst, bids) for bids in bid_rows]
+    solved = [solver.solve(inst, bids) for bids in bid_rows]
+    return _stacked(inst, [pi for _chi, pi in solved]), lambda r: solved[r][0]
 
 
 def _stacked(inst: Instance, rows: list[np.ndarray]) -> np.ndarray:
@@ -317,7 +299,7 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
     A handle with ``curves`` is read through one reader per template, built
     from a private copy on its first read; each run of points on one
     template is one reader call.  Any other handle answers each ``read`` in
-    one :func:`_ctr_rows` call."""
+    one :func:`_solve_rows` call, whose outcomes it never builds."""
     templates = np.array(templates, dtype=float).reshape(-1, inst.n)
     if solver.curves is not None:
         curve = cache(lambda t: solver.curves(inst, templates[t]))
@@ -332,7 +314,7 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
         at, ii = np.arange(len(points)), [i for _t, i, _b in points]
         rows = templates[[t for t, _i, _b in points]]
         rows[at, ii] = [b for _t, _i, b in points]
-        return _ctr_rows(solver, inst, rows)[at, ii].tolist()
+        return _solve_rows(solver, inst, rows)[0][at, ii].tolist()
 
     return read
 
@@ -418,11 +400,10 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
     which = np.array([kinds.index(d) for d in dists])
     values = _stacked(inst, value_rows)
     bid_rows = _bids_at(kinds, which, values)
-    solved = _solve_rows(solver, inst, bid_rows)
+    ctrs, outcome = _solve_rows(solver, inst, bid_rows)
 
     # A monotone curve below a zero endpoint integrates to 0: no payment.
     # (profile, advertiser) of each payer, and its grid step
-    ctrs = _stacked(inst, [pi for _chi, pi in solved])
     s_of, i_of = np.nonzero((ctrs > 0.0) & (values > 0.0))
     steps = values[s_of, i_of] / grid_size
     read = _reader(solver, inst, bid_rows)
@@ -438,14 +419,15 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
     payments = np.zeros(values.shape)
     for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas):
         payments[s, i] = _clip_dust(values[s, i] * ctrs[s, i] - step * area)
-    return [MechanismOutcome(augmented=chi, payments=paid, ctrs=pi,
+    return [MechanismOutcome(augmented=outcome(s), payments=paid, ctrs=pi,
                              utilities=v * pi - paid)
-            for v, (chi, pi), paid in zip(values, solved, payments)]
+            for s, (v, pi, paid) in enumerate(zip(values, ctrs, payments))]
 
 
 def _grid_size(grid_size) -> int:
-    """``grid_size`` as an int, if it is a positive integral real."""
-    if not (isinstance(grid_size, numbers.Real) and grid_size >= 1
+    """``grid_size`` as an int, if it is a positive integral real, no bool."""
+    if isinstance(grid_size, bool) or not (
+            isinstance(grid_size, numbers.Real) and grid_size >= 1
             and float(grid_size).is_integer()):
         raise ValidationError(
             f"grid_size must be a positive integer, got {grid_size!r}")
@@ -532,14 +514,16 @@ def audit_drops(
 
     On the first read, every advertiser's sweep is read in one call of the
     handle's :func:`_reader`, in advertiser then bid order: one
-    :func:`_ctr_rows` call, or, over the greedy, one reader call that
+    :func:`_solve_rows` call, or, over the greedy, one reader call that
     draws as one ``solve`` per sweep bid would.
     """
     require_valid(inst)
     advertisers = range(inst.n) if advertisers is None else list(advertisers)
-    for i in advertisers:
-        if not 0 <= i < inst.n:
-            raise ValidationError(f"advertiser {i} outside 0..{inst.n - 1}")
+    for i in advertisers:  # ints, numpy's too, but no bools
+        if isinstance(i, bool) or not (isinstance(i, numbers.Integral)
+                                       and 0 <= i < inst.n):
+            raise ValidationError(
+                f"advertiser {i!r} is no integer in 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
     read = _reader(solver, inst, [bid_vector(inst, bids_template)])
     ctrs = read([(0, i, b) for i in advertisers for b in grid])

@@ -10,24 +10,22 @@ the free active advertisers in ascending order; the first row is the empty
 matching.  Ties follow one rule: the first row whose score beats the
 running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
 
-``brute_ctr_rows`` scores one table on arrays for many bid rows at once,
-with the cascade oracle's own arithmetic: the brute handle's batched read,
-through which the mechanisms take every leave-one-out row and every
-envelope point of the brute handle; ``brute_solve_rows`` renders its picks.
+``brute_solve_rows`` scores one table on arrays for many bid rows at once,
+with the cascade oracle's own arithmetic: the brute handle's one batched
+call, through which the mechanisms take every outcome, leave-one-out row and
+envelope point of the brute handle.  It renders a pick only when asked.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterator
 
 import numpy as np
 
 from .core import (
-    Allocation, AugmentedAllocation, CASCADE, Instance, MNL, Permutation,
-    SizeGuardError, ValidationError, bid_rows, bid_vector, cascade_ctr,
-    mnl_ctr, require_valid, welfare,
+    Allocation, AugmentedAllocation, CASCADE, Instance, MNL, SizeGuardError,
+    ValidationError, bid_rows, bid_vector, mnl_ctr, require_valid, welfare,
 )
 from .cascade_wdp import (
     SCORE_BLOCK, optimal_permutation, restricted_ctr, sorted_view,
@@ -195,18 +193,13 @@ def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
 def brute_force_wdp_cascade(
     inst: Instance,
     values,
-    paranoid: bool = False,
     active: set[int] | None = None,
 ) -> tuple[AugmentedAllocation, float]:
-    """Exact cascade-welfare maximum over all matchings.
-
-    By default each matching is rendered in decreasing order of matched
-    value, which is welfare-maximal for a fixed matching.  ``paranoid``
-    re-derives that by scoring every permutation of matched positions.
+    """Exact cascade-welfare maximum over all matchings of ``active``
+    (default: every advertiser).  Each matching is rendered in decreasing
+    order of matched value, which is welfare-maximal for a fixed matching.
     """
     table, values = _matchings(inst, CASCADE, values, active)
-    if paranoid:
-        return _first_best(_every_rendering(inst, values, table))
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 
@@ -228,39 +221,22 @@ def brute_force_wdp_cascade(
     return chi, best_w
 
 
-def brute_ctr_rows(inst: Instance, rows) -> np.ndarray:
-    """Per row of ``rows`` (R x n, R >= 0), the CTRs of
-    ``brute_force_wdp_cascade`` over that row's positive bidders, rendered
-    and rated as ``core.cascade_ctr`` does: the brute handle's CTRs at
-    those bids, bit-equal, from one matching table.
+def brute_solve_rows(inst: Instance, rows):
+    """The brute handle's ``solve`` at each row of ``rows`` (R x n, R >= 0)
+    from one matching table, as ``(ctrs, outcome)``: R x n CTRs, bit-equal,
+    and ``outcome(r)``, ``==`` its outcome at row r, built when called.
 
     The table is the union of the rows' positive bidders.  Each row scores
-    it with ``scored()``'s recurrence in its own value order.  A bid <= 0
-    comes after every positive one there and adds a term of at most 0 (or
-    NaN), so a table row matching it scores at most what the same row
-    without it scores; that row comes earlier in the table, so the tie
-    rule never picks the former.  A NaN score (+-inf * 0.0) becomes -inf,
-    which never beats either, as NaN never does in the scalar loop.  Rows
-    are scored ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the
-    picked rows only.
+    it with ``brute_force_wdp_cascade``'s recurrence in its own value
+    order.  A bid <= 0 comes after every positive one there and adds a term
+    of at most 0 (or NaN), so a table row matching it scores at most what
+    the same row without it scores; that row comes earlier in the table, so
+    the tie rule never picks the former: the pick is the oracle's over the
+    row's positive bidders.  A NaN score (+-inf * 0.0) becomes -inf, which
+    never beats either, as NaN never does in the scalar loop.  Rows are
+    scored ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the
+    picked rows only, rated as ``core.cascade_ctr`` does.
     """
-    return _brute_picks(inst, rows)[-1]
-
-
-def brute_solve_rows(inst: Instance, rows
-                     ) -> list[tuple[AugmentedAllocation, np.ndarray]]:
-    """Per row of ``rows``, ``==`` what the brute handle's ``solve`` returns:
-    ``brute_ctr_rows``' pick, which its docstring shows is the row's own
-    oracle pick, rendered by ``optimal_permutation``, and its CTRs."""
-    rows, table, picks, ctrs = _brute_picks(inst, rows)
-    allocs = [Allocation(dict(table.pairs[pick])) for pick in picks.tolist()]
-    return [(AugmentedAllocation(a, optimal_permutation(a, row)), pi)
-            for a, row, pi in zip(allocs, rows, ctrs)]
-
-
-def _brute_picks(inst: Instance, rows):
-    """(checked rows, union table, each row's pick in it, each row's CTRs)
-    for ``brute_ctr_rows`` and ``brute_solve_rows``."""
     require_valid(inst, CASCADE)
     rows = bid_rows(inst, rows)
     positive = np.flatnonzero((rows > 0.0).any(axis=0)).tolist()
@@ -297,17 +273,12 @@ def _brute_picks(inst: Instance, rows):
         survive = survive * (1.0 - p[:, t])
     ctrs = np.empty(p.shape)
     np.put_along_axis(ctrs, order, ranked_ctrs, axis=1)
-    return rows, table, picks, ctrs
 
+    def outcome(r: int) -> AugmentedAllocation:
+        alloc = Allocation(dict(table.pairs[picks[r]]))
+        return AugmentedAllocation(alloc, optimal_permutation(alloc, rows[r]))
 
-def _every_rendering(inst, values, table):
-    """(welfare, chi) for every rendering order of every row."""
-    for pairs in table.pairs:
-        alloc = Allocation(dict(pairs))
-        for perm in itertools.permutations(alloc.assignment.values()):
-            sigma = Permutation({j: r + 1 for r, j in enumerate(perm)})
-            chi = AugmentedAllocation(alloc, sigma)
-            yield welfare(values, cascade_ctr(inst, chi)), chi
+    return ctrs, outcome
 
 
 def brute_force_restricted(inst: Instance, values) -> tuple[Allocation, float]:

@@ -336,7 +336,7 @@ def _row_readers():
     mnl = Instance(3, 1, 1, [[0.5]] * 3, MNL)
     cascade = Instance(3, 1, 1, [[0.5]] * 3, CASCADE)
     return [(cascade, bid_rows), (mnl, mnl_wdp.solve_mnl_wdp_rows),
-            (cascade, brute_cascade_solver().ctr_rows)]
+            (cascade, brute_cascade_solver().solve_rows)]
 
 
 def test_bid_rows_take_any_number_of_rows():

@@ -113,7 +113,7 @@ def _vcg_loop(inst, values, solver):
 
 def test_vcg_rows_equal_the_per_advertiser_loop():
     """``vcg_rows`` over 1-3 profiles per instance, read through each
-    handle's ``ctr_rows`` and through one ``solve`` per row, equals the
+    handle's ``solve_rows`` and through one ``solve`` per row, equals the
     reference loop: allocation, rendering, CTRs, payments and utilities.
     Half the instances are tie-heavy cascade ones under the brute handle,
     half MNL under the exact handle; values repeat or are 0."""
@@ -164,16 +164,16 @@ def _own_bid_rows(values, who, bids):
     return rows
 
 
-def _adjacent_steps(ctr_rows, inst, values, grids):
+def _adjacent_steps(handle, inst, values, grids):
     """(advertiser, below, above): for each advertiser i and each pair of
     consecutive bids of grids[i] (all positive) between which i's CTR
     changes, a pair of adjacent floats between which it changes, found by
     bisection over the floats' bit patterns, which order positive floats.
-    Each bisection step reads every pair's midpoint in one ``ctr_rows``
-    call."""
+    Each bisection step reads every pair's midpoint in one ``solve_rows``
+    call of ``handle``."""
 
     def ctrs(who, bids):
-        return ctr_rows(inst, _own_bid_rows(values, who, bids))[
+        return _batched_ctrs(handle, inst, _own_bid_rows(values, who, bids))[
             np.arange(len(who)), who]
 
     who = np.repeat(np.arange(inst.n), [len(grid) for grid in grids])
@@ -207,14 +207,20 @@ def _solved_rows(handle, inst, rows):
     return np.array([handle.solve(inst, bids)[1] for bids in rows])
 
 
-def test_brute_ctr_rows_equal_solves():
-    """The brute handle's ``ctr_rows`` is its ``solve``'s CTRs row by row,
-    bit-equal: on tie-heavy rates with bids 0, negative and +-inf, k < m
-    included, and on no rows; at own bids on the float neighbours of the
-    others' values; at own bids 1 and +inf, with and without another +inf
-    bidder; and on both floats of every step of an advertiser's CTR in its
-    own bid, where rounding in another order than the solver would step one
-    float early or late.  A NaN row raises ``ValidationError``."""
+def _batched_ctrs(handle, inst, rows):
+    """The CTRs of ``handle.solve_rows``, whose outcomes it never builds."""
+    return handle.solve_rows(inst, rows)[0]
+
+
+def test_brute_solve_rows_ctrs_equal_solves():
+    """The CTRs of the brute handle's ``solve_rows`` are its ``solve``'s
+    row by row, bit-equal: on tie-heavy rates with bids 0, negative and
+    +-inf, k < m included, and on no rows, which give 0 x n; at own bids on
+    the float neighbours of the others' values; at own bids 1 and +inf,
+    with and without another +inf bidder; and on both floats of every step
+    of an advertiser's CTR in its own bid, where rounding in another order
+    than the solver would step one float early or late.  A NaN row raises
+    ``ValidationError``."""
     handle = brute_cascade_solver()
     rng = np.random.default_rng(431)
     checked = fewer_slots = 0
@@ -226,8 +232,8 @@ def test_brute_ctr_rows_equal_solves():
         special = rng.choice([0.0, -1.0, np.inf, -np.inf], rows.shape)
         rows = np.where(rng.random(rows.shape) < 0.3, special, rows)
         want = _solved_rows(handle, inst, rows)
-        assert np.array_equal(handle.ctr_rows(inst, rows), want), rows
-        assert handle.ctr_rows(inst, np.empty((0, inst.n))).shape \
+        assert np.array_equal(_batched_ctrs(handle, inst, rows), want), rows
+        assert _batched_ctrs(handle, inst, np.empty((0, inst.n))).shape \
             == (0, inst.n)
         checked += 1
         fewer_slots += inst.k < inst.m
@@ -244,7 +250,7 @@ def test_brute_ctr_rows_equal_solves():
         rows = _own_bid_rows(
             values, np.repeat(np.arange(inst.n), [len(g) for g in grids]),
             np.concatenate(grids))
-        assert np.array_equal(handle.ctr_rows(inst, rows),
+        assert np.array_equal(_batched_ctrs(handle, inst, rows),
                               _solved_rows(handle, inst, rows)), cases
 
     rng = np.random.default_rng(163)
@@ -256,7 +262,7 @@ def test_brute_ctr_rows_equal_solves():
             values[rng.integers(inst.n)] = np.inf
         rows = _own_bid_rows(values, np.repeat(np.arange(inst.n), 2),
                              np.tile([1.0, np.inf], inst.n))
-        assert np.array_equal(handle.ctr_rows(inst, rows),
+        assert np.array_equal(_batched_ctrs(handle, inst, rows),
                               _solved_rows(handle, inst, rows)), case
 
     rng = np.random.default_rng(157)
@@ -268,25 +274,25 @@ def test_brute_ctr_rows_equal_solves():
         values = rng.uniform(0.0, 1.0, n)
         grids = [sorted({*np.geomspace(1e-3, 4.0, 24).tolist(),
                          *np.delete(values, i).tolist()}) for i in range(n)]
-        who, below, above = _adjacent_steps(handle.ctr_rows, inst, values,
-                                            grids)
+        who, below, above = _adjacent_steps(handle, inst, values, grids)
         rows = _own_bid_rows(values, np.concatenate([who, who]),
                              np.concatenate([below, above]))
-        assert np.array_equal(handle.ctr_rows(inst, rows),
+        assert np.array_equal(_batched_ctrs(handle, inst, rows),
                               _solved_rows(handle, inst, rows)), inst
         steps += len(rows)
     assert steps > 1000
 
     inst = Instance(n=3, m=1, k=1, p=np.ones((3, 1)), model=CASCADE)
     with pytest.raises(ValidationError):
-        handle.ctr_rows(inst, [[1.0, 3.0, 2.0], [1.0, np.nan, 2.0]])
+        handle.solve_rows(inst, [[1.0, 3.0, 2.0], [1.0, np.nan, 2.0]])
 
 
 def test_solve_rows_equal_solves():
     """Each exact handle's ``solve_rows`` returns, row by row, what its
-    ``solve`` returns: allocation, permutation and CTRs ``==``.  On
-    tie-heavy pools whose rows hold zero and negative bids and differ in
-    their positive bidders, and on no rows, which give ``[]``."""
+    ``solve`` returns: CTRs, and the allocation and permutation of each
+    row's ``outcome``, read last row first, ``==``.  On tie-heavy pools
+    whose rows hold zero and negative bids and differ in their positive
+    bidders, and on no rows, which give 0 x n CTRs."""
     rng = np.random.default_rng(197)
     checked, mixed = Counter(), 0
     while min(checked[MNL], checked[CASCADE]) < 300:
@@ -300,14 +306,15 @@ def test_solve_rows_equal_solves():
             rows = np.tile(values, (int(rng.integers(1, 7)), 1))
             rows = np.where(rng.random(rows.shape) < 0.3,
                             rng.choice([-1.0, 0.0, 0.5, 2.0], rows.shape), rows)
-        got = handle.solve_rows(inst, rows)
-        assert len(got) == len(rows)
-        for bids, (chi, pi) in zip(rows, got):
-            want_chi, want_pi = handle.solve(inst, bids)
-            assert chi.allocation == want_chi.allocation, (inst, bids)
-            assert chi.permutation == want_chi.permutation, (inst, bids)
-            assert np.array_equal(pi, want_pi), (inst, bids)
-        assert handle.solve_rows(inst, np.empty((0, inst.n))) == []
+        ctrs, outcome = handle.solve_rows(inst, rows)
+        assert ctrs.shape == rows.shape
+        for r in reversed(range(len(rows))):
+            chi, (want_chi, want_pi) = outcome(r), handle.solve(inst, rows[r])
+            assert chi.allocation == want_chi.allocation, (inst, rows[r])
+            assert chi.permutation == want_chi.permutation, (inst, rows[r])
+            assert np.array_equal(ctrs[r], want_pi), (inst, rows[r])
+        assert _batched_ctrs(handle, inst, np.empty((0, inst.n))).shape \
+            == (0, inst.n)
         checked[inst.model] += 1
         mixed += len({tuple(row > 0.0) for row in rows}) > 1
     assert mixed > 200
@@ -478,7 +485,8 @@ def test_myerson_grid_size_must_be_integral():
     for grid in (np.int64(8), 8.0):
         got = myerson(inst, values, dists, brute_cascade_solver(), grid)
         assert np.array_equal(got.payments, want)
-    for grid in (2.5, 1.5, 0.0, float("nan"), float("inf"), "8"):
+    for grid in (2.5, 1.5, 0.0, float("nan"), float("inf"), "8", True,
+                 np.True_):
         with pytest.raises(ValidationError):
             myerson(inst, values, dists, brute_cascade_solver(), grid)
 
@@ -734,7 +742,7 @@ def _brute_auction_cases(rng):
 
 
 def test_myerson_over_brute_curve_equals_probe_path():
-    """The brute handle's envelope reads through its ``ctr_rows`` price as
+    """The brute handle's envelope reads through its ``solve_rows`` price as
     one ``solve`` per point read does."""
     rng = np.random.default_rng(151)
     handle = brute_cascade_solver()
@@ -831,26 +839,28 @@ def test_myerson_rows_equals_one_call_per_profile():
 
 
 def _read_counted(base, solves, reads, batches):
-    """``base`` counting the rows it solves, through ``solve`` or
-    ``solve_rows``, with each ``solve_rows`` call's row count in
-    ``batches``, and tagging each call of its ``ctr_rows`` or of a
-    ``curves`` reader with the rows solved so far."""
+    """``base`` counting its ``solve`` calls in ``solves``, with each
+    ``solve_rows`` call in ``batches`` as (its row count, the rows whose
+    outcome was built, in call order), and tagging each call of a
+    ``curves`` reader with the ``solve`` calls so far."""
 
     def solve(inst, bids):
         solves.append(1)
         return base.solve(inst, bids)
 
     if base.curves is None:
-        def ctr_rows(inst, rows):
-            reads.append(len(solves))
-            return base.ctr_rows(inst, rows)
-
         def solve_rows(inst, rows):
-            solves.extend([1] * len(rows))
-            batches.append(len(rows))
-            return base.solve_rows(inst, rows)
+            ctrs, outcome = base.solve_rows(inst, rows)
+            built = []
+            batches.append((len(rows), built))
 
-        return SolverHandle(solve=solve, kind=base.kind, ctr_rows=ctr_rows,
+            def counted(r):
+                built.append(r)
+                return outcome(r)
+
+            return ctrs, counted
+
+        return SolverHandle(solve=solve, kind=base.kind,
                             solve_rows=solve_rows)
 
     def curves(inst, bids):
@@ -865,13 +875,14 @@ def _read_counted(base, solves, reads, batches):
     return SolverHandle(solve=solve, kind=base.kind, curves=curves)
 
 
-def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
-    """One ``myerson_rows`` call solves one row per profile.  Over an
-    exact handle it solves them all in one ``solve_rows`` call and makes at
-    most ceil(log2 grid) + 1 ``ctr_rows`` calls, whatever the number of
-    profiles and payers.  Over the greedy, each profile is solved by one
-    ``solve``, audited in one reader call and priced in at most that many.
-    Either way it prices as one ``myerson`` call per profile."""
+def test_myerson_rows_reads_one_depth_per_solve_rows_call():
+    """Over an exact handle, one ``myerson_rows`` call solves every profile
+    in one ``solve_rows`` call, one row each, whose outcome it builds once
+    per profile, then makes at most ceil(log2 grid) + 1 more calls, which
+    build no outcome, whatever the number of profiles and payers.  Over the
+    greedy, each profile is solved by one ``solve``, audited in one reader
+    call and priced in at most that many.  Either way it prices as one
+    ``myerson`` call per profile."""
     rng = np.random.default_rng(179)
     paid = 0
     makers = ((exact_mnl_solver, MNL), (brute_cascade_solver, CASCADE),
@@ -887,13 +898,18 @@ def test_myerson_rows_reads_one_depth_per_ctr_rows_call():
             profiles = [rng.uniform(0.0, 2.0, inst.n) for _ in range(6)]
             got = mechanisms.myerson_rows(inst, profiles, dists, counted,
                                           grid)
-            assert len(solves) == len(profiles)
-            assert batches == ([len(profiles)] if counted.is_exact else [])
-            # Reads tagged s follow the s-th solve: its profile's pricing
-            # and, over the greedy, the next profile's audit.
             depths = int(np.ceil(np.log2(grid))) + 1
-            audit = 0 if counted.is_exact else 1
-            assert max(Counter(reads).values(), default=0) <= depths + audit
+            if counted.is_exact:
+                assert not solves
+                assert batches[0] == (len(profiles),
+                                      list(range(len(profiles))))
+                assert len(batches) - 1 <= depths
+                assert all(not built for _rows, built in batches[1:])
+            else:
+                assert len(solves) == len(profiles) and not batches
+                # Reads tagged s follow the s-th solve: its profile's
+                # pricing and the next profile's audit.
+                assert max(Counter(reads).values()) <= depths + 1
             one = make()
             for values, outcome in zip(profiles, got):
                 want = myerson(inst, values, dists, one, grid)
@@ -1062,21 +1078,21 @@ def test_audit_catches_planted_bug():
 
 
 def _dropping_rows(handle, threshold):
-    """``ctr_rows`` with ``threshold_dropping_solver``'s planted bug: in each
-    row, a top bid above ``threshold`` is zeroed before solving."""
+    """``solve_rows`` with ``threshold_dropping_solver``'s planted bug: in
+    each row, a top bid above ``threshold`` is zeroed before solving."""
 
-    def ctr_rows(inst, rows):
+    def solve_rows(inst, rows):
         rows = np.array(rows, dtype=float)
         top = rows.argmax(axis=1)
         hit = np.flatnonzero(rows[np.arange(len(rows)), top] > threshold)
         rows[hit, top[hit]] = 0.0
-        return handle.ctr_rows(inst, rows)
+        return handle.solve_rows(inst, rows)
 
-    return ctr_rows
+    return solve_rows
 
 
 def _counted(handle, calls):
-    """``handle`` without ``ctr_rows``, counting its ``solve`` calls."""
+    """``handle`` without ``solve_rows``, counting its ``solve`` calls."""
 
     def solve(inst, bids):
         calls.append(1)
@@ -1085,14 +1101,14 @@ def _counted(handle, calls):
     return SolverHandle(solve=solve, kind=handle.kind)
 
 
-def test_audit_through_ctr_rows_equals_probes():
+def test_audit_through_solve_rows_equals_probes():
     exact = exact_mnl_solver()
     broken = threshold_dropping_solver(exact, threshold=5.0)
-    assert exact.ctr_rows is not None and broken.ctr_rows is None
+    assert exact.solve_rows is not None and broken.solve_rows is None
     pairs = [
         (exact, exact),
         (SolverHandle(solve=broken.solve, kind=broken.kind,
-                      ctr_rows=_dropping_rows(exact, 5.0)), broken),
+                      solve_rows=_dropping_rows(exact, 5.0)), broken),
     ]
     rng = np.random.default_rng(71)
     grid = np.linspace(0.25, 10.0, 8)
@@ -1104,7 +1120,7 @@ def test_audit_through_ctr_rows_equals_probes():
             rows = np.tile(bids, (len(grid), 1))
             rows[:, i] = grid
             probed = np.array([exact.solve(inst, r)[1] for r in rows])
-            assert np.array_equal(exact.ctr_rows(inst, rows), probed)
+            assert np.array_equal(_batched_ctrs(exact, inst, rows), probed)
         for batched, base in pairs:
             # per advertiser, by a handle built from solve and kind only
             calls, each = [], []
@@ -1134,6 +1150,11 @@ def test_audit_drops_checks_advertisers():
     inst = Instance(n=2, m=1, k=1, p=[[0.5], [0.5]], model=MNL)
     for handle in (exact_mnl_solver(),
                    threshold_dropping_solver(exact_mnl_solver())):
-        with pytest.raises(ValidationError):
-            next(audit_drops(handle, inst, [1.0, 1.0], [1.0], [0, 2]))
+        for bad in (2, -1, 1.5, 1.0, True, np.True_, "1", None):
+            with pytest.raises(ValidationError):
+                next(audit_drops(handle, inst, [1.0, 1.0], [1.0], [0, bad]))
+            with pytest.raises(ValidationError):
+                monotonicity_audit(handle, inst, [1.0, 1.0], bad, [1.0])
         assert list(audit_drops(handle, inst, [1.0, 1.0], [1.0], [])) == []
+        assert [i for i, _drop in audit_drops(
+            handle, inst, [1.0, 1.0], [1.0], [np.int64(1), 0])] == [1, 0]

@@ -306,7 +306,7 @@ def test_solves_and_ctr_rows_equal_the_recorded_pack():
     """Recorded outputs on a seeded pack: ``solve_mnl_wdp``'s allocation,
     objective and CTRs on random, tie-heavy (quarter-step rates, repeated,
     zero and negative bids) and wide instances (16 to 20 matched), and the
-    exact MNL handle's ``ctr_rows`` on audit-shaped stacks, where each
+    exact MNL handle's ``solve_rows`` CTRs on audit-shaped stacks, where each
     advertiser's bid in turn runs along the audit grid.  Each must come out
     ``==``."""
     pack = json.loads((Path(__file__).parent
@@ -319,13 +319,13 @@ def test_solves_and_ctr_rows_equal_the_recorded_pack():
                                           for ij in case["allocation"]]
         assert repr(got.objective) == case["objective"]
         assert got.ctrs.tolist() == case["ctrs"]
-    ctr_rows = exact_mnl_solver().ctr_rows
+    solve_rows = exact_mnl_solver().solve_rows
     for case in pack["ctr_rows"]:
         inst = instance_from_dict(case["instance"])
         rows = np.tile(case["template"], (inst.n, len(case["grid"]), 1))
         for i in range(inst.n):
             rows[i, :, i] = case["grid"]
-        got = ctr_rows(inst, rows.reshape(-1, inst.n))
+        got, _outcome = solve_rows(inst, rows.reshape(-1, inst.n))
         assert got.tolist() == case["ctr_rows"]
 
 
@@ -342,7 +342,7 @@ def test_batched_rows_equal_one_solve_per_row(monkeypatch):
         return capped_matching(weights, k)
 
     monkeypatch.setattr(mnl_wdp, "capped_matching", recording)
-    ctr_rows = exact_mnl_solver().ctr_rows
+    solve_rows = exact_mnl_solver().solve_rows
     rng = np.random.default_rng(61)
     staggered = 0
     for _ in range(300):
@@ -353,7 +353,7 @@ def test_batched_rows_equal_one_solve_per_row(monkeypatch):
         # Dinkelbach steps within one batch
         staggered += any(0 < b < a for a, b in zip(stacks, stacks[1:]))
         assert got.shape == (len(rows), inst.n)
-        ctrs = ctr_rows(inst, rows)
+        ctrs, _outcome = solve_rows(inst, rows)
         assert ctrs.shape == got.shape
         for match, ctr, bids in zip(got, ctrs, rows):
             alone = solve_mnl_wdp(inst, bids)
@@ -365,7 +365,7 @@ def test_batched_rows_equal_one_solve_per_row(monkeypatch):
     assert staggered > 20
     one = Instance(n=1, m=1, k=1, p=[[0.5]], model=MNL)
     assert solve_mnl_wdp_rows(one, np.empty((0, 1))).shape == (0, 1)
-    assert ctr_rows(one, np.empty((0, 1))).shape == (0, 1)
+    assert solve_rows(one, np.empty((0, 1)))[0].shape == (0, 1)
 
 
 def test_stacked_matching_equals_one_call_per_block():
@@ -390,7 +390,7 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
     matchings, and every batched solve built on them, are ``==`` those of
     the whole stack matched as one union."""
     rng = np.random.default_rng(73)
-    ctr_rows = exact_mnl_solver().ctr_rows
+    solve_rows = exact_mnl_solver().solve_rows
     cases = []
     for _ in range(150):
         blocks, n = int(rng.integers(2, 9)), int(rng.integers(1, 7))
@@ -400,7 +400,8 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
                            (blocks, n, m))
         inst, rows = _tie_heavy_stack(rng)
         cases.append((stack, k, capped_matching(stack, k), inst, rows,
-                      solve_mnl_wdp_rows(inst, rows), ctr_rows(inst, rows)))
+                      solve_mnl_wdp_rows(inst, rows),
+                      solve_rows(inst, rows)[0]))
     chunks = []
 
     def counted(stack, k):
@@ -422,7 +423,7 @@ def test_chunked_stacks_equal_one_union(monkeypatch):
                               if per < len(stack) else [])
             got = solve_mnl_wdp_rows(inst, rows)
             assert got.shape == solved.shape and np.array_equal(got, solved)
-            assert np.array_equal(ctr_rows(inst, rows), ctrs)
+            assert np.array_equal(solve_rows(inst, rows)[0], ctrs)
 
 
 def test_infinite_weights_and_bids_are_rejected():

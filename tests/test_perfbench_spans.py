@@ -60,12 +60,11 @@ def test_rebuilt_handles_still_solve(spans):
 
 
 def test_rebuilt_handles_price_as_their_curves(spans):
-    """Traced runs drop ``curves``, ``ctr_rows`` and ``solve_rows`` and
-    price by one solve per row; the outcomes must be the ones untraced runs
-    get from them, so both pass the same gate.  Each handle with any of
-    those fields prices an instance of its model: ``myerson``, and
-    ``myerson_rows`` and (exact handles) ``vcg_rows`` over a block of
-    profiles, zero values included."""
+    """Traced runs drop ``curves`` and ``solve_rows`` and price by one
+    solve per row; the outcomes must be the ones untraced runs get from
+    them, so both pass the same gate.  Each handle with either field prices
+    an instance of its model: ``myerson``, and ``myerson_rows`` and (exact
+    handles) ``vcg_rows`` over a block of profiles, zero values included."""
     rng = np.random.default_rng(11)
     values = rng.uniform(0.0, 1.0, 4)
     block = np.where(rng.random((5, 4)) < 0.2, 0.0, rng.random((5, 4)))
@@ -74,8 +73,7 @@ def test_rebuilt_handles_price_as_their_curves(spans):
     for name in spans.HANDLE_FACTORIES:
         args, model = FACTORY_ARGS[name]
         handle = getattr(mechanisms, name)(*args)
-        if (handle.curves is None and handle.ctr_rows is None
-                and handle.solve_rows is None):
+        if handle.curves is None and handle.solve_rows is None:
             continue
         with_curve += 1
         inst = Instance(4, 3, 2, rng.uniform(0.01, 0.99, (4, 3)), model)
