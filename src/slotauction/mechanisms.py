@@ -26,14 +26,17 @@ the exact handles' ``solve_rows``, else one ``solve`` per row (the
 planted-bug fixture).  It gives a block's CTRs in one call and each row's
 outcome only when asked, so no read builds an allocation.  The audit reads
 every advertiser's sweep of an instance in one call, :func:`_grid_sums`
-every envelope point of a block of payers in one call per bisection depth,
-and ``vcg_rows`` every leave-one-out row in one.  All paths give the same
-CTRs and outcomes, and the greedy the same random draws.
+the envelope points of a block of payers in one call per round, and
+``vcg_rows`` every leave-one-out row in one.  Over an exact handle a read
+also gives each point's line in its own bid, and envelope spans are cut
+where lines meet, so a step costs about four reads.  All paths give the
+same CTRs and outcomes, and the greedy the same random draws.
 """
 
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import groupby
@@ -72,8 +75,10 @@ SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]
 # (inst, bids) -> ([(advertiser, own bid), ...] -> [CTR, ...]): SolverHandle
 CurvesFn = Callable[[Instance, np.ndarray],
                     Callable[[list[tuple[int, float]]], list[float]]]
-# [(template, advertiser, own bid), ...] -> [CTR, ...]: see _reader.
-ReadFn = Callable[[list[tuple[int, int, float]]], list[float]]
+# ([CTR y, ...], [intercept c, ...] or None): lines y * b + c in an own bid.
+Lines = tuple[list[float], list[float] | None]
+# [(template, advertiser, own bid), ...] -> Lines: see _reader.
+ReadFn = Callable[[list[tuple[int, int, float]]], Lines]
 # (inst, bid_rows) -> (R x n CTRs, row -> outcome): SolverHandle
 SolveRowsFn = Callable[[Instance, np.ndarray],
                        tuple[np.ndarray, Callable[[int], AugmentedAllocation]]]
@@ -294,7 +299,8 @@ def _stacked(inst: Instance, rows: list[np.ndarray]) -> np.ndarray:
 def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
     """The one way a handle is read: ``read(points)`` gives, for each point
     (template index t, advertiser i, own bid b), the CTR ``solve`` reports
-    for i at row t of ``templates`` with i bidding b.
+    for i at row t of ``templates`` with i bidding b, and over an exact
+    handle the intercept of that row's line (:func:`_lines`), else None.
 
     A handle with ``curves`` is read through one reader per template, built
     from a private copy on its first read; each run of points on one
@@ -306,17 +312,29 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
 
         def read(points):
             return [ctr for t, run in groupby(points, itemgetter(0))
-                    for ctr in curve(t)([(i, b) for _t, i, b in run])]
+                    for ctr in curve(t)([(i, b) for _t, i, b in run])], None
 
         return read
 
     def read(points):
-        at, ii = np.arange(len(points)), [i for _t, i, _b in points]
+        ii = [i for _t, i, _b in points]
         rows = templates[[t for t, _i, _b in points]]
-        rows[at, ii] = [b for _t, _i, b in points]
-        return _solve_rows(solver, inst, rows)[0][at, ii].tolist()
+        rows[np.arange(len(points)), ii] = [b for _t, _i, b in points]
+        ys, cs = _lines(rows, _solve_rows(solver, inst, rows)[0], ii)
+        return ys, cs if solver.is_exact else None
 
     return read
+
+
+def _lines(rows: np.ndarray, ctrs: np.ndarray, ii) -> Lines:
+    """CTR y = pi_i and intercept c = sum_{j != i} b_j pi_j of each row r,
+    for i = ``ii[r]``: the row's outcome is worth y * b + c when i bids b.
+    An exact maximizer's best objective is the maximum of such lines, and
+    its CTR their slope (Milgrom and Segal, 2002)."""
+    at = np.arange(len(ii))
+    welfare = rows * ctrs
+    welfare[at, ii] = 0.0
+    return ctrs[at, ii].tolist(), welfare.sum(axis=1).tolist()
 
 
 def _bids_at(kinds: list[ValueDistribution], which: np.ndarray,
@@ -366,13 +384,15 @@ def myerson_rows(
     time, as one :func:`myerson` call each, since each profile is audited
     before its outcome is drawn.  An exact handle solves every profile in
     one ``solve_rows`` call, and the envelope points of every payer of every
-    profile are read by :func:`_grid_sums`, one reader call per depth.
+    profile are read by :func:`_grid_sums`, one reader call per round.
     """
     require_valid(inst)
     value_rows = [_finite_values(inst, values) for values in value_rows]
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
+    if not all(isinstance(dist, ValueDistribution) for dist in dists):
+        raise ValidationError(f"dists must be ValueDistributions: {dists!r}")
     grid_size = _grid_size(grid_size)
     for dist in dists:
         if not is_regular(dist):
@@ -408,14 +428,16 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
     steps = values[s_of, i_of] / grid_size
     read = _reader(solver, inst, bid_rows)
 
-    def envelope(points):  # (payer, grid point) -> the payer's CTR there
-        k, g = np.array(points, dtype=np.intp).reshape(-1, 2).T
-        bids = _bids_at(kinds, which[i_of[k]], g * steps[k])
-        return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
-                             bids.tolist())))
+    def bids(k, g):  # payer k's own bid at its grid point g, on arrays
+        return _bids_at(kinds, which[i_of[k]], g * steps[k])
 
-    tops = ctrs[s_of, i_of].tolist()
-    areas = _grid_sums(envelope, tops, grid_size)
+    def envelope(points):  # (payer, grid point) -> the payer's line there
+        k, g = np.array(points, dtype=np.intp).reshape(-1, 2).T
+        return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
+                             bids(k, g).tolist())))
+
+    tops = _lines(bid_rows[s_of], ctrs[s_of], i_of)
+    areas = _grid_sums(envelope, tops, grid_size, bids)
     payments = np.zeros(values.shape)
     for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas):
         payments[s, i] = _clip_dust(values[s, i] * ctrs[s, i] - step * area)
@@ -434,27 +456,39 @@ def _grid_size(grid_size) -> int:
     return int(grid_size)
 
 
-def _grid_sums(read: Callable[[list[tuple[int, int]]], list[float]],
-               tops: list[float | None], grid_size: int) -> list[float]:
-    """:func:`monotone_grid_sum` of each curve k, whose value at grid
-    point g is ``read([(k, g), ...])``'s, and at ``grid_size`` ``tops[k]``
-    unless that is None.
+def _grid_sums(read: Callable[[list[tuple[int, int]]], Lines],
+               tops: tuple[list[float | None], list[float] | None],
+               grid_size: int, bids: Callable | None = None) -> list[float]:
+    """:func:`monotone_grid_sum` of each curve k, whose values (y) and
+    intercepts (c, or None) at grid points g are ``read([(k, g), ...])``'s,
+    and at ``grid_size`` ``tops``' for curve k, unless its y there is None.
 
-    Each curve's spans are walked one depth at a time: a span (lo, hi) whose
+    Each curve's spans are walked one round at a time: a span (lo, hi) whose
     ends read equal sums to (hi - lo + 1) copies of one value, adjacent ends
     to their sum, and any other span splits at mid = (lo + hi) // 2 into
-    (lo, mid) and (mid + 1, hi).  Each depth's new span ends, of every
-    curve, are one ``read`` call.  Then each tree is summed from its deepest
-    spans up, halves added as a recursion would add them, bit for bit."""
-    ends = [{} if top is None else {grid_size: top} for top in tops]
-    spans = [(k, 1, grid_size) for k in range(len(tops))]
-    depths = []  # per depth: each span's (first child, or None; sum if leaf)
+    (lo, mid) and (mid + 1, hi), or where the lines at its ends meet if it
+    has them (:func:`_cuts`; ``bids(k, g)`` gives curve k's own bids at
+    grid points g, on arrays).  Each round's new span ends, of every curve,
+    are one ``read`` call.  Then each tree is summed from its deepest spans
+    up, halves added as the midpoint recursion adds them.  A curve cut where
+    lines met is summed by :func:`_midpoint_sum` instead, its value at g
+    the one read at the largest point at or below g: bit for bit the
+    recursion's sum, for a non-decreasing curve."""
+    ends = [{} if y is None else {grid_size: y} for y in tops[0]]
+    lines = ([{} for _y in tops[0]] if tops[1] is None
+             else [{grid_size: c} for c in tops[1]])  # ends' intercepts
+    spans = [(k, 1, grid_size) for k in range(len(ends))]
+    depths = []  # per round: each span's (first child, or None; sum if leaf)
+    moved = set()  # the curves cut off a midpoint
     while spans:
         new = list(dict.fromkeys((k, g) for k, lo, hi in spans
                                  for g in (lo, hi) if g not in ends[k]))
-        for (k, g), value in zip(new, read(new) if new else ()):
-            ends[k][g] = value
-        nodes, below = [], []
+        ys, cs = read(new) if new else ((), None)
+        for (k, g), y in zip(new, ys):
+            ends[k][g] = y
+        for (k, g), c in zip(new, cs or ()):
+            lines[k][g] = c
+        nodes, below, meet = [], [], []
         for k, lo, hi in spans:
             at_lo, at_hi = ends[k][lo], ends[k][hi]
             if at_lo == at_hi:
@@ -462,16 +496,64 @@ def _grid_sums(read: Callable[[list[tuple[int, int]]], list[float]],
             elif lo + 1 >= hi:
                 nodes.append((None, at_lo + at_hi))
             else:
+                if lo in lines[k] and hi in lines[k] and at_lo < at_hi:
+                    meet.append((len(below), (k, lo, hi)))
                 mid = (lo + hi) // 2
                 nodes.append((len(below), None))
                 below += [(k, lo, mid), (k, mid + 1, hi)]
         depths.append(nodes)
+        for (first, (k, lo, hi)), cut in zip(meet, _cuts(
+                [span for _first, span in meet], ends, lines, bids)):
+            below[first:first + 2] = [(k, lo, cut), (k, cut + 1, hi)]
+            moved.add(k)
         spans = below
     sums: list[float] = []
     for nodes in reversed(depths):
         sums = [total if c is None else sums[c] + sums[c + 1]
                 for c, total in nodes]
+    for k in moved:
+        at = sorted(ends[k])
+        ys = [ends[k][g] for g in at]
+        sums[k] = _midpoint_sum(lambda g: ys[bisect_right(at, g) - 1],
+                                1, grid_size, ys[0], ys[-1])
     return sums
+
+
+def _cuts(spans: list[tuple[int, int, int]], ends: list[dict[int, float]],
+          lines: list[dict[int, float]], bids: Callable) -> list[int]:
+    """Where each span (k, lo, hi) whose ends read lines with y_lo < y_hi
+    splits: after the last grid point whose bid is at most b* = (c_hi -
+    c_lo) / (y_lo - y_hi), where the lines meet (Eisner and Severance,
+    1976), by bisection over ``bids``.  b* is clamped into [bid(lo),
+    bid(hi)), so float dust cannot walk a run of equal bids, which read
+    equal, a point per round.  Ends with equal bids split at the midpoint."""
+    if not spans:
+        return []
+    k, lo, hi = np.array(spans).T
+    y_lo, c_lo, y_hi, c_hi = np.array([(ends[j][a], lines[j][a], ends[j][z],
+                                        lines[j][z]) for j, a, z in spans]).T
+    b_lo, b_hi = bids(k, lo), bids(k, hi)
+    at = np.clip((c_hi - c_lo) / (y_lo - y_hi), b_lo,
+                 np.nextafter(b_hi, -np.inf))
+    cuts = mid = (lo + hi) // 2
+    while np.any(hi - lo > 1):  # bids(lo) <= at < bids(hi)
+        below = bids(k, mid) <= at
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = (lo + hi) // 2
+    return np.where(b_lo < b_hi, lo, cuts).tolist()
+
+
+def _midpoint_sum(at: Callable[[int], float], lo: int, hi: int,
+                  a: float, z: float) -> float:
+    """The midpoint recursion's sum of ``at`` over lo..hi, a = at(lo) and
+    z = at(hi), as :func:`_grid_sums` adds a tree."""
+    if a == z:
+        return (hi - lo + 1) * a
+    if lo + 1 >= hi:
+        return a + z
+    mid = (lo + hi) // 2
+    return (_midpoint_sum(at, lo, mid, a, at(mid))
+            + _midpoint_sum(at, mid + 1, hi, at(mid + 1), z))
 
 
 def monotone_grid_sum(
@@ -485,8 +567,9 @@ def monotone_grid_sum(
     evaluations scales with the number of level changes, not the grid size.
     The one-curve case of :func:`_grid_sums`.
     """
-    return _grid_sums(lambda points: [curve(g) for _k, g in points],
-                      [hi_value], _grid_size(grid_size))[0]
+    return _grid_sums(lambda points: ([curve(g) for _k, g in points], None),
+                      ([hi_value], None),
+                      _grid_size(grid_size))[0]
 
 
 def monotonicity_audit(
@@ -526,7 +609,7 @@ def audit_drops(
                 f"advertiser {i!r} is no integer in 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
     read = _reader(solver, inst, [bid_vector(inst, bids_template)])
-    ctrs = read([(0, i, b) for i in advertisers for b in grid])
+    ctrs = read([(0, i, b) for i in advertisers for b in grid])[0]
     for s, i in enumerate(advertisers):
         yield i, _first_drop(grid, ctrs[s * len(grid):(s + 1) * len(grid)])
 

@@ -7,7 +7,7 @@ import pytest
 from slotauction import mechanisms
 from slotauction.cascade_wdp import bucket_count
 from slotauction.core import CASCADE, Instance, MNL, ValidationError
-from slotauction.distributions import Exponential, Uniform
+from slotauction.distributions import Exponential, TruncatedNormal, Uniform
 from slotauction.mechanisms import (
     IrregularDistributionError,
     NonMonotoneSolverError,
@@ -422,11 +422,11 @@ def test_monotone_grid_sum_equals_the_recursion_bit_for_bit():
                 in zip(curves, tops)] == want
         reads = []
 
-        def read(points):
+        def read(points):  # values with no line: midpoint cuts
             reads.append(points)
-            return [curves[k](g) for k, g in points]
+            return [curves[k](g) for k, g in points], None
 
-        assert mechanisms._grid_sums(read, tops, size) == want
+        assert mechanisms._grid_sums(read, (tops, None), size) == want
         assert len(reads) <= int(np.ceil(np.log2(size))) + 1
 
 
@@ -506,6 +506,21 @@ def test_myerson_rejects_irregular_distribution():
     inst = textbook_slot(1)
     with pytest.raises(IrregularDistributionError):
         myerson(inst, [1.0], [bimodal_fixture()], brute_cascade_solver(), 128)
+
+
+def test_myerson_rejects_dists_that_are_not_distributions():
+    """A ``dists`` entry that is not a ``ValueDistribution`` raises
+    ``ValidationError``, not an ``AttributeError``, before any solve."""
+    inst = Instance(n=3, m=2, k=2, p=np.full((3, 2), 0.5), model=CASCADE)
+    solves, batches = [], []
+    handle = _read_counted(brute_cascade_solver(), solves, [], batches)
+    for dists in ([1, 2, 3], [Uniform(0.0, 1.0), None, Uniform(0.0, 1.0)],
+                  ["uniform"] * 3):
+        with pytest.raises(ValidationError, match="ValueDistribution"):
+            myerson(inst, [1.0, 2.0, 3.0], dists, handle)
+        with pytest.raises(ValidationError, match="ValueDistribution"):
+            mechanisms.myerson_rows(inst, [[1.0, 2.0, 3.0]], dists, handle)
+    assert not solves and not batches
 
 
 def test_myerson_audits_approximate_solvers():
@@ -918,6 +933,197 @@ def test_myerson_rows_reads_one_depth_per_solve_rows_call():
     assert paid > 30
 
 
+def _midpoint_grid_sums(read, tops, grid_size, bids=None):
+    """``mechanisms._grid_sums`` as it was before its cuts followed lines:
+    every span splits at its midpoint, one read per depth, and each tree is
+    summed bottom-up from the halves its walk recorded.  It ignores the
+    intercepts that ``read`` and ``tops`` give, and ``bids``."""
+    ends = [{} if top is None else {grid_size: top} for top in tops[0]]
+    spans = [(k, 1, grid_size) for k in range(len(ends))]
+    depths = []  # per depth: each span's (first child, or None; sum if leaf)
+    while spans:
+        new = list(dict.fromkeys((k, g) for k, lo, hi in spans
+                                 for g in (lo, hi) if g not in ends[k]))
+        for (k, g), value in zip(new, read(new)[0] if new else ()):
+            ends[k][g] = value
+        nodes, below = [], []
+        for k, lo, hi in spans:
+            at_lo, at_hi = ends[k][lo], ends[k][hi]
+            if at_lo == at_hi:
+                nodes.append((None, (hi - lo + 1) * at_lo))
+            elif lo + 1 >= hi:
+                nodes.append((None, at_lo + at_hi))
+            else:
+                mid = (lo + hi) // 2
+                nodes.append((len(below), None))
+                below += [(k, lo, mid), (k, mid + 1, hi)]
+        depths.append(nodes)
+        spans = below
+    sums = []
+    for nodes in reversed(depths):
+        sums = [total if c is None else sums[c] + sums[c + 1]
+                for c, total in nodes]
+    return sums
+
+
+def _envelope_case(rng, case):
+    """One seeded ``myerson_rows`` call on an exact handle: MNL on even
+    cases, brute cascade on odd ones; tie-heavy (dyadic rates, repeated
+    values) when case % 4 >= 2.  Uniform, exponential, truncated normal or
+    mixed values, and grids 1, 2, 3, 7, 256 and 1024, in turn."""
+    model = (MNL, CASCADE)[case % 2]
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    k = int(rng.integers(1, m + 1))
+    if case % 4 >= 2:
+        p = rng.choice([0.125, 0.25, 0.5] + [0.0, 1.0] * (model == CASCADE),
+                       (n, m))
+        profiles = rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 2.0], (2, n))
+    else:
+        p = rng.uniform(0.01, 1.0 if model == CASCADE else 0.5, (n, m))
+        profiles = rng.uniform(0.0, 3.0, (int(rng.integers(1, 3)), n))
+    kinds = [Uniform(0.0, 3.0), Exponential(1.0),
+             TruncatedNormal(1.0, 1.0, 0.0, 3.0)]
+    mix = case // 2 % 4
+    dists = [kinds[int(rng.integers(3)) if mix == 3 else mix]
+             for _ in range(n)]
+    grid = (1, 2, 3, 7, 256, 1024)[case // 8 % 6]
+    handle = exact_mnl_solver() if model == MNL else brute_cascade_solver()
+    return (Instance(n=n, m=m, k=k, p=p, model=model), list(profiles),
+            dists, handle, grid)
+
+
+def test_envelope_walk_prices_as_the_midpoint_walk(monkeypatch):
+    """Cuts where the lines meet read other points than the midpoint walk,
+    but price the same: payments and CTRs ``==`` on 1,000 seeded
+    ``myerson_rows`` calls over the exact MNL and brute handles, half of
+    them tie-heavy."""
+    rng = np.random.default_rng(241)
+    cases = [_envelope_case(rng, case) for case in range(1000)]
+    got = [mechanisms.myerson_rows(*case) for case in cases]
+    monkeypatch.setattr(mechanisms, "_grid_sums", _midpoint_grid_sums)
+    paid = 0
+    for case, outcomes in zip(cases, got):
+        for outcome, want in zip(outcomes, mechanisms.myerson_rows(*case),
+                                 strict=True):
+            assert np.array_equal(outcome.ctrs, want.ctrs), case
+            assert np.array_equal(outcome.payments, want.payments), case
+            paid += np.count_nonzero(want.payments)
+    assert paid > 1000
+
+
+def _envelope_reads(monkeypatch, make, pool, grid=1024):
+    """Over ``pool`` of (instance, profiles, dists), one ``myerson_rows``
+    call each on a fresh ``make()``: the points read per payer, and the
+    ``solve_rows`` calls of each call after its outcome block."""
+    per_payer, after = [], []
+    reader = mechanisms._reader
+
+    def counted(solver, inst, templates):
+        read = reader(solver, inst, templates)
+
+        def read_counted(points):
+            seen.update((t, i) for t, i, _b in points)
+            return read(points)
+
+        return read_counted
+
+    monkeypatch.setattr(mechanisms, "_reader", counted)
+    for inst, profiles, dists in pool:
+        seen, batches = Counter(), []
+        handle = _read_counted(make(), [], [], batches)
+        mechanisms.myerson_rows(inst, profiles, dists, handle, grid)
+        per_payer += seen.values()
+        after.append(len(batches) - 1)
+    return per_payer, after
+
+
+def test_envelope_reads_few_points_per_payer(monkeypatch):
+    """Lines place each step in O(1) reads: the median payer reads at most
+    8 points, and the median ``myerson_rows`` call makes at most 5
+    ``solve_rows`` calls after its outcome block, on a brute pool shaped
+    like the benchmark's ``simulate`` (4x3, k = 2, U(0, 1)) and on MNL
+    pools at 4x3 and 10x5."""
+    rng = np.random.default_rng(243)
+
+    def pool(model, n, m, k, top, size):
+        return [(Instance(n=n, m=m, k=k, p=rng.uniform(0.01, top, (n, m)),
+                          model=model),
+                 list(rng.uniform(0.0, 1.0, (8, n))), [Uniform(0.0, 1.0)] * n)
+                for _ in range(size)]
+
+    for make, cases in ((brute_cascade_solver, pool(CASCADE, 4, 3, 2, 1.0, 12)),
+                        (exact_mnl_solver, pool(MNL, 4, 3, 3, 0.5, 12)),
+                        (exact_mnl_solver, pool(MNL, 10, 5, 3, 0.5, 4))):
+        per_payer, after = _envelope_reads(monkeypatch, make, cases)
+        assert len(per_payer) > 30
+        assert np.median(per_payer) <= 8
+        assert np.median(after) <= 5
+
+
+def test_envelope_clamps_float_dust_below_the_lowest_bid(monkeypatch):
+    """A payer whose lowest step sits just above bid 0: a free slot below
+    every other bidder, taken at any positive bid.  Half the grid bids 0
+    under U(0, 1), and equal bids read equal, so the walk crosses the
+    zero-bid run in one round: at most 4 reader calls after the outcome
+    block at grid 1024.  There the intercepts are equal and b* = -0.0;
+    where they differ by float dust, b* = -2.2e-16 is clamped to bid(lo) =
+    0 and crosses the run in one round too, not one point per round."""
+    inst = Instance(n=3, m=3, k=3, p=[[0.3, 0.7, 0.0], [0.6, 0.1, 0.0],
+                                      [0.0, 0.0, 0.4]], model=CASCADE)
+    dists = [Uniform(0.0, 1.0)] * 3
+    batches = []
+    handle = _read_counted(brute_cascade_solver(), [], [], batches)
+    got = myerson(inst, [0.9, 0.8, 0.7], dists, handle, 1024)
+    assert got.ctrs[2] > 0.0 and len(batches) - 1 <= 4
+    monkeypatch.setattr(mechanisms, "_grid_sums", _midpoint_grid_sums)
+    want = myerson(inst, [0.9, 0.8, 0.7], dists, brute_cascade_solver(), 1024)
+    assert np.array_equal(got.payments, want.payments)
+    monkeypatch.undo()
+
+    def bids(k, g):  # U(0, 1) virtual values of v = 1: 0 up to g = 512
+        return np.maximum(2.0 * (g / 1024) - 1.0, 0.0)
+
+    reads = []
+    top = (0.5, np.nextafter(0.5, 1.0))  # so b* = -2.2e-16
+
+    def read(points):
+        reads.append(points)
+        lines = [(0.0, 0.5) if bids(k, g) == 0.0 else top for k, g in points]
+        return [y for y, _c in lines], [c for _y, c in lines]
+
+    tops = ([top[0]], [top[1]])
+    got = mechanisms._grid_sums(read, tops, 1024, bids)
+    assert reads == [[(0, 1)], [(0, 512), (0, 513)]]
+    assert got == _midpoint_grid_sums(read, tops, 1024)
+
+
+def test_envelope_cuts_fall_back_to_the_midpoint():
+    """A span whose ends have equal bids, or whose CTR falls (y_lo > y_hi),
+    splits at its midpoint: with lines, the walk reads what it reads with
+    none, and sums the same."""
+
+    def walk(curve, bids, lines):
+        reads = []
+
+        def read(points):
+            reads.append(points)
+            ys = [curve(g) for _k, g in points]
+            return ys, [1.0 - y for y in ys] if lines else None
+
+        tops = ([curve(1024)], [1.0 - curve(1024)] if lines else None)
+        return mechanisms._grid_sums(read, tops, 1024, bids), reads
+
+    def flat(k, g):  # every grid point bids 1
+        return np.ones(len(g))
+
+    def rising(k, g):
+        return g / 1024.0
+
+    for curve, bids in ((lambda g: 0.5 if g >= 700 else 0.0, flat),
+                        (lambda g: 0.0 if g >= 300 else 0.5, rising)):
+        assert walk(curve, bids, True) == walk(curve, bids, False)
+
+
 def test_curves_only_on_the_greedy_handle():
     greedy = greedy_cascade_solver(np.random.default_rng(0))
     brute = brute_cascade_solver()
@@ -977,7 +1183,7 @@ def test_reader_equals_one_solve_per_point():
         handle, handle_rng = make(case)
         read = mechanisms._reader(handle, inst, templates)
         templates[:] = -1.0  # the reader keeps its own copy
-        assert read(points) == want, case
+        assert read(points)[0] == want, case
         if handle_rng is not None:
             assert (handle_rng.bit_generator.state
                     == probe_rng.bit_generator.state), case
