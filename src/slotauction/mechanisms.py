@@ -320,18 +320,21 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
         ii = [i for _t, i, _b in points]
         rows = templates[[t for t, _i, _b in points]]
         rows[np.arange(len(points)), ii] = [b for _t, _i, b in points]
-        ys, cs = _lines(rows, _solve_rows(solver, inst, rows)[0], ii)
-        return ys, cs if solver.is_exact else None
+        return _lines(rows, _solve_rows(solver, inst, rows)[0], ii,
+                      solver.is_exact)
 
     return read
 
 
-def _lines(rows: np.ndarray, ctrs: np.ndarray, ii) -> Lines:
+def _lines(rows: np.ndarray, ctrs: np.ndarray, ii, exact: bool) -> Lines:
     """CTR y = pi_i and intercept c = sum_{j != i} b_j pi_j of each row r,
     for i = ``ii[r]``: the row's outcome is worth y * b + c when i bids b.
     An exact maximizer's best objective is the maximum of such lines, and
-    its CTR their slope (Milgrom and Segal, 2002)."""
+    its CTR their slope (Milgrom and Segal, 2002); a handle that is not
+    ``exact`` gets no intercepts (None)."""
     at = np.arange(len(ii))
+    if not exact:
+        return ctrs[at, ii].tolist(), None
     welfare = rows * ctrs
     welfare[at, ii] = 0.0
     return ctrs[at, ii].tolist(), welfare.sum(axis=1).tolist()
@@ -436,7 +439,7 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
         return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
                              bids(k, g).tolist())))
 
-    tops = _lines(bid_rows[s_of], ctrs[s_of], i_of)
+    tops = _lines(bid_rows[s_of], ctrs[s_of], i_of, solver.is_exact)
     areas = _grid_sums(envelope, tops, grid_size, bids)
     payments = np.zeros(values.shape)
     for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas):
@@ -463,23 +466,17 @@ def _grid_sums(read: Callable[[list[tuple[int, int]]], Lines],
     intercepts (c, or None) at grid points g are ``read([(k, g), ...])``'s,
     and at ``grid_size`` ``tops``' for curve k, unless its y there is None.
 
-    Each curve's spans are walked one round at a time: a span (lo, hi) whose
-    ends read equal sums to (hi - lo + 1) copies of one value, adjacent ends
-    to their sum, and any other span splits at mid = (lo + hi) // 2 into
-    (lo, mid) and (mid + 1, hi), or where the lines at its ends meet if it
-    has them (:func:`_cuts`; ``bids(k, g)`` gives curve k's own bids at
-    grid points g, on arrays).  Each round's new span ends, of every curve,
-    are one ``read`` call.  Then each tree is summed from its deepest spans
-    up, halves added as the midpoint recursion adds them.  A curve cut where
-    lines met is summed by :func:`_midpoint_sum` instead, its value at g
-    the one read at the largest point at or below g: bit for bit the
-    recursion's sum, for a non-decreasing curve."""
+    Each curve's spans are walked one round at a time, each round's new span
+    ends, of every curve, in one ``read`` call: a span (lo, hi) whose ends
+    read equal, or are adjacent, is settled, and any other splits into
+    (lo, cut) and (cut + 1, hi) (:func:`_cuts`; ``bids(k, g)`` gives curve
+    k's own bids at grid points g, on arrays).  Then :func:`_midpoint_sum`
+    sums each curve as the midpoint recursion would, bit for bit: a curve
+    cut only at midpoints was read wherever the recursion reads, and a
+    non-decreasing curve's reads settle it at every grid point."""
     ends = [{} if y is None else {grid_size: y} for y in tops[0]]
-    lines = ([{} for _y in tops[0]] if tops[1] is None
-             else [{grid_size: c} for c in tops[1]])  # ends' intercepts
+    lines = tops[1] and [{grid_size: c} for c in tops[1]]  # ends' intercepts
     spans = [(k, 1, grid_size) for k in range(len(ends))]
-    depths = []  # per round: each span's (first child, or None; sum if leaf)
-    moved = set()  # the curves cut off a midpoint
     while spans:
         new = list(dict.fromkeys((k, g) for k, lo, hi in spans
                                  for g in (lo, hi) if g not in ends[k]))
@@ -488,72 +485,56 @@ def _grid_sums(read: Callable[[list[tuple[int, int]]], Lines],
             ends[k][g] = y
         for (k, g), c in zip(new, cs or ()):
             lines[k][g] = c
-        nodes, below, meet = [], [], []
-        for k, lo, hi in spans:
-            at_lo, at_hi = ends[k][lo], ends[k][hi]
-            if at_lo == at_hi:
-                nodes.append((None, (hi - lo + 1) * at_lo))
-            elif lo + 1 >= hi:
-                nodes.append((None, at_lo + at_hi))
-            else:
-                if lo in lines[k] and hi in lines[k] and at_lo < at_hi:
-                    meet.append((len(below), (k, lo, hi)))
-                mid = (lo + hi) // 2
-                nodes.append((len(below), None))
-                below += [(k, lo, mid), (k, mid + 1, hi)]
-        depths.append(nodes)
-        for (first, (k, lo, hi)), cut in zip(meet, _cuts(
-                [span for _first, span in meet], ends, lines, bids)):
-            below[first:first + 2] = [(k, lo, cut), (k, cut + 1, hi)]
-            moved.add(k)
-        spans = below
-    sums: list[float] = []
-    for nodes in reversed(depths):
-        sums = [total if c is None else sums[c] + sums[c + 1]
-                for c, total in nodes]
-    for k in moved:
-        at = sorted(ends[k])
-        ys = [ends[k][g] for g in at]
-        sums[k] = _midpoint_sum(lambda g: ys[bisect_right(at, g) - 1],
-                                1, grid_size, ys[0], ys[-1])
-    return sums
+        spans = [(k, lo, hi) for k, lo, hi in spans
+                 if ends[k][lo] != ends[k][hi] and lo + 1 < hi]
+        spans = [half for (k, lo, hi), cut in zip(
+                     spans, _cuts(spans, ends, lines, bids))
+                 for half in ((k, lo, cut), (k, cut + 1, hi))]
+    return [_midpoint_sum(read_at, grid_size) for read_at in ends]
 
 
 def _cuts(spans: list[tuple[int, int, int]], ends: list[dict[int, float]],
-          lines: list[dict[int, float]], bids: Callable) -> list[int]:
-    """Where each span (k, lo, hi) whose ends read lines with y_lo < y_hi
-    splits: after the last grid point whose bid is at most b* = (c_hi -
-    c_lo) / (y_lo - y_hi), where the lines meet (Eisner and Severance,
-    1976), by bisection over ``bids``.  b* is clamped into [bid(lo),
-    bid(hi)), so float dust cannot walk a run of equal bids, which read
-    equal, a point per round.  Ends with equal bids split at the midpoint."""
-    if not spans:
-        return []
+          lines: list[dict[int, float]] | None, bids: Callable) -> list[int]:
+    """Where each span (k, lo, hi) splits: after its midpoint, or if its
+    ends read lines (``lines`` given) with y_lo < y_hi and bids b_lo < b_hi,
+    after the last grid point whose bid is at most b* = (c_hi - c_lo) /
+    (y_lo - y_hi), where the lines meet (Eisner and Severance, 1976), found
+    by bisection over ``bids``.  b* is clamped into [b_lo, b_hi), so float
+    dust cannot walk a run of equal bids, which read equal, a point a round."""
+    mids = [(lo + hi) // 2 for _k, lo, hi in spans]
+    if not (lines and spans):
+        return mids
     k, lo, hi = np.array(spans).T
     y_lo, c_lo, y_hi, c_hi = np.array([(ends[j][a], lines[j][a], ends[j][z],
                                         lines[j][z]) for j, a, z in spans]).T
     b_lo, b_hi = bids(k, lo), bids(k, hi)
     at = np.clip((c_hi - c_lo) / (y_lo - y_hi), b_lo,
                  np.nextafter(b_hi, -np.inf))
-    cuts = mid = (lo + hi) // 2
+    mid = (lo + hi) // 2
     while np.any(hi - lo > 1):  # bids(lo) <= at < bids(hi)
         below = bids(k, mid) <= at
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         mid = (lo + hi) // 2
-    return np.where(b_lo < b_hi, lo, cuts).tolist()
+    return np.where((b_lo < b_hi) & (y_lo < y_hi), lo, mids).tolist()
 
 
-def _midpoint_sum(at: Callable[[int], float], lo: int, hi: int,
-                  a: float, z: float) -> float:
-    """The midpoint recursion's sum of ``at`` over lo..hi, a = at(lo) and
-    z = at(hi), as :func:`_grid_sums` adds a tree."""
-    if a == z:
-        return (hi - lo + 1) * a
-    if lo + 1 >= hi:
-        return a + z
-    mid = (lo + hi) // 2
-    return (_midpoint_sum(at, lo, mid, a, at(mid))
-            + _midpoint_sum(at, mid + 1, hi, at(mid + 1), z))
+def _midpoint_sum(read_at: dict[int, float], grid_size: int) -> float:
+    """The midpoint recursion's sum over 1..grid_size of the step function
+    whose value at g is ``read_at``'s at the largest point read at or below
+    g; :func:`_grid_sums` reads 1 and ``grid_size``."""
+    at = sorted(read_at)
+
+    def tree(lo, hi, a, z):  # the sum over lo..hi, a read at lo, z at hi
+        if a == z:
+            return (hi - lo + 1) * a
+        if lo + 1 >= hi:
+            return a + z
+        mid = (lo + hi) // 2
+        return (tree(lo, mid, a, read_at[at[bisect_right(at, mid) - 1]])
+                + tree(mid + 1, hi, read_at[at[bisect_right(at, mid + 1) - 1]],
+                       z))
+
+    return tree(1, grid_size, read_at[1], read_at[grid_size])
 
 
 def monotone_grid_sum(
@@ -568,8 +549,7 @@ def monotone_grid_sum(
     The one-curve case of :func:`_grid_sums`.
     """
     return _grid_sums(lambda points: ([curve(g) for _k, g in points], None),
-                      ([hi_value], None),
-                      _grid_size(grid_size))[0]
+                      ([hi_value], None), _grid_size(grid_size))[0]
 
 
 def monotonicity_audit(

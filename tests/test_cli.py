@@ -464,8 +464,9 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
 def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch, block):
     """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at
     4x3, brute vcg at 6x6, c11's certain-click tie instance, MNL vcg over
-    dinkelbach, greedy myerson, and MNL myerson over dinkelbach at 10x5.  Also with samples priced in blocks of
-    one or a few samples, and the brute rows scored a few at a time."""
+    dinkelbach, greedy myerson, and MNL myerson over dinkelbach at 10x5.
+    Also with samples priced in blocks of one or a few samples, and the
+    brute rows scored a few at a time."""
     if block is not None:
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
         monkeypatch.setattr(oracle, "SCORE_BLOCK", block)
