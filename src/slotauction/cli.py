@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -95,6 +96,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # one per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slotauction",
@@ -283,7 +285,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _run_mechanism(
-    name: str, inst: Instance, profiles: list[np.ndarray],
+    name: str, inst: Instance, profiles: np.ndarray,
     dists: list[ValueDistribution] | None, cfg: dict,
 ) -> list[mechanisms.MechanismOutcome]:
     """The outcome of mechanism ``name`` at each of ``profiles``, from one
@@ -307,7 +309,7 @@ def cmd_mechanism(cfg: dict) -> int:
     if name not in MECHANISMS:
         raise UsageError("mechanism command needs --mechanism vcg|myerson")
     dists = _load_dists(cfg, inst.n) if name == "myerson" else None
-    outcome, = _run_mechanism(name, inst, [values], dists, cfg)
+    outcome, = _run_mechanism(name, inst, values[None], dists, cfg)
     rows = [
         [i, repr(float(values[i])), repr(float(outcome.ctrs[i])),
          repr(float(outcome.payments[i])), repr(float(outcome.utilities[i]))]
@@ -336,7 +338,8 @@ def cmd_simulate(cfg: dict) -> int:
     # Samples are priced a block at a time, each mechanism reading a whole
     # block's rows in batches, and a block's vcg rows (n x m cells, n per
     # sample) fit one mnl_wdp.ROW_CELLS chunk: 1,024 samples at desk scale,
-    # 16 at 50x25, 1 at 100x100.  Outcomes go once their rows are written.
+    # 16 at 50x25, 1 at 100x100.  Outcomes go once their block's welfare
+    # and revenue are taken, on arrays.
     block = min(SAMPLE_BLOCK,
                 max(1, mnl_wdp.ROW_CELLS // (inst.n * inst.n * inst.m)))
     for lo in range(0, cfg["samples"], block):
@@ -345,15 +348,18 @@ def cmd_simulate(cfg: dict) -> int:
         for s in samples:
             rng = np.random.default_rng([cfg["seed"], s])
             profiles.append(np.array([sample(d, rng) for d in dists]))
-        outcomes = [_run_mechanism(name, inst, profiles, dists, cfg)
-                    for name in names]
-        for s, values, *each in zip(samples, profiles, *outcomes):
-            for name, outcome in zip(names, each):
-                w = welfare(values, outcome.ctrs)
-                r = float(np.sum(outcome.payments))
-                writer.writerow([s, name, repr(w), repr(r), cfg["seed"]])
-                totals[name].append(w)
-                revenues[name].append(r)
+        values = np.array(profiles)
+        for name in names:
+            outcomes = _run_mechanism(name, inst, values, dists, cfg)
+            ctrs = np.array([outcome.ctrs for outcome in outcomes])
+            paid = np.array([outcome.payments for outcome in outcomes])
+            # one dot product per row, as core.welfare takes it
+            totals[name] += (values[:, None, :]
+                             @ ctrs[:, :, None])[:, 0, 0].tolist()
+            revenues[name] += paid.sum(axis=1).tolist()
+        writer.writerows([s, name, repr(totals[name][s]),
+                          repr(revenues[name][s]), cfg["seed"]]
+                         for s in samples for name in names)
 
     def _stderr(series):
         if len(series) < 2:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -53,6 +53,7 @@ from .core import (
     Permutation,
     SlotauctionError,
     ValidationError,
+    bid_rows,
     bid_vector,
     cascade_ctr,
     match_ctrs,
@@ -90,16 +91,19 @@ class IrregularDistributionError(SlotauctionError, ValueError):
     """Virtual values decrease somewhere; ironing is out of scope here."""
 
 
-def _clip_dust(payment: float, tol: float = 1e-9) -> float:
-    """Zero out sub-tolerance negative payments (leave-one-out subtraction
-    dust); anything genuinely negative stays visible."""
-    return 0.0 if -tol < payment < 0.0 else payment
+def _clip_dust(payments: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """``payments`` with sub-tolerance negative entries (leave-one-out
+    subtraction dust) zeroed out; anything genuinely negative stays visible."""
+    return np.where((-tol < payments) & (payments < 0.0), 0.0, payments)
 
 
-def _finite_values(inst: Instance, values) -> np.ndarray:
-    values = bid_vector(inst, values)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"values must be finite, got {values.tolist()}")
+def _finite_rows(inst: Instance, value_rows) -> np.ndarray:
+    """``value_rows`` as ``core.bid_rows`` checks them, every value finite."""
+    values = bid_rows(inst, value_rows)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValidationError(
+            f"values must be finite, got {values[finite.argmin()].tolist()}")
     return values
 
 
@@ -130,9 +134,10 @@ class SolverHandle:
     from one batched solve: ``ctrs`` is an R x n array, one row per row of
     ``bid_rows`` (0 x n for none), bit-equal to the CTRs ``solve`` reports
     at those bids, and ``outcome(r)`` is ``==`` the ``AugmentedAllocation``
-    ``solve`` returns at row r, built only when called.  Every read of a
-    handle without ``curves`` goes through it when it is set.  Only the
-    exact handles set it: the exact MNL handle to one
+    ``solve`` returns at row r, built only when called (by the first read
+    of a mechanism outcome's ``augmented``).  Every read of a handle
+    without ``curves`` goes through it.  Only the exact handles set it:
+    the exact MNL handle to one
     ``solve_mnl_wdp_rows`` call and ``core.match_ctrs`` of its matchings,
     the brute cascade handle to ``oracle.brute_solve_rows``, which scores
     one matching table for every row.
@@ -150,10 +155,19 @@ class SolverHandle:
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    augmented: AugmentedAllocation
+    """One profile's CTRs, payments and utilities, and ``augmented``, the
+    allocation and its ranking, built from the handle's outcome on first
+    read (over an exact handle, ``outcome(r)`` of its ``solve_rows``)."""
+
     payments: np.ndarray
     ctrs: CtrVector
     utilities: np.ndarray
+    _outcome: Callable[[], AugmentedAllocation] = field(repr=False,
+                                                        compare=False)
+
+    @cached_property
+    def augmented(self) -> AugmentedAllocation:
+        return self._outcome()
 
 
 def exact_mnl_solver() -> SolverHandle:
@@ -256,13 +270,14 @@ def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
              ) -> list[MechanismOutcome]:
     """:func:`vcg` at each profile of ``value_rows``: every profile's
     CTRs from one :func:`_solve_rows` call, every profile's leave-one-out
-    rows read in one more, and each profile's outcome built once."""
+    rows read in one more, and every payment as one batched dot product of
+    the others' values with their CTRs, with and without the payer."""
     require_valid(inst)
     if not solver.is_exact:
         raise NonMonotoneSolverError(
             "externality payments require an exact solver"
         )
-    values = _stacked(inst, [_finite_values(inst, v) for v in value_rows])
+    values = _finite_rows(inst, value_rows)
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     ctrs, outcome = _solve_rows(solver, inst, values)
@@ -270,14 +285,21 @@ def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
     s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
     rows = values[s_of]
     rows[np.arange(s_of.size), i_of] = 0.0
+    # each row's others, ascending: t, or t + 1 from the payer on
+    others = np.arange(inst.n - 1) + (np.arange(inst.n - 1) >= i_of[:, None])
+    v = np.take_along_axis(rows, others, axis=1)[:, None, :]
+    pi_wo, pi = (np.take_along_axis(x, others, axis=1)[:, :, None]
+                 for x in (_solve_rows(solver, inst, rows)[0], ctrs[s_of]))
     payments = np.zeros(values.shape)
-    for s, i, pi_wo in zip(s_of, i_of, _solve_rows(solver, inst, rows)[0]):
-        v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
-        payments[s, i] = _clip_dust(
-            float(v[others] @ pi_wo[others] - v[others] @ pi[others]))
-    return [MechanismOutcome(augmented=outcome(s), payments=paid, ctrs=pi,
-                             utilities=v * pi - paid)
-            for s, (v, pi, paid) in enumerate(zip(values, ctrs, payments))]
+    payments[s_of, i_of] = _clip_dust((v @ pi_wo - v @ pi)[:, 0, 0])
+    return _outcomes(values, ctrs, payments, outcome)
+
+
+def _outcomes(values, ctrs, payments, outcome) -> list[MechanismOutcome]:
+    """One outcome per row, its allocation built by ``outcome`` on read."""
+    utilities = values * ctrs - payments
+    return [MechanismOutcome(paid, pi, u, partial(outcome, s))
+            for s, (pi, paid, u) in enumerate(zip(ctrs, payments, utilities))]
 
 
 def _solve_rows(solver: SolverHandle, inst: Instance, bid_rows: np.ndarray
@@ -288,19 +310,17 @@ def _solve_rows(solver: SolverHandle, inst: Instance, bid_rows: np.ndarray
     if solver.solve_rows is not None:
         return solver.solve_rows(inst, bid_rows)
     solved = [solver.solve(inst, bids) for bids in bid_rows]
-    return _stacked(inst, [pi for _chi, pi in solved]), lambda r: solved[r][0]
+    ctrs = np.array([pi for _chi, pi in solved], dtype=float)
+    return ctrs.reshape(-1, inst.n), lambda r: solved[r][0]
 
 
-def _stacked(inst: Instance, rows: list[np.ndarray]) -> np.ndarray:
-    """Rows of n floats as one R x n array (0 x n for none)."""
-    return np.array(rows, dtype=float).reshape(-1, inst.n)
-
-
-def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
+def _reader(solver: SolverHandle, inst: Instance, templates,
+            lines: bool = True) -> ReadFn:
     """The one way a handle is read: ``read(points)`` gives, for each point
     (template index t, advertiser i, own bid b), the CTR ``solve`` reports
     for i at row t of ``templates`` with i bidding b, and over an exact
-    handle the intercept of that row's line (:func:`_lines`), else None.
+    handle, unless ``lines`` is False, the intercept of that row's line
+    (:func:`_lines`), else None.
 
     A handle with ``curves`` is read through one reader per template, built
     from a private copy on its first read; each run of points on one
@@ -321,7 +341,7 @@ def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
         rows = templates[[t for t, _i, _b in points]]
         rows[np.arange(len(points)), ii] = [b for _t, _i, b in points]
         return _lines(rows, _solve_rows(solver, inst, rows)[0], ii,
-                      solver.is_exact)
+                      lines and solver.is_exact)
 
     return read
 
@@ -390,7 +410,7 @@ def myerson_rows(
     profile are read by :func:`_grid_sums`, one reader call per round.
     """
     require_valid(inst)
-    value_rows = [_finite_values(inst, values) for values in value_rows]
+    values = _finite_rows(inst, value_rows)
     if len(dists) != inst.n:
         raise ValidationError(
             f"expected {inst.n} distributions, got {len(dists)}")
@@ -404,32 +424,31 @@ def myerson_rows(
                 " supported"
             )
     if solver.is_exact:
-        return _priced(inst, value_rows, dists, solver, grid_size)
+        return _priced(inst, values, dists, solver, grid_size)
     outcomes = []
-    for values in value_rows:
-        _audit_or_raise(solver, inst, values)
-        outcomes += _priced(inst, [values], dists, solver, grid_size)
+    for row in values:
+        _audit_or_raise(solver, inst, row)
+        outcomes += _priced(inst, row[None], dists, solver, grid_size)
     return outcomes
 
 
-def _priced(inst: Instance, value_rows: list[np.ndarray],
+def _priced(inst: Instance, values: np.ndarray,
             dists: list[ValueDistribution], solver: SolverHandle,
             grid_size: int) -> list[MechanismOutcome]:
-    """The body of :func:`myerson_rows`, on checked inputs: every profile
-    solved at its virtual values in one :func:`_solve_rows` call, then
-    every payment from one :func:`_grid_sums` walk over every payer's
-    envelope."""
+    """The body of :func:`myerson_rows`, on checked inputs (R x n values):
+    every profile solved at its virtual values in one :func:`_solve_rows`
+    call, then every payment from one :func:`_grid_sums` walk over every
+    payer's envelope, v * pi - step * area on arrays."""
     kinds = list(dict.fromkeys(dists))  # equal distributions go together
     which = np.array([kinds.index(d) for d in dists])
-    values = _stacked(inst, value_rows)
-    bid_rows = _bids_at(kinds, which, values)
-    ctrs, outcome = _solve_rows(solver, inst, bid_rows)
+    virtual = _bids_at(kinds, which, values)
+    ctrs, outcome = _solve_rows(solver, inst, virtual)
 
     # A monotone curve below a zero endpoint integrates to 0: no payment.
     # (profile, advertiser) of each payer, and its grid step
     s_of, i_of = np.nonzero((ctrs > 0.0) & (values > 0.0))
     steps = values[s_of, i_of] / grid_size
-    read = _reader(solver, inst, bid_rows)
+    read = _reader(solver, inst, virtual)
 
     def bids(k, g):  # payer k's own bid at its grid point g, on arrays
         return _bids_at(kinds, which[i_of[k]], g * steps[k])
@@ -439,14 +458,12 @@ def _priced(inst: Instance, value_rows: list[np.ndarray],
         return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
                              bids(k, g).tolist())))
 
-    tops = _lines(bid_rows[s_of], ctrs[s_of], i_of, solver.is_exact)
-    areas = _grid_sums(envelope, tops, grid_size, bids)
+    tops = _lines(virtual[s_of], ctrs[s_of], i_of, solver.is_exact)
+    areas = np.array(_grid_sums(envelope, tops, grid_size, bids), dtype=float)
     payments = np.zeros(values.shape)
-    for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas):
-        payments[s, i] = _clip_dust(values[s, i] * ctrs[s, i] - step * area)
-    return [MechanismOutcome(augmented=outcome(s), payments=paid, ctrs=pi,
-                             utilities=v * pi - paid)
-            for s, (v, pi, paid) in enumerate(zip(values, ctrs, payments))]
+    payments[s_of, i_of] = _clip_dust(
+        values[s_of, i_of] * ctrs[s_of, i_of] - steps * areas)
+    return _outcomes(values, ctrs, payments, outcome)
 
 
 def _grid_size(grid_size) -> int:
@@ -588,7 +605,8 @@ def audit_drops(
             raise ValidationError(
                 f"advertiser {i!r} is no integer in 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
-    read = _reader(solver, inst, [bid_vector(inst, bids_template)])
+    read = _reader(solver, inst, [bid_vector(inst, bids_template)],
+                   lines=False)
     ctrs = read([(0, i, b) for i in advertisers for b in grid])[0]
     for s, i in enumerate(advertisers):
         yield i, _first_drop(grid, ctrs[s * len(grid):(s + 1) * len(grid)])

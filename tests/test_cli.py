@@ -464,15 +464,16 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
 def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch, block):
     """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at
     4x3, brute vcg at 6x6, c11's certain-click tie instance, MNL vcg over
-    dinkelbach, greedy myerson, and MNL myerson over dinkelbach at 10x5.
-    Also with samples priced in blocks of one or a few samples, and the
-    brute rows scored a few at a time."""
+    dinkelbach, greedy myerson, MNL myerson over dinkelbach at 10x5, and
+    brute vcg and myerson at 12x3 (more than 8 advertisers, where numpy's
+    pairwise sums change order).  Also with samples priced in blocks of one
+    or a few samples, and the brute rows scored a few at a time."""
     if block is not None:
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
         monkeypatch.setattr(oracle, "SCORE_BLOCK", block)
     pack = json.loads((Path(__file__).parent
                        / "simulate_pack.json").read_text())
-    assert len(pack) == 6
+    assert len(pack) == 7
     out = tmp_path / "out.csv"
     for case in pack:
         inst = write_json(tmp_path / "inst.json", case["instance"])
@@ -558,6 +559,26 @@ def test_config_file_with_cli_override(tmp_path, lone_ad_files):
     assert json.loads(out.read_text())["algorithm"] == "brute"
     assert main(["solve", "--config", cfg, "--algorithm", "lp"]) == EXIT_OK
     assert json.loads(out.read_text())["algorithm"] == "lp"
+
+
+def test_main_calls_parse_alone_on_one_parser(monkeypatch):
+    """The parser is built once per process, and each ``main`` call parses
+    its own argv: flags, a bad one included, leave no value or default to
+    the next call."""
+    seen = []
+    for command in ("cmd_simulate", "cmd_audit"):
+        monkeypatch.setattr(cli, command,
+                            lambda cfg: seen.append(cfg) or EXIT_OK)
+    parser = cli._build_parser()
+    assert main(["simulate", "--seed", "5", "--samples", "3", "--grid", "8",
+                 "--mechanism", "vcg", "--planted-bug"]) == EXIT_OK
+    assert main(["audit", "--seed", "not-a-number"]) == EXIT_USAGE
+    assert main(["audit"]) == EXIT_OK
+    assert cli._build_parser() is parser
+    defaults = {key: default for key, (_k, default, _t) in cli._FLAGS.items()}
+    assert seen[0] == {**defaults, "seed": 5, "samples": 3, "grid": 8,
+                       "mechanism": "vcg", "planted_bug": True}
+    assert seen[1] == defaults
 
 
 def test_config_rejects_unknown_keys(tmp_path, lone_ad_files):

@@ -93,6 +93,12 @@ def test_mechanisms_reject_wrong_length_values():
         vcg(inst, [[0.9, 0.7, 0.5]], brute_cascade_solver())
 
 
+def _clip_dust(payment, tol=1e-9):
+    """One payment as the mechanisms clip it: sub-tolerance negative
+    leave-one-out dust becomes 0.0, anything else stays."""
+    return 0.0 if -tol < payment < 0.0 else payment
+
+
 def _vcg_loop(inst, values, solver):
     """Reference VCG: one ``solve`` for the outcome and one more per
     advertiser not both valued 0 and unallocated; (chi, ctrs, payments)."""
@@ -105,7 +111,7 @@ def _vcg_loop(inst, values, solver):
         without[i] = 0.0
         _chi_wo, pi_wo = solver.solve(inst, without)
         others = np.arange(inst.n) != i
-        payments[i] = mechanisms._clip_dust(
+        payments[i] = _clip_dust(
             float(values[others] @ pi_wo[others] - values[others] @ pi[others])
         )
     return chi, pi, payments
@@ -146,6 +152,102 @@ def test_vcg_rows_equal_the_per_advertiser_loop():
                 assert np.array_equal(outcome.utilities,
                                       values * pi - payments)
     assert mechanisms.vcg_rows(inst, [], solver) == []
+
+
+def _payment_case(rng, case):
+    """One seeded call's input on an exact handle: MNL on even cases, brute
+    cascade on odd ones, n from 1 to 12 (1 in every fifth pair of cases),
+    at most 36 cells; tie-heavy (dyadic rates, repeated values and zeros)
+    when case % 4 >= 2; 1-3 profiles, a mix of dists, grid 1 to 1024."""
+    model = (MNL, CASCADE)[case % 2]
+    n = 1 if case % 10 < 2 else int(rng.integers(1, 13))
+    m = int(rng.integers(1, min(5, 36 // n) + 1))
+    k = int(rng.integers(1, m + 1))
+    rows = int(rng.integers(1, 4))
+    if case % 4 >= 2:
+        p = rng.choice([0.125, 0.25, 0.5] + [0.0, 1.0] * (model == CASCADE),
+                       (n, m))
+        profiles = rng.choice([0.0, 0.5, 1.0, 1.0, 2.0], (rows, n))
+    else:
+        p = rng.uniform(0.01, 1.0 if model == CASCADE else 0.5, (n, m))
+        profiles = rng.uniform(0.0, 2.0, (rows, n))
+    kinds = [Uniform(0.0, 2.0), Exponential(1.0),
+             TruncatedNormal(1.0, 1.0, 0.0, 2.0)]
+    dists = [kinds[int(rng.integers(3))] for _ in range(n)]
+    handle = exact_mnl_solver() if model == MNL else brute_cascade_solver()
+    return (Instance(n=n, m=m, k=k, p=p, model=model), profiles, dists,
+            handle, int(rng.choice([1, 7, 64, 1024])))
+
+
+def test_array_payments_equal_the_per_payer_loops(monkeypatch):
+    """``vcg_rows`` and ``myerson_rows`` payments and utilities are bit for
+    bit those of the per-payer loops they replace, on the same CTRs and
+    envelope areas, over 600 seeded calls on the exact MNL and brute
+    handles (n = 1, whose payers have no others, included).  Leave-one-out
+    CTRs are nudged down by 1e-12 or 1e-3, and envelope areas raised to
+    grid * top CTR or past it, so payments come out as 0.0, as sub-tolerance
+    dust that is clipped, and as genuinely negative values that stay."""
+    rng = np.random.default_rng(2503)
+    solves, areas, pricing = [], [], [None]
+    solve_rows, grid_sums = mechanisms._solve_rows, mechanisms._grid_sums
+
+    def nudged_solve_rows(solver, inst, bid_rows):
+        ctrs, outcome = solve_rows(solver, inst, bid_rows)
+        if pricing[0] == "vcg" and len(solves) == 1:  # leave-one-out rows
+            ctrs = ctrs * (1.0 - rng.choice([0.0, 0.0, 1e-12, 1e-3],
+                                            ctrs.shape))
+        solves.append((bid_rows, ctrs))
+        return ctrs, outcome
+
+    def nudged_grid_sums(read, tops, grid_size, bids=None):
+        got = grid_sums(read, tops, grid_size, bids)
+        flat = [grid_size * y for y in tops[0]]  # a constant curve's area
+        pick = rng.integers(0, 3, len(got))
+        areas[:] = [(a, f, f + a)[c] for a, f, c in zip(got, flat, pick)]
+        return list(areas)
+
+    monkeypatch.setattr(mechanisms, "_solve_rows", nudged_solve_rows)
+    monkeypatch.setattr(mechanisms, "_grid_sums", nudged_grid_sums)
+    kept = Counter()
+    for case in range(600):
+        inst, profiles, dists, handle, grid = _payment_case(rng, case)
+        values = np.array(profiles, dtype=float)
+
+        del solves[:]
+        pricing[0] = "vcg"
+        got = mechanisms.vcg_rows(inst, profiles, handle)
+        (_values, ctrs), (_rows, wo) = solves[:2]
+        want = np.zeros(values.shape)
+        s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
+        for s, i, pi_wo in zip(s_of, i_of, wo):
+            v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
+            raw = float(v[others] @ pi_wo[others] - v[others] @ pi[others])
+            want[s, i] = _clip_dust(raw)
+            kept[raw < 0.0, want[s, i] < 0.0, inst.n == 1] += 1
+        for v, pi, paid, outcome in zip(values, ctrs, want, got, strict=True):
+            assert outcome.payments.tobytes() == paid.tobytes(), case
+            assert outcome.utilities.tobytes() == (v * pi - paid).tobytes()
+
+        del solves[:]
+        pricing[0] = "myerson"
+        got = mechanisms.myerson_rows(inst, profiles, dists, handle, grid)
+        (_virtual, ctrs), = solves[:1]
+        want = np.zeros(values.shape)
+        s_of, i_of = np.nonzero((ctrs > 0.0) & (values > 0.0))
+        steps = values[s_of, i_of] / grid
+        for s, i, step, area in zip(s_of, i_of, steps.tolist(), areas,
+                                    strict=True):
+            raw = values[s, i] * ctrs[s, i] - step * area
+            want[s, i] = _clip_dust(raw)
+            kept[raw < 0.0, want[s, i] < 0.0, inst.n == 1] += 1
+        for v, pi, paid, outcome in zip(values, ctrs, want, got, strict=True):
+            assert outcome.payments.tobytes() == paid.tobytes(), case
+            assert outcome.utilities.tobytes() == (v * pi - paid).tobytes()
+    # (raw payment negative, kept negative, n == 1) -> payments seen
+    assert kept[True, False, False] > 30  # dust clipped to 0.0
+    assert kept[True, True, False] > 100  # genuinely negative, kept
+    assert kept[False, False, True] > 50
+    assert kept[False, False, False] > 1000
 
 
 def _float_bits(x):
@@ -892,9 +994,10 @@ def _read_counted(base, solves, reads, batches):
 
 def test_myerson_rows_reads_one_depth_per_solve_rows_call():
     """Over an exact handle, one ``myerson_rows`` call solves every profile
-    in one ``solve_rows`` call, one row each, whose outcome it builds once
-    per profile, then makes at most ceil(log2 grid) + 1 more calls, which
-    build no outcome, whatever the number of profiles and payers.  Over the
+    in one ``solve_rows`` call, one row each, then makes at most
+    ceil(log2 grid) + 1 more calls, whatever the number of profiles and
+    payers.  It builds no outcome; reading each profile's ``augmented``,
+    twice, builds the first call's outcome once per profile.  Over the
     greedy, each profile is solved by one ``solve``, audited in one reader
     call and priced in at most that many.  Either way it prices as one
     ``myerson`` call per profile."""
@@ -916,6 +1019,9 @@ def test_myerson_rows_reads_one_depth_per_solve_rows_call():
             depths = int(np.ceil(np.log2(grid))) + 1
             if counted.is_exact:
                 assert not solves
+                assert all(not built for _rows, built in batches)
+                for outcome in got + got:
+                    assert outcome.augmented is not None
                 assert batches[0] == (len(profiles),
                                       list(range(len(profiles))))
                 assert len(batches) - 1 <= depths
@@ -931,6 +1037,91 @@ def test_myerson_rows_reads_one_depth_per_solve_rows_call():
                 assert np.array_equal(outcome.payments, want.payments)
                 paid += np.count_nonzero(want.payments)
     assert paid > 30
+
+
+def _recorded(base, solved, batches):
+    """``base`` recording each ``solve`` as (bids, outcome) in ``solved``,
+    and each ``solve_rows`` call in ``batches`` as (its rows, the outcomes
+    it built, as {row: outcome})."""
+
+    def solve(inst, bids):
+        out = base.solve(inst, bids)
+        solved.append((np.array(bids, dtype=float), out[0]))
+        return out
+
+    def solve_rows(inst, rows):
+        ctrs, outcome = base.solve_rows(inst, rows)
+        built = {}
+        batches.append((np.array(rows, dtype=float), built))
+
+        def counted(r):
+            built[r] = outcome(r)
+            return built[r]
+
+        return ctrs, counted
+
+    return SolverHandle(solve=solve, kind=base.kind, curves=base.curves,
+                        solve_rows=base.solve_rows and solve_rows)
+
+
+def test_outcomes_are_built_on_read():
+    """``vcg_rows`` and ``myerson_rows`` build no outcome of an exact
+    handle's ``solve_rows`` until ``augmented`` is read, then each once
+    however often it is read, ``==`` what ``solve`` returns at the
+    profile's bids (its values for vcg, virtual values for myerson).  Over
+    the greedy and the planted bug over brute, which solve each profile in
+    the call, it is that solve's outcome, and reading it leaves the greedy's
+    generator where the call left it."""
+    rng = np.random.default_rng(2511)
+
+    def greedy():
+        gen = np.random.default_rng(int(rng.integers(1 << 30)))
+        return greedy_cascade_solver(gen), gen
+
+    makers = [(MNL, lambda: (exact_mnl_solver(), None)),
+              (CASCADE, lambda: (brute_cascade_solver(), None)),
+              (CASCADE, greedy),
+              (CASCADE, lambda: (threshold_dropping_solver(
+                  brute_cascade_solver(), 2.0), None))]
+    dists = [Uniform(0.0, 1.0)] * 6
+    built_any = 0
+    for case in range(160):
+        model, make = makers[case % 4]
+        inst = (rand_mnl_instance(rng, nmax=6, mmax=3) if model == MNL
+                else rand_cascade_instance(rng, nmax=5, mmax=3))
+        profiles = rng.uniform(0.0, 1.0, (int(rng.integers(1, 4)), inst.n))
+        virtual = np.maximum(2.0 * profiles - 1.0, 0.0)
+        for price, bids in (("vcg", profiles), ("myerson", virtual)):
+            handle, gen = make()
+            if price == "vcg" and not handle.is_exact:
+                continue
+            solved, batches = [], []
+            counted = _recorded(handle, solved, batches)
+            got = (mechanisms.vcg_rows(inst, profiles, counted)
+                   if price == "vcg" else mechanisms.myerson_rows(
+                       inst, profiles, dists[:inst.n], counted, 64))
+            assert all(not built for _rows, built in batches), case
+            state = gen and gen.bit_generator.state
+            for s, outcome in enumerate(got):
+                chi = outcome.augmented
+                assert outcome.augmented is chi
+                if handle.is_exact:
+                    rows, built = batches[0]
+                    assert np.array_equal(rows[s], bids[s])
+                    assert list(built) == list(range(s + 1)), case
+                    assert chi == make()[0].solve(inst, bids[s])[0], case
+                    built_any += bool(chi.allocation.assignment)
+                elif gen is not None:  # the greedy: one solve per profile
+                    assert len(solved) == len(got), case
+                    assert np.array_equal(solved[s][0], bids[s])
+                    assert chi is solved[s][1], case
+                else:
+                    assert any(chi is out for _bids, out in solved), case
+                    assert chi == make()[0].solve(inst, bids[s])[0], case
+            assert all(not built for _rows, built in batches[1:]), case
+            if gen is not None:
+                assert gen.bit_generator.state == state, case
+    assert built_any > 50
 
 
 def _midpoint_grid_sums(read, tops, grid_size, bids=None):
