@@ -52,6 +52,7 @@ from .core import (
     CtrVector,
     Instance,
     Permutation,
+    SizeGuardError,
     ValidationError,
     bid_vector,
     cascade_rates,
@@ -64,6 +65,10 @@ from .core import (
 ZERO_CTR_TOL = 1e-12
 # Rates the restricted-welfare search scores at once: 8 MB per temporary.
 SCORE_BLOCK = 1 << 20
+# The restricted-welfare search's guard on guesses x (table rows + 64): a
+# row scores in ~0.13 us, and a guess costs ~1 us and ~180 B besides.  6x6,
+# k = 6 counts ~16M at eps = 0.01 (~2 s, 2 vCPUs); 1x1 admits ~0.5M guesses.
+PTAS_SCORES = 1 << 25
 
 
 def sorted_view(values) -> list[int]:
@@ -200,13 +205,19 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
     the true (unscaled) restricted welfare.  Alpha = 1 scales no row, so
     that guess is made once, for k = 0.  All guesses are scored on one
     matching table (``SCORE_BLOCK`` rates at a time), as
-    ``exact_budgeted_matching`` scores one.
+    ``exact_budgeted_matching`` scores one.  A search past ``PTAS_SCORES``
+    raises ``SizeGuardError`` before any guess is made.
     """
     from . import oracle  # oracle imports this module
 
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     table, values = oracle._matchings(inst, CASCADE, values, None)
+    guesses = inst.n * (2.0 / eps + 1.0)  # a float: inf, not an overflow
+    if guesses * (len(table) + 64) > PTAS_SCORES:
+        raise SizeGuardError(
+            f"eps = {eps} makes ~{guesses:.3g} guesses on {len(table)} table"
+            f" rows, past the restricted-search guard ({PTAS_SCORES} scores)")
 
     grid = [g * eps / 2.0 for g in range(1, int(2.0 / eps + 1e-12) + 1)]
     if not grid or grid[-1] < 1.0 - 1e-12:

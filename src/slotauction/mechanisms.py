@@ -22,9 +22,10 @@ bids, and :func:`_reader` is the one code that reads a handle for them.
 It takes points (template, advertiser, own bid), a list per call, to the
 handle's ``curves`` (the greedy: exact own-bid curves whose reads make the
 random draws one ``solve`` per point would), else to :func:`_solve_rows`:
-the exact handles' ``solve_rows``, else one ``solve`` per row (the
-planted-bug fixture).  It gives a block's CTRs in one call and each row's
-outcome only when asked, so no read builds an allocation.  The audit reads
+the exact handles' ``solve_rows`` (their ``solve`` is its one-row case),
+else one ``solve`` per row (the planted-bug fixture).  It gives a block's
+CTRs in one call and each row's outcome only when asked, so no read builds
+an allocation.  The audit reads
 every advertiser's sweep of an instance in one call, :func:`_grid_sums`
 the envelope points of a block of payers in one call per round, and
 ``vcg_rows`` every leave-one-out row in one.  Over an exact handle a read
@@ -47,22 +48,19 @@ import numpy as np
 
 from .core import (
     AugmentedAllocation,
-    CASCADE,
     CtrVector,
     Instance,
-    Permutation,
     SlotauctionError,
     ValidationError,
     bid_rows,
     bid_vector,
-    cascade_ctr,
     match_ctrs,
     require_valid,
 )
 from .cascade_wdp import OwnBidCurves, greedy_outcome
 from .distributions import ValueDistribution, is_regular
-from .mnl_wdp import solve_mnl_wdp, solve_mnl_wdp_rows
-from .oracle import brute_force_wdp_cascade, brute_solve_rows
+from .mnl_wdp import solve_mnl_wdp_rows
+from .oracle import brute_solve_rows
 
 EXACT_MNL = "exact_mnl"
 BRUTE_CASCADE = "brute_cascade"
@@ -136,11 +134,11 @@ class SolverHandle:
     at those bids, and ``outcome(r)`` is ``==`` the ``AugmentedAllocation``
     ``solve`` returns at row r, built only when called (by the first read
     of a mechanism outcome's ``augmented``).  Every read of a handle
-    without ``curves`` goes through it.  Only the exact handles set it:
-    the exact MNL handle to one
-    ``solve_mnl_wdp_rows`` call and ``core.match_ctrs`` of its matchings,
-    the brute cascade handle to ``oracle.brute_solve_rows``, which scores
-    one matching table for every row.
+    without ``curves`` goes through it.  Only the exact handles set it,
+    and an exact handle is its ``solve_rows``, ``solve`` the one-row case:
+    the exact MNL handle's is one ``solve_mnl_wdp_rows`` call and
+    ``core.match_ctrs`` of its matchings, the brute cascade handle's
+    ``oracle.brute_solve_rows``, which scores one table for every row.
     """
 
     solve: SolveFn
@@ -170,36 +168,30 @@ class MechanismOutcome:
         return self._outcome()
 
 
-def exact_mnl_solver() -> SolverHandle:
-    def solve(inst: Instance, bids: np.ndarray):
-        result = solve_mnl_wdp(inst, bids)
-        sigma = Permutation(
-            {j: r + 1 for r, (_, j) in enumerate(result.allocation.pairs())}
-        )
-        return AugmentedAllocation(result.allocation, sigma), result.ctrs
+def _exact(kind: str, solve_rows: SolveRowsFn) -> SolverHandle:
+    """An exact handle whose ``solve`` is ``solve_rows``' one-row case."""
 
+    def solve(inst: Instance, bids: np.ndarray):
+        ctrs, outcome = solve_rows(inst, bid_vector(inst, bids)[None])
+        return outcome(0), ctrs[0]
+
+    return SolverHandle(solve=solve, kind=kind, solve_rows=solve_rows)
+
+
+def exact_mnl_solver() -> SolverHandle:
     def solve_rows(inst: Instance, bid_rows: np.ndarray):
         match = solve_mnl_wdp_rows(inst, bid_rows)
-        return match_ctrs(inst, match), lambda r: (  # ranked as solve ranks
+        return match_ctrs(inst, match), lambda r: (
             AugmentedAllocation.from_pairs(
                 [(i, j) for i, j in enumerate(match[r].tolist()) if j >= 0]))
 
-    return SolverHandle(solve=solve, kind=EXACT_MNL, solve_rows=solve_rows)
+    return _exact(EXACT_MNL, solve_rows)
 
 
 def brute_cascade_solver() -> SolverHandle:
-    """Exhaustive cascade search over the advertisers bidding above 0; its
-    ``solve_rows`` is ``oracle.brute_solve_rows``."""
-
-    def solve(inst: Instance, bids: np.ndarray):
-        require_valid(inst, CASCADE)
-        bids = bid_vector(inst, bids)
-        active = {i for i in range(inst.n) if bids[i] > 0.0}
-        chi, _w = brute_force_wdp_cascade(inst, bids, active=active)
-        return chi, cascade_ctr(inst, chi)
-
-    return SolverHandle(solve=solve, kind=BRUTE_CASCADE,
-                        solve_rows=brute_solve_rows)
+    """Exhaustive cascade search over the advertisers bidding above 0:
+    ``oracle.brute_solve_rows``."""
+    return _exact(BRUTE_CASCADE, brute_solve_rows)
 
 
 def greedy_cascade_solver(rng: np.random.Generator) -> SolverHandle:

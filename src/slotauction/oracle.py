@@ -7,18 +7,19 @@ All oracles walk one memoized table per (n, m, k, active advertisers).  A
 row gives each advertiser's position, or -1 if unmatched.  Rows come in a
 fixed order: positions ascending, each one first left empty, then given to
 the free active advertisers in ascending order; the first row is the empty
-matching.  Ties follow one rule: the first row whose score beats the
-running best (from the empty matching's 0.0) by more than ``TIE_MARGIN``.
+matching.  Ties follow one rule, written once in ``_first_best``: the first
+row whose score beats the running best (from the empty matching's 0.0) by
+more than ``TIE_MARGIN``.
 
 ``brute_solve_rows`` scores one table on arrays for many bid rows at once,
-with the cascade oracle's own arithmetic: the brute handle's one batched
-call, through which the mechanisms take every outcome, leave-one-out row and
-envelope point of the brute handle.  It renders a pick only when asked.
+with the cascade oracle's own arithmetic.  It is the brute handle, whose
+``solve`` is its one-row case, and renders a pick only when asked.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -126,34 +127,21 @@ def _first_best(scored):
 
 def _first_best_rows(scores: np.ndarray) -> np.ndarray:
     """The index ``_first_best`` picks in each row of a 2-D score array
-    without NaN, in a fixed number of array steps.
+    without NaN.
 
     Each row's first maximum over indices 1.. beats every earlier score by
     more than ``TIE_MARGIN`` unless some score lies below it but within the
     margin, so it is the pick if it beats 0.0 + TIE_MARGIN, else index 0 is.
-    Only rows with such a near-tie walk the picks: from a pick (b, s) the
-    next is the first index after b scoring above s + TIE_MARGIN; indices
-    1..b all score at most that, so it is the first where the running
-    maximum over indices 1.. does."""
+    Only rows with such a near-tie are scanned, by ``_first_best`` itself."""
     if scores.shape[1] < 2:
         return np.zeros(scores.shape[0], dtype=np.intp)
     rest = scores[:, 1:]
     first = rest.argmax(axis=1)
     top = rest[np.arange(rest.shape[0]), first][:, None]
     best = np.where(top[:, 0] > 0.0 + TIE_MARGIN, first + 1, 0)
-    near = np.flatnonzero(
-        ((rest < top) & ~(top > rest + TIE_MARGIN)).any(axis=1))
-    running = np.maximum.accumulate(rest[near], axis=1)
-    best[near] = 0
-    live = np.arange(near.size)
-    threshold = np.full(live.shape, 0.0 + TIE_MARGIN)
-    while live.size:
-        # running is non-decreasing: count the indices not past threshold
-        after = (running[live] <= threshold[:, None]).sum(axis=1)
-        found = after < running.shape[1]
-        live, pick = live[found], after[found] + 1
-        best[near[live]] = pick
-        threshold = scores[near[live], pick] + TIE_MARGIN
+    near = ((rest < top) & ~(top > rest + TIE_MARGIN)).any(axis=1)
+    for r in np.flatnonzero(near).tolist():
+        best[r] = _first_best(zip(scores[r].tolist(), itertools.count()))[0]
     return best
 
 
@@ -190,16 +178,12 @@ def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
     )
 
 
-def brute_force_wdp_cascade(
-    inst: Instance,
-    values,
-    active: set[int] | None = None,
-) -> tuple[AugmentedAllocation, float]:
-    """Exact cascade-welfare maximum over all matchings of ``active``
-    (default: every advertiser).  Each matching is rendered in decreasing
-    order of matched value, which is welfare-maximal for a fixed matching.
-    """
-    table, values = _matchings(inst, CASCADE, values, active)
+def brute_force_wdp_cascade(inst: Instance, values
+                            ) -> tuple[AugmentedAllocation, float]:
+    """Exact cascade-welfare maximum over all matchings.  Each matching is
+    rendered in decreasing order of matched value, which is welfare-maximal
+    for a fixed matching."""
+    table, values = _matchings(inst, CASCADE, values, None)
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 
@@ -222,20 +206,23 @@ def brute_force_wdp_cascade(
 
 
 def brute_solve_rows(inst: Instance, rows):
-    """The brute handle's ``solve`` at each row of ``rows`` (R x n, R >= 0)
-    from one matching table, as ``(ctrs, outcome)``: R x n CTRs, bit-equal,
-    and ``outcome(r)``, ``==`` its outcome at row r, built when called.
+    """``brute_force_wdp_cascade`` at each row of ``rows`` (R x n, R >= 0)
+    from one matching table, as ``(ctrs, outcome)``: R x n CTRs, bit-equal
+    to ``core.cascade_ctr``'s at the oracle's outcome, and ``outcome(r)``,
+    ``==`` that outcome at row r, built when called.  The brute handle's
+    ``solve_rows``.
 
     The table is the union of the rows' positive bidders.  Each row scores
     it with ``brute_force_wdp_cascade``'s recurrence in its own value
     order.  A bid <= 0 comes after every positive one there and adds a term
     of at most 0 (or NaN), so a table row matching it scores at most what
     the same row without it scores; that row comes earlier in the table, so
-    the tie rule never picks the former: the pick is the oracle's over the
-    row's positive bidders.  A NaN score (+-inf * 0.0) becomes -inf, which
-    never beats either, as NaN never does in the scalar loop.  Rows are
-    scored ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the
-    picked rows only, rated as ``core.cascade_ctr`` does.
+    the tie rule never picks the former: the pick over the row's positive
+    bidders is the oracle's over every advertiser.  A NaN score
+    (+-inf * 0.0) becomes -inf, which never beats either, as NaN never does
+    in the scalar loop.  Rows are scored ``SCORE_BLOCK`` rates at a time;
+    CTRs are then taken at the picked rows only, rated as
+    ``core.cascade_ctr`` does.
     """
     require_valid(inst, CASCADE)
     rows = bid_rows(inst, rows)

@@ -586,6 +586,33 @@ def test_ptas_runs_up_to_six_by_six(n, m):
         >= 0.9 * opt - 1e-9
 
 
+def test_ptas_guard_refuses_a_tiny_eps_before_any_guess(monkeypatch):
+    """About n * 2 / eps guesses, each scored on every table row: 6x6 at
+    k = 6 is admitted at eps = 0.01 and refused at 1e-3, 1e-9 and 5e-324
+    (where 2 / eps overflows), before any guess is scored; a 1x1 table is
+    refused at 5e-324 too."""
+    rng = np.random.default_rng(79)
+    inst = Instance(n=6, m=6, k=6, p=rng.uniform(0.01, 1.0, (6, 6)),
+                    model=CASCADE)
+    values = rng.uniform(0.1, 10.0, 6)
+    scored = []
+
+    def flat_scores(table, values, rates, budget, cap):
+        scored.append(len(rates))
+        return np.zeros(rates.shape[:2])
+
+    monkeypatch.setattr(cascade_wdp, "_budgeted_scores", flat_scores)
+    assert ptas_restricted_welfare(inst, values, 0.01) == Allocation({})
+    assert sum(scored) == 6 * 200 - 5
+    del scored[:]
+    tiny = Instance(n=1, m=1, k=1, p=[[0.5]], model=CASCADE)
+    for case, eps in ((inst, 1e-3), (inst, 1e-9), (inst, 5e-324),
+                      (tiny, 5e-324)):
+        with pytest.raises(SizeGuardError, match="restricted-search guard"):
+            ptas_restricted_welfare(case, values[:case.n], eps)
+    assert scored == []
+
+
 def test_ptas_rejects_bad_eps():
     inst = Instance(n=1, m=1, k=1, p=[[0.3]], model=CASCADE)
     for eps in (0.0, 1.0, -0.2):

@@ -314,6 +314,22 @@ def test_solve_ptas_up_to_the_oracle_guard(tmp_path, monkeypatch, capsys):
     assert "exhaustive-search guard" in capsys.readouterr().err
 
 
+def test_solve_ptas_refuses_a_tiny_epsilon(tmp_path, capsys):
+    """An epsilon whose guesses overflow an int exits 2 at the ptas guard,
+    not 4 on an ``OverflowError``."""
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 2, "m": 2, "k": 2, "model": "cascade",
+         "p": [[0.5, 0.3], [0.4, 0.25]]},
+    )
+    vals = write_json(tmp_path / "vals.json", [1.0, 2.0])
+    for eps in ("5e-324", "1e-9"):
+        capsys.readouterr()
+        assert main(["solve", "--instance", inst, "--values", vals,
+                     "--algorithm", "ptas", "--epsilon", eps]) == EXIT_SOLVER
+        assert "restricted-search guard" in capsys.readouterr().err
+
+
 def test_mechanism_vcg_csv(tmp_path):
     inst = write_json(
         tmp_path / "inst.json",

@@ -6,7 +6,15 @@ import pytest
 
 from slotauction import mechanisms
 from slotauction.cascade_wdp import bucket_count
-from slotauction.core import CASCADE, Instance, MNL, ValidationError
+from slotauction.core import (
+    AugmentedAllocation,
+    CASCADE,
+    Instance,
+    MNL,
+    Permutation,
+    ValidationError,
+    cascade_ctr,
+)
 from slotauction.distributions import Exponential, TruncatedNormal, Uniform
 from slotauction.mechanisms import (
     IrregularDistributionError,
@@ -22,6 +30,8 @@ from slotauction.mechanisms import (
     threshold_dropping_solver,
     vcg,
 )
+from slotauction.mnl_wdp import solve_mnl_wdp
+from slotauction.oracle import brute_force_wdp_cascade
 from slotauction.properties import monotonicity
 from conftest import (
     rand_bids,
@@ -36,6 +46,26 @@ from test_mnl_wdp import _tie_heavy_stack
 def textbook_slot(n=2):
     """n bidders, one certain-click slot, cascade model."""
     return Instance(n=n, m=1, k=1, p=np.ones((n, 1)), model=CASCADE)
+
+
+def _standalone_solve(inst, bids):
+    """What an exact handle's ``solve`` returns, by one-row routes its
+    ``solve_rows`` does not share: ``brute_force_wdp_cascade`` and
+    ``cascade_ctr`` on a cascade instance, ``solve_mnl_wdp`` rendered in
+    advertiser order on an MNL one."""
+    if inst.model == CASCADE:
+        chi, _w = brute_force_wdp_cascade(inst, bids)
+        return chi, cascade_ctr(inst, chi)
+    result = solve_mnl_wdp(inst, bids)
+    sigma = Permutation(
+        {j: r + 1 for r, (_i, j) in enumerate(result.allocation.pairs())})
+    return AugmentedAllocation(result.allocation, sigma), result.ctrs
+
+
+def _standalone(handle):
+    """An exact ``handle``'s kind over ``_standalone_solve`` alone, so that
+    it is read one standalone solve per row."""
+    return SolverHandle(solve=_standalone_solve, kind=handle.kind)
 
 
 # ----------------------------------------------------------------------- vcg
@@ -101,7 +131,9 @@ def _clip_dust(payment, tol=1e-9):
 
 def _vcg_loop(inst, values, solver):
     """Reference VCG: one ``solve`` for the outcome and one more per
-    advertiser not both valued 0 and unallocated; (chi, ctrs, payments)."""
+    advertiser not both valued 0 and unallocated; (chi, ctrs, payments).
+    Over ``_standalone`` handles it shares no code with the handles'
+    ``solve_rows``."""
     chi, pi = solver.solve(inst, values)
     payments = np.zeros(inst.n)
     for i in range(inst.n):
@@ -139,7 +171,8 @@ def test_vcg_rows_equal_the_per_advertiser_loop():
                              rng.choice([0.0, 0.5, 1.0, 2.0], inst.n),
                              rng.uniform(0.0, 5.0, inst.n))
                     for _ in range(int(rng.integers(1, 4)))]
-        want = [_vcg_loop(inst, values, solver) for values in profiles]
+        want = [_vcg_loop(inst, values, _standalone(solver))
+                for values in profiles]
         per_row = SolverHandle(solve=solver.solve, kind=solver.kind)
         for handle in (solver, per_row):
             got = mechanisms.vcg_rows(inst, profiles, handle)
@@ -305,8 +338,9 @@ def _brute_curve_test_bids(values, i):
     return sorted(float(b) for b in bids)
 
 
-def _solved_rows(handle, inst, rows):
-    return np.array([handle.solve(inst, bids)[1] for bids in rows])
+def _solved_rows(inst, rows):
+    """The CTRs of ``_standalone_solve`` at each row of ``rows``."""
+    return np.array([_standalone_solve(inst, bids)[1] for bids in rows])
 
 
 def _batched_ctrs(handle, inst, rows):
@@ -315,8 +349,9 @@ def _batched_ctrs(handle, inst, rows):
 
 
 def test_brute_solve_rows_ctrs_equal_solves():
-    """The CTRs of the brute handle's ``solve_rows`` are its ``solve``'s
-    row by row, bit-equal: on tie-heavy rates with bids 0, negative and
+    """The CTRs of the brute handle's ``solve_rows`` are those of
+    ``brute_force_wdp_cascade`` and ``cascade_ctr`` row by row, bit-equal
+    (``_solved_rows``): on tie-heavy rates with bids 0, negative and
     +-inf, k < m included, and on no rows, which give 0 x n; at own bids on
     the float neighbours of the others' values; at own bids 1 and +inf,
     with and without another +inf bidder; and on both floats of every step
@@ -333,7 +368,7 @@ def test_brute_solve_rows_ctrs_equal_solves():
         rows = np.tile(values, (int(rng.integers(1, 6)), 1))
         special = rng.choice([0.0, -1.0, np.inf, -np.inf], rows.shape)
         rows = np.where(rng.random(rows.shape) < 0.3, special, rows)
-        want = _solved_rows(handle, inst, rows)
+        want = _solved_rows(inst, rows)
         assert np.array_equal(_batched_ctrs(handle, inst, rows), want), rows
         assert _batched_ctrs(handle, inst, np.empty((0, inst.n))).shape \
             == (0, inst.n)
@@ -353,7 +388,7 @@ def test_brute_solve_rows_ctrs_equal_solves():
             values, np.repeat(np.arange(inst.n), [len(g) for g in grids]),
             np.concatenate(grids))
         assert np.array_equal(_batched_ctrs(handle, inst, rows),
-                              _solved_rows(handle, inst, rows)), cases
+                              _solved_rows(inst, rows)), cases
 
     rng = np.random.default_rng(163)
     for case in range(100):
@@ -365,7 +400,7 @@ def test_brute_solve_rows_ctrs_equal_solves():
         rows = _own_bid_rows(values, np.repeat(np.arange(inst.n), 2),
                              np.tile([1.0, np.inf], inst.n))
         assert np.array_equal(_batched_ctrs(handle, inst, rows),
-                              _solved_rows(handle, inst, rows)), case
+                              _solved_rows(inst, rows)), case
 
     rng = np.random.default_rng(157)
     steps = 0
@@ -380,7 +415,7 @@ def test_brute_solve_rows_ctrs_equal_solves():
         rows = _own_bid_rows(values, np.concatenate([who, who]),
                              np.concatenate([below, above]))
         assert np.array_equal(_batched_ctrs(handle, inst, rows),
-                              _solved_rows(handle, inst, rows)), inst
+                              _solved_rows(inst, rows)), inst
         steps += len(rows)
     assert steps > 1000
 
@@ -390,11 +425,11 @@ def test_brute_solve_rows_ctrs_equal_solves():
 
 
 def test_solve_rows_equal_solves():
-    """Each exact handle's ``solve_rows`` returns, row by row, what its
-    ``solve`` returns: CTRs, and the allocation and permutation of each
-    row's ``outcome``, read last row first, ``==``.  On tie-heavy pools
-    whose rows hold zero and negative bids and differ in their positive
-    bidders, and on no rows, which give 0 x n CTRs."""
+    """Each exact handle's ``solve_rows`` returns, row by row, what
+    ``_standalone_solve`` returns: CTRs, and the allocation and permutation
+    of each row's ``outcome``, read last row first, ``==``.  On tie-heavy
+    pools whose rows hold zero and negative bids and differ in their
+    positive bidders, and on no rows, which give 0 x n CTRs."""
     rng = np.random.default_rng(197)
     checked, mixed = Counter(), 0
     while min(checked[MNL], checked[CASCADE]) < 300:
@@ -411,7 +446,8 @@ def test_solve_rows_equal_solves():
         ctrs, outcome = handle.solve_rows(inst, rows)
         assert ctrs.shape == rows.shape
         for r in reversed(range(len(rows))):
-            chi, (want_chi, want_pi) = outcome(r), handle.solve(inst, rows[r])
+            chi, (want_chi, want_pi) = (outcome(r),
+                                        _standalone_solve(inst, rows[r]))
             assert chi.allocation == want_chi.allocation, (inst, rows[r])
             assert chi.permutation == want_chi.permutation, (inst, rows[r])
             assert np.array_equal(ctrs[r], want_pi), (inst, rows[r])
@@ -420,6 +456,41 @@ def test_solve_rows_equal_solves():
         checked[inst.model] += 1
         mixed += len({tuple(row > 0.0) for row in rows}) > 1
     assert mixed > 200
+
+
+def test_exact_solve_equals_the_standalone_route():
+    """Each exact handle's ``solve``, the one-row case of its
+    ``solve_rows``, returns what ``_standalone_solve`` returns: allocation
+    and permutation ``==``, CTRs to the byte.  On tie-heavy draws with bids
+    of 0, negative and +-inf; an MNL +inf bid overflows, and both routes
+    raise ``ValidationError`` on it."""
+    rng = np.random.default_rng(211)
+    checked, overflows = Counter(), 0
+    while min(checked[MNL], checked[CASCADE]) < 500:
+        if rng.random() < 0.5:
+            handle, (inst, rows) = exact_mnl_solver(), _tie_heavy_stack(rng)
+            bids = rows[0]
+        else:
+            handle = brute_cascade_solver()
+            inst, bids = tie_heavy_cascade_case(rng)
+            if inst.n * inst.m > 20:
+                continue
+        bids = np.where(rng.random(inst.n) < 0.2,
+                        rng.choice([0.0, -1.0, np.inf, -np.inf], inst.n), bids)
+        checked[inst.model] += 1
+        if inst.model == MNL and np.isposinf(bids).any():
+            for solve in (handle.solve, _standalone_solve):
+                with pytest.raises(ValidationError):
+                    solve(inst, bids)
+            overflows += 1
+            continue
+        (chi, pi), (want_chi, want_pi) = (handle.solve(inst, bids),
+                                          _standalone_solve(inst, bids))
+        assert chi.allocation == want_chi.allocation, (inst, bids)
+        assert chi.permutation == want_chi.permutation, (inst, bids)
+        assert pi.dtype == want_pi.dtype and pi.shape == want_pi.shape
+        assert pi.tobytes() == want_pi.tobytes(), (inst, bids)
+    assert overflows > 20
 
 
 def test_envelope_bids_follow_the_off_support_rule():
@@ -860,10 +931,10 @@ def _brute_auction_cases(rng):
 
 def test_myerson_over_brute_curve_equals_probe_path():
     """The brute handle's envelope reads through its ``solve_rows`` price as
-    one ``solve`` per point read does."""
+    one standalone solve per point read does."""
     rng = np.random.default_rng(151)
     handle = brute_cascade_solver()
-    probed = SolverHandle(solve=handle.solve, kind=handle.kind)
+    probed = _standalone(handle)
     for inst, values, dists in _brute_auction_cases(rng):
         fast = myerson(inst, values, dists, handle)
         slow = myerson(inst, values, dists, probed)
@@ -1109,7 +1180,7 @@ def test_outcomes_are_built_on_read():
                     rows, built = batches[0]
                     assert np.array_equal(rows[s], bids[s])
                     assert list(built) == list(range(s + 1)), case
-                    assert chi == make()[0].solve(inst, bids[s])[0], case
+                    assert chi == _standalone_solve(inst, bids[s])[0], case
                     built_any += bool(chi.allocation.assignment)
                 elif gen is not None:  # the greedy: one solve per profile
                     assert len(solved) == len(got), case
@@ -1354,8 +1425,9 @@ def test_readers_ignore_template_edits_after_build():
 
 def test_reader_equals_one_solve_per_point():
     """``_reader`` over every handle kind, on interleaved templates, gives
-    the CTR one ``solve`` per point reports, and over the greedy leaves the
-    generator where those solves leave it."""
+    the CTR one ``solve`` per point reports (over an exact handle, one
+    ``_standalone_solve``), and over the greedy leaves the generator where
+    those solves leave it."""
     rng = np.random.default_rng(191)
     for case in range(60):
         model, make = _seeded_handles()[case % 6]
@@ -1366,11 +1438,12 @@ def test_reader_equals_one_solve_per_point():
                    float(rng.choice([0.0, rng.uniform(0.0, 3.0)])))
                   for _ in range(int(rng.integers(0, 12)))]
         probe, probe_rng = make(case)
+        solve = _standalone_solve if probe.is_exact else probe.solve
         want = []
         for t, i, b in points:
             bids = templates[t].copy()
             bids[i] = b
-            want.append(float(probe.solve(inst, bids)[1][i]))
+            want.append(float(solve(inst, bids)[1][i]))
         handle, handle_rng = make(case)
         read = mechanisms._reader(handle, inst, templates)
         templates[:] = -1.0  # the reader keeps its own copy
@@ -1502,10 +1575,13 @@ def test_audit_through_solve_rows_equals_probes():
     exact = exact_mnl_solver()
     broken = threshold_dropping_solver(exact, threshold=5.0)
     assert exact.solve_rows is not None and broken.solve_rows is None
+    # (batched handle, its reference): the reference's probes take the
+    # standalone route
     pairs = [
-        (exact, exact),
+        (exact, _standalone(exact)),
         (SolverHandle(solve=broken.solve, kind=broken.kind,
-                      solve_rows=_dropping_rows(exact, 5.0)), broken),
+                      solve_rows=_dropping_rows(exact, 5.0)),
+         threshold_dropping_solver(_standalone(exact), threshold=5.0)),
     ]
     rng = np.random.default_rng(71)
     grid = np.linspace(0.25, 10.0, 8)
@@ -1516,8 +1592,8 @@ def test_audit_through_solve_rows_equals_probes():
         for i in range(inst.n):
             rows = np.tile(bids, (len(grid), 1))
             rows[:, i] = grid
-            probed = np.array([exact.solve(inst, r)[1] for r in rows])
-            assert np.array_equal(_batched_ctrs(exact, inst, rows), probed)
+            assert np.array_equal(_batched_ctrs(exact, inst, rows),
+                                  _solved_rows(inst, rows))
         for batched, base in pairs:
             # per advertiser, by a handle built from solve and kind only
             calls, each = [], []

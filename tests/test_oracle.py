@@ -147,7 +147,7 @@ def test_active_outside_the_instance_is_validation_error():
         next(iter(enumerate_matchings(inst, active={-1, 0})))
     cascade = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
     with pytest.raises(ValidationError):
-        brute_force_wdp_cascade(cascade, [1.0, 1.0, 1.0], active={3})
+        next(iter(enumerate_matchings(cascade, active={3})))
 
 
 @pytest.mark.parametrize("length", [2, 4])
@@ -268,10 +268,12 @@ def test_table_order_equals_the_recursive_generator():
 
 def test_oracles_equal_the_reference_loops():
     """Two thirds of the cases are tie-heavy; draws above the guard check
-    that it still raises.  The streamed order is compared up to 16 cells and
-    the welfare against every rendering order up to 9, which keeps the test
-    to a few seconds."""
-    rng = np.random.default_rng(409)
+    that it still raises.  The cascade oracle over every advertiser is also
+    checked against the reference over the positive bidders, on the drawn
+    values and with some set to +-inf.  The streamed order is compared up to
+    16 cells and the welfare against every rendering order up to 9, which
+    keeps the test to a few seconds."""
+    rng, infs = np.random.default_rng(409), np.random.default_rng(419)
     compared = tie_heavy = 0
     for case in range(1200):
         if case % 3:
@@ -286,13 +288,26 @@ def test_oracles_equal_the_reference_loops():
         compared += 1
         tie_heavy += bool(case % 3)
 
-        positive = {i for i in range(inst.n) if values[i] > 0.0}
+        best, best_w = _reference_cascade(inst, values, range(inst.n))
+        chi, w = brute_force_wdp_cascade(inst, values)
+        assert _items(chi.allocation) == list(best.items()), case
+        assert w == best_w, case
+        # over every advertiser the oracle picks what the reference picks
+        # over the positive bidders alone, with +-inf bids too: the claim
+        # brute_solve_rows rests on
+        infinite = np.where(infs.random(inst.n) < 0.3,
+                            infs.choice([np.inf, -np.inf], inst.n), values)
+        for row in (values, infinite):
+            with np.errstate(invalid="ignore"):  # +-inf * 0.0, inf - inf
+                best, best_w = _reference_cascade(
+                    inst, row, np.flatnonzero(row > 0.0).tolist())
+            chi, w = brute_force_wdp_cascade(inst, row)
+            assert _items(chi.allocation) == list(best.items()), (case, row)
+            assert w == best_w, (case, row)
+
+        positive = np.flatnonzero(values > 0.0).tolist()
         for active in (None, positive):
-            candidates = range(inst.n) if active is None else sorted(active)
-            best, best_w = _reference_cascade(inst, values, candidates)
-            chi, w = brute_force_wdp_cascade(inst, values, active=active)
-            assert _items(chi.allocation) == list(best.items()), case
-            assert w == best_w, case
+            candidates = range(inst.n) if active is None else active
             if inst.n * inst.m <= 16:
                 streamed = [_items(a)
                             for a in enumerate_matchings(inst, active)]
