@@ -8,7 +8,9 @@ numerically at construction.
 
 The virtual value phi(v) = v - (1 - F(v)) / f(v) drives revenue
 maximization; a distribution is regular when phi is non-decreasing, which
-is checked on a quantile grid rather than assumed.
+is checked on a quantile grid rather than assumed.  Uniform and exponential
+values also invert phi in closed form (``inverse_virtual_values``), a guess
+that the mechanisms check before they use it.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ class ValueDistribution:
         return np.array([self.virtual_value(x) for x in np.ravel(v).tolist()],
                         dtype=float).reshape(np.shape(v))
 
+    def inverse_virtual_values(self, phi: np.ndarray) -> np.ndarray:
+        """A guess at the smallest value whose virtual value reaches each
+        target of ``phi``, or NaN where the family has none (here: every
+        target; the closed-form families override it).  Above the support
+        the guess continues phi as the identity, as the mechanisms bid
+        there.  A guess, not a bound: float phi is rounded, so where it
+        crosses a target can lie a float or two away (uniform) or many
+        (exponential, whose 1 - F is rounded near 1); callers check it."""
+        return np.full(np.shape(phi), np.nan)
+
 
 @dataclass(frozen=True)
 class Uniform(ValueDistribution):
@@ -95,6 +107,13 @@ class Uniform(ValueDistribution):
         cdf = np.minimum(1.0, np.maximum(0.0, (v - self.a) / (self.b - self.a)))
         return v - (1.0 - cdf) / (1.0 / (self.b - self.a))
 
+    def inverse_virtual_values(self, phi: np.ndarray) -> np.ndarray:
+        """phi(v) = 2v - b on [a, b], so (phi + b) / 2, clipped to [a, b];
+        the identity above b."""
+        phi = np.asarray(phi, dtype=float)
+        return np.where(phi > self.b, phi,
+                        np.clip((phi + self.b) / 2.0, self.a, self.b))
+
 
 @dataclass(frozen=True)
 class Exponential(ValueDistribution):
@@ -117,6 +136,10 @@ class Exponential(ValueDistribution):
         if not 0.0 <= q < 1.0:
             raise DistributionError(f"quantile needs q in [0, 1), got {q}")
         return -math.log1p(-q) / self.rate
+
+    def inverse_virtual_values(self, phi: np.ndarray) -> np.ndarray:
+        """phi(v) = v - 1/rate, so phi + 1/rate, at least 0."""
+        return np.maximum(np.asarray(phi, dtype=float) + 1.0 / self.rate, 0.0)
 
 
 def _std_normal_cdf(x: float) -> float:

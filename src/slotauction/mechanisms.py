@@ -1,8 +1,9 @@
 """Truthful mechanisms on top of the winner-determination solvers.
 
 VCG maximizes welfare with an exact solver and charges each advertiser the
-externality it imposes: one solve for the outcome, and n leave-one-out rows
-read in one batch (see below).  The revenue mechanism solves
+externality it imposes: one solve for the outcome, and one leave-one-out
+row per allocated advertiser, read in one batch (see below); an advertiser
+left unallocated imposes none and pays 0.  The revenue mechanism solves
 winner determination with virtual values as bids, excludes advertisers whose
 virtual value is non-positive, and prices by the envelope rule
 
@@ -30,8 +31,11 @@ every advertiser's sweep of an instance in one call, :func:`_grid_sums`
 the envelope points of a block of payers in one call per round, and
 ``vcg_rows`` every leave-one-out row in one.  Over an exact handle a read
 also gives each point's line in its own bid, and envelope spans are cut
-where lines meet, so a step costs about four reads.  All paths give the
-same CTRs and outcomes, and the greedy the same random draws.
+where lines meet, so a step costs about four reads.  The grid point of
+that cut is guessed from the payer's inverse virtual value and checked,
+for every span of a round, in one :func:`_bids_at` call; only spans the
+guess misses are bisected.  All paths give the same CTRs and outcomes,
+and the greedy the same random draws.
 """
 
 from __future__ import annotations
@@ -250,10 +254,12 @@ def vcg(inst: Instance, values, solver: SolverHandle) -> MechanismOutcome:
 
     t_i = (others' best welfare with i's bid zeroed)
         - (others' welfare at the chosen allocation),
-    which is non-negative and never exceeds v_i * pi_i.  An advertiser
-    valued 0 and not allocated pays 0 and is not re-solved.  The
-    one-profile case of :func:`vcg_rows`, so whether or not the handle has
-    ``solve_rows``, the leave-one-out CTRs are those ``solve`` reports.
+    which is non-negative and never exceeds v_i * pi_i.  An advertiser not
+    allocated pays 0 and is not re-solved: the optimum without it is the
+    same optimum, so it imposes no externality (Clarke, 1971); nor does
+    one placed where its CTR is 0.  The one-profile case of
+    :func:`vcg_rows`, so whether or not the handle has ``solve_rows``, the
+    leave-one-out CTRs are those ``solve`` reports.
     """
     return vcg_rows(inst, [values], solver)[0]
 
@@ -273,8 +279,8 @@ def vcg_rows(inst: Instance, value_rows, solver: SolverHandle
     if np.any(values < 0.0):
         raise ValidationError("values must be non-negative")
     ctrs, outcome = _solve_rows(solver, inst, values)
-    # (profile, advertiser) of each leave-one-out row
-    s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
+    # (profile, advertiser) of each leave-one-out row: the allocated ones
+    s_of, i_of = np.nonzero(ctrs != 0.0)
     rows = values[s_of]
     rows[np.arange(s_of.size), i_of] = 0.0
     # each row's others, ascending: t, or t + 1 from the payer on
@@ -367,6 +373,18 @@ def _bids_at(kinds: list[ValueDistribution], which: np.ndarray,
     return np.maximum(phi, 0.0)
 
 
+def _values_at(kinds: list[ValueDistribution], which: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """A guess at the smallest report valued by ``kinds[which[k]]`` whose
+    bid (:func:`_bids_at`) reaches ``b[k]``, NaN where its distribution has
+    none: one ``inverse_virtual_values`` call per distribution."""
+    v = np.full(len(b), np.nan)
+    for d, dist in enumerate(kinds):
+        mine = which == d
+        v[mine] = dist.inverse_virtual_values(b[mine])
+    return v
+
+
 def myerson(
     inst: Instance,
     values,
@@ -445,13 +463,17 @@ def _priced(inst: Instance, values: np.ndarray,
     def bids(k, g):  # payer k's own bid at its grid point g, on arrays
         return _bids_at(kinds, which[i_of[k]], g * steps[k])
 
-    def envelope(points):  # (payer, grid point) -> the payer's line there
+    def guess(k, b):  # payer k's grid position where its bid reaches b
+        return _values_at(kinds, which[i_of[k]], b) / steps[k]
+
+    def envelope(points):  # (payer, grid point) -> its line and bid there
         k, g = np.array(points, dtype=np.intp).reshape(-1, 2).T
-        return read(list(zip(s_of[k].tolist(), i_of[k].tolist(),
-                             bids(k, g).tolist())))
+        own = bids(k, g).tolist()
+        return *read(list(zip(s_of[k].tolist(), i_of[k].tolist(), own))), own
 
     tops = _lines(virtual[s_of], ctrs[s_of], i_of, solver.is_exact)
-    areas = np.array(_grid_sums(envelope, tops, grid_size, bids), dtype=float)
+    areas = np.array(_grid_sums(envelope, tops, grid_size, bids, guess),
+                     dtype=float)
     payments = np.zeros(values.shape)
     payments[s_of, i_of] = _clip_dust(
         values[s_of, i_of] * ctrs[s_of, i_of] - steps * areas)
@@ -468,63 +490,88 @@ def _grid_size(grid_size) -> int:
     return int(grid_size)
 
 
-def _grid_sums(read: Callable[[list[tuple[int, int]]], Lines],
+def _grid_sums(read: Callable[[list[tuple[int, int]]], tuple],
                tops: tuple[list[float | None], list[float] | None],
-               grid_size: int, bids: Callable | None = None) -> list[float]:
+               grid_size: int, bids: Callable | None = None,
+               guess: Callable | None = None) -> list[float]:
     """:func:`monotone_grid_sum` of each curve k, whose values (y) and
     intercepts (c, or None) at grid points g are ``read([(k, g), ...])``'s,
     and at ``grid_size`` ``tops``' for curve k, unless its y there is None.
+    A read that gives intercepts also gives, third, the own bids it read at.
 
     Each curve's spans are walked one round at a time, each round's new span
     ends, of every curve, in one ``read`` call: a span (lo, hi) whose ends
     read equal, or are adjacent, is settled, and any other splits into
     (lo, cut) and (cut + 1, hi) (:func:`_cuts`; ``bids(k, g)`` gives curve
-    k's own bids at grid points g, on arrays).  Then :func:`_midpoint_sum`
-    sums each curve as the midpoint recursion would, bit for bit: a curve
-    cut only at midpoints was read wherever the recursion reads, and a
-    non-decreasing curve's reads settle it at every grid point."""
+    k's own bids at grid points g, on arrays, and ``guess(k, b)`` a grid
+    position where its bid reaches b).  Then :func:`_midpoint_sum` sums each
+    curve as the midpoint recursion would, bit for bit: a curve cut only at
+    midpoints was read wherever the recursion reads, and a non-decreasing
+    curve's reads settle it at every grid point."""
     ends = [{} if y is None else {grid_size: y} for y in tops[0]]
-    lines = tops[1] and [{grid_size: c} for c in tops[1]]  # ends' intercepts
-    spans = [(k, 1, grid_size) for k in range(len(ends))]
+    curves = np.arange(len(ends))
+    lines = tops[1] and [  # each end's intercept and own bid
+        {grid_size: end} for end in zip(tops[1], bids(
+            curves, np.full(len(ends), grid_size)).tolist())]
+    spans = [(k, 1, grid_size) for k in curves.tolist()]
     while spans:
         new = list(dict.fromkeys((k, g) for k, lo, hi in spans
                                  for g in (lo, hi) if g not in ends[k]))
-        ys, cs = read(new) if new else ((), None)
+        ys, *cs_bs = read(new) if new else ((),)
         for (k, g), y in zip(new, ys):
             ends[k][g] = y
-        for (k, g), c in zip(new, cs or ()):
-            lines[k][g] = c
+        if lines:
+            for (k, g), c, b in zip(new, *cs_bs):
+                lines[k][g] = c, b
         spans = [(k, lo, hi) for k, lo, hi in spans
                  if ends[k][lo] != ends[k][hi] and lo + 1 < hi]
         spans = [half for (k, lo, hi), cut in zip(
-                     spans, _cuts(spans, ends, lines, bids))
+                     spans, _cuts(spans, ends, lines, bids, guess))
                  for half in ((k, lo, cut), (k, cut + 1, hi))]
     return [_midpoint_sum(read_at, grid_size) for read_at in ends]
 
 
 def _cuts(spans: list[tuple[int, int, int]], ends: list[dict[int, float]],
-          lines: list[dict[int, float]] | None, bids: Callable) -> list[int]:
+          lines: list[dict[int, tuple[float, float]]] | None,
+          bids: Callable, guess: Callable | None = None) -> list[int]:
     """Where each span (k, lo, hi) splits: after its midpoint, or if its
-    ends read lines (``lines`` given) with y_lo < y_hi and bids b_lo < b_hi,
-    after the last grid point whose bid is at most b* = (c_hi - c_lo) /
-    (y_lo - y_hi), where the lines meet (Eisner and Severance, 1976), found
-    by bisection over ``bids``.  b* is clamped into [b_lo, b_hi), so float
-    dust cannot walk a run of equal bids, which read equal, a point a round."""
+    ends read lines (``lines``: each end's intercept and own bid) with
+    y_lo < y_hi and bids b_lo < b_hi, after the last grid point g whose bid
+    is at most b* = (c_hi - c_lo) / (y_lo - y_hi), where the lines meet
+    (Eisner and Severance, 1976): bids(g) <= b* < bids(g + 1).  b* is
+    clamped into [b_lo, b_hi), so float dust cannot walk a run of equal
+    bids, which read equal, a point a round.
+
+    ``guess(k, b*)`` (NaN: none) names g directly: ``floor`` of the
+    position of the smallest value whose virtual value reaches b*, clipped
+    into [lo, hi - 1].  Every span's guess is checked in one ``bids`` call
+    on g and g + 1, and the spans it misses are bisected over ``bids``.
+    Bids of a regular distribution do not fall as g grows, so at most one
+    g passes the check, and both ways give the same cut."""
     mids = [(lo + hi) // 2 for _k, lo, hi in spans]
     if not (lines and spans):
         return mids
     k, lo, hi = np.array(spans).T
-    y_lo, c_lo, y_hi, c_hi = np.array([(ends[j][a], lines[j][a], ends[j][z],
-                                        lines[j][z]) for j, a, z in spans]).T
-    b_lo, b_hi = bids(k, lo), bids(k, hi)
+    y_lo, c_lo, b_lo, y_hi, c_hi, b_hi = np.array(
+        [(ends[j][a], *lines[j][a], ends[j][z], *lines[j][z])
+         for j, a, z in spans]).T
     at = np.clip((c_hi - c_lo) / (y_lo - y_hi), b_lo,
                  np.nextafter(b_hi, -np.inf))
+    meet = (b_lo < b_hi) & (y_lo < y_hi)  # else the midpoint: no search
+    hi = np.where(meet, hi, lo + 1)
+    g = np.floor(guess(k, at)) if guess else np.full(len(k), np.nan)
+    known = meet & ~np.isnan(g)
+    if known.any():
+        g = np.clip(np.where(known, g, lo), lo, hi - 1).astype(np.intp)
+        pair = bids(np.concatenate([k, k]), np.concatenate([g, g + 1]))
+        hit = known & (pair[:len(g)] <= at) & (at < pair[len(g):])
+        lo, hi = np.where(hit, g, lo), np.where(hit, g + 1, hi)
     mid = (lo + hi) // 2
     while np.any(hi - lo > 1):  # bids(lo) <= at < bids(hi)
         below = bids(k, mid) <= at
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         mid = (lo + hi) // 2
-    return np.where((b_lo < b_hi) & (y_lo < y_hi), lo, mids).tolist()
+    return np.where(meet, lo, mids).tolist()
 
 
 def _midpoint_sum(read_at: dict[int, float], grid_size: int) -> float:

@@ -480,16 +480,18 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
 def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch, block):
     """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at
     4x3, brute vcg at 6x6, c11's certain-click tie instance, MNL vcg over
-    dinkelbach, greedy myerson, MNL myerson over dinkelbach at 10x5, and
+    dinkelbach, greedy myerson, MNL myerson over dinkelbach at 10x5,
     brute vcg and myerson at 12x3 (more than 8 advertisers, where numpy's
-    pairwise sums change order).  Also with samples priced in blocks of one
-    or a few samples, and the brute rows scored a few at a time."""
+    pairwise sums change order), and MNL vcg and myerson at 20x10 (at most
+    10 of 20 advertisers allocated; Uniform(2, 12) values, whose support
+    starts above 0).  Also with samples priced in blocks of one or a few
+    samples, and the brute rows scored a few at a time."""
     if block is not None:
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
         monkeypatch.setattr(oracle, "SCORE_BLOCK", block)
     pack = json.loads((Path(__file__).parent
                        / "simulate_pack.json").read_text())
-    assert len(pack) == 7
+    assert len(pack) == 8
     out = tmp_path / "out.csv"
     for case in pack:
         inst = write_json(tmp_path / "inst.json", case["instance"])

@@ -46,6 +46,58 @@ def test_virtual_values_equal_virtual_value_bit_for_bit():
             dist.virtual_values(np.array([dist.lo - 1.0, dist.lo]))
 
 
+def _phi(dist, v):
+    """Virtual values at the points ``v`` as the mechanisms bid them,
+    before the clamp at 0: -inf below the support, the identity above it."""
+    v = np.asarray(v, dtype=float)
+    phi = np.where(v < dist.lo, -np.inf, v)
+    inside = (dist.lo <= v) & (v <= dist.hi)
+    phi[inside] = dist.virtual_values(v[inside])
+    return phi
+
+
+def test_inverse_virtual_values_guess_the_crossing():
+    """``inverse_virtual_values`` guesses, for each target t, the smallest
+    value whose virtual value reaches t: (t + b) / 2 clipped to [a, b] and
+    the identity above b for the uniform, t + 1/rate at least 0 for the
+    exponential, NaN (no guess) for the truncated normal and custom
+    distributions.  Float phi is rounded, so the guess is that value up to
+    phi's rounding e, not to the last float: phi at the guess plus e
+    reaches t, and phi at the guess less e does not, unless the guess is
+    the support's lower end (where phi reaches t).  Uniform: e = 2 ulps of
+    |t| + b.  Exponential: phi(v) = v - (1 - F) / f carries the rounding
+    of 1 - F near 1, e = 2^-49 e^(rate v) / rate plus 4 ulps of v."""
+    rng = np.random.default_rng(271)
+    cases = []
+    for dist in (Uniform(0.0, 1.0), Uniform(2.0, 12.0), Uniform(0.5, 3.0)):
+        a, b = dist.a, dist.b
+        t = np.concatenate([rng.uniform(2 * a - b - 1.0, b + 1.0, 2000),
+                            _phi(dist, rng.uniform(a, b + 1.0, 2000)),
+                            [2 * a - b, 0.0, b, b + 1.0]])
+        v = dist.inverse_virtual_values(t)
+        assert np.array_equal(v, np.where(t > b, t, np.clip((t + b) / 2.0,
+                                                             a, b)))
+        cases.append((dist, t, v, 2 * np.spacing(np.abs(t) + b)))
+    for dist in (Exponential(1.0), Exponential(0.25), Exponential(3.0)):
+        rate = dist.rate
+        t = np.concatenate([rng.uniform(-2.0 / rate, 8.0 / rate, 2000),
+                            _phi(dist, rng.uniform(0.0, 9.0 / rate, 2000)),
+                            [-1.0 / rate, 0.0]])
+        v = dist.inverse_virtual_values(t)
+        assert np.array_equal(v, np.maximum(t + 1.0 / rate, 0.0))
+        cases.append((dist, t, v, 2.0 ** -49 * np.exp(rate * v) / rate
+                      + 4 * np.spacing(v)))
+    for dist, t, v, e in cases:
+        low = v == dist.lo
+        assert low.any() and (~low).any()
+        assert np.all(_phi(dist, v[low]) >= t[low])
+        assert np.all(_phi(dist, v + e) >= t)
+        assert np.all(_phi(dist, v[~low] - e[~low]) < t[~low])
+    for dist in (TruncatedNormal(1.0, 0.5, 0.0, 3.0), bimodal_fixture()):
+        guess = dist.inverse_virtual_values(np.zeros((2, 3)))
+        assert guess.shape == (2, 3) and np.isnan(guess).all()
+
+
 def test_uniform_closed_forms():
     u = Uniform(0.0, 1.0)
     assert u.cdf(0.3) == pytest.approx(0.3)

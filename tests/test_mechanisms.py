@@ -15,7 +15,12 @@ from slotauction.core import (
     ValidationError,
     cascade_ctr,
 )
-from slotauction.distributions import Exponential, TruncatedNormal, Uniform
+from slotauction.distributions import (
+    CustomDistribution,
+    Exponential,
+    TruncatedNormal,
+    Uniform,
+)
 from slotauction.mechanisms import (
     IrregularDistributionError,
     NonMonotoneSolverError,
@@ -187,6 +192,65 @@ def test_vcg_rows_equal_the_per_advertiser_loop():
     assert mechanisms.vcg_rows(inst, [], solver) == []
 
 
+def _clarke_case(rng, case):
+    """One seeded ``vcg_rows`` call on an exact handle: MNL at 100x40,
+    50x25 (one profile each) and 20x10 (two profiles) first, then MNL on
+    even cases and brute cascade on odd ones, n from 1 to 12, 1-5
+    profiles; tie-heavy (p and values on quarter steps) when case % 4 >= 2,
+    else a fifth of the values 0."""
+    big = [(100, 40, 1), (50, 25, 1)] + [(20, 10, 2)] * 4
+    if case < len(big):
+        (n, m, rows), model = big[case], MNL
+    else:
+        model = (MNL, CASCADE)[case % 2]
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(1, min(5, 36 // n) + 1))
+        rows = int(rng.integers(1, 6))
+    k = m if case < len(big) else int(rng.integers(1, m + 1))
+    if case % 4 >= 2:
+        p = rng.choice([0.25, 0.5] + [0.0, 0.75, 1.0] * (model == CASCADE),
+                       (n, m))
+        profiles = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.0], (rows, n))
+    else:
+        p = rng.uniform(0.01, 1.0 if model == CASCADE else 0.5, (n, m))
+        profiles = np.where(rng.random((rows, n)) < 0.2, 0.0,
+                            rng.uniform(0.0, 2.0, (rows, n)))
+    handle = exact_mnl_solver() if model == MNL else brute_cascade_solver()
+    return Instance(n=n, m=m, k=k, p=p, model=model), profiles, handle
+
+
+def test_clarke_pivot_prices_as_every_valued_row():
+    """``vcg_rows`` solves a leave-one-out row only for advertisers with a
+    CTR (the Clarke pivot).  Its payments, CTRs and utilities are byte for
+    byte those of the rule before it, which re-solved every advertiser
+    valued or allocated, ``(values != 0) | (ctrs != 0)``, with the payment
+    loop of ``test_array_payments_equal_the_per_payer_loops``: over 3,000+
+    seeded profiles on both exact handles (``_clarke_case``).  So every
+    unallocated advertiser that rule re-solved paid exactly 0 there."""
+    rng = np.random.default_rng(2707)
+    profiles = skipped = 0
+    for case in range(1100):
+        inst, values, handle = _clarke_case(rng, case)
+        got = mechanisms.vcg_rows(inst, values, handle)
+        ctrs = mechanisms._solve_rows(handle, inst, values)[0]
+        s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
+        rows = values[s_of]
+        rows[np.arange(s_of.size), i_of] = 0.0
+        want = np.zeros(values.shape)
+        for s, i, pi_wo in zip(s_of, i_of,
+                               mechanisms._solve_rows(handle, inst, rows)[0]):
+            v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
+            want[s, i] = _clip_dust(
+                float(v[others] @ pi_wo[others] - v[others] @ pi[others]))
+        for v, pi, paid, outcome in zip(values, ctrs, want, got, strict=True):
+            assert outcome.ctrs.tobytes() == pi.tobytes(), case
+            assert outcome.payments.tobytes() == paid.tobytes(), case
+            assert outcome.utilities.tobytes() == (v * pi - paid).tobytes()
+        profiles += len(values)
+        skipped += np.count_nonzero(ctrs[s_of, i_of] == 0.0)
+    assert profiles >= 3000 and skipped > 10_000
+
+
 def _payment_case(rng, case):
     """One seeded call's input on an exact handle: MNL on even cases, brute
     cascade on odd ones, n from 1 to 12 (1 in every fifth pair of cases),
@@ -217,9 +281,12 @@ def test_array_payments_equal_the_per_payer_loops(monkeypatch):
     bit those of the per-payer loops they replace, on the same CTRs and
     envelope areas, over 600 seeded calls on the exact MNL and brute
     handles (n = 1, whose payers have no others, included).  Leave-one-out
-    CTRs are nudged down by 1e-12 or 1e-3, and envelope areas raised to
+    CTRs are nudged down by 1e-12 or 1e-3, or read as the outcome's CTRs
+    less 1e-12 (a solve that kept the outcome), and envelope areas raised to
     grid * top CTR or past it, so payments come out as 0.0, as sub-tolerance
-    dust that is clipped, and as genuinely negative values that stay."""
+    dust that is clipped, and as genuinely negative values that stay.  As in
+    ``vcg_rows``, only allocated advertisers (CTR not 0) have a leave-one-out
+    row; every other advertiser pays 0."""
     rng = np.random.default_rng(2503)
     solves, areas, pricing = [], [], [None]
     solve_rows, grid_sums = mechanisms._solve_rows, mechanisms._grid_sums
@@ -229,11 +296,16 @@ def test_array_payments_equal_the_per_payer_loops(monkeypatch):
         if pricing[0] == "vcg" and len(solves) == 1:  # leave-one-out rows
             ctrs = ctrs * (1.0 - rng.choice([0.0, 0.0, 1e-12, 1e-3],
                                             ctrs.shape))
+            # a quarter read as a solve that kept the outcome, less dust
+            (_values, kept_ctrs), = solves
+            s_of = np.nonzero(kept_ctrs != 0.0)[0]
+            same = rng.random(len(ctrs)) < 0.25
+            ctrs[same] = kept_ctrs[s_of[same]] * (1.0 - 1e-12)
         solves.append((bid_rows, ctrs))
         return ctrs, outcome
 
-    def nudged_grid_sums(read, tops, grid_size, bids=None):
-        got = grid_sums(read, tops, grid_size, bids)
+    def nudged_grid_sums(read, tops, grid_size, *cut_by):
+        got = grid_sums(read, tops, grid_size, *cut_by)
         flat = [grid_size * y for y in tops[0]]  # a constant curve's area
         pick = rng.integers(0, 3, len(got))
         areas[:] = [(a, f, f + a)[c] for a, f, c in zip(got, flat, pick)]
@@ -251,8 +323,8 @@ def test_array_payments_equal_the_per_payer_loops(monkeypatch):
         got = mechanisms.vcg_rows(inst, profiles, handle)
         (_values, ctrs), (_rows, wo) = solves[:2]
         want = np.zeros(values.shape)
-        s_of, i_of = np.nonzero((values != 0.0) | (ctrs != 0.0))
-        for s, i, pi_wo in zip(s_of, i_of, wo):
+        s_of, i_of = np.nonzero(ctrs != 0.0)
+        for s, i, pi_wo in zip(s_of, i_of, wo, strict=True):
             v, pi, others = values[s], ctrs[s], np.arange(inst.n) != i
             raw = float(v[others] @ pi_wo[others] - v[others] @ pi[others])
             want[s, i] = _clip_dust(raw)
@@ -1195,11 +1267,12 @@ def test_outcomes_are_built_on_read():
     assert built_any > 50
 
 
-def _midpoint_grid_sums(read, tops, grid_size, bids=None):
+def _midpoint_grid_sums(read, tops, grid_size, bids=None, guess=None):
     """``mechanisms._grid_sums`` as it was before its cuts followed lines:
     every span splits at its midpoint, one read per depth, and each tree is
     summed bottom-up from the halves its walk recorded.  It ignores the
-    intercepts that ``read`` and ``tops`` give, and ``bids``."""
+    intercepts that ``read`` and ``tops`` give, the bids ``read`` gives,
+    ``bids`` and ``guess``."""
     ends = [{} if top is None else {grid_size: top} for top in tops[0]]
     spans = [(k, 1, grid_size) for k in range(len(ends))]
     depths = []  # per depth: each span's (first child, or None; sum if leaf)
@@ -1322,6 +1395,47 @@ def test_envelope_reads_few_points_per_payer(monkeypatch):
         assert np.median(after) <= 5
 
 
+def test_envelope_guesses_replace_the_bisection(monkeypatch):
+    """Over uniform (a = 0 and a > 0) and exponential values, whose guesses
+    land, a ``myerson_rows`` call makes two ``_bids_at`` calls per round
+    (the points read, then every cut's check) and two more (the profiles'
+    bids and the top ends'), where a bisection makes about ten per round;
+    the truncated normal, which has no guess, still bisects."""
+    rng = np.random.default_rng(2713)
+    counts = Counter()
+    bids_at, reader = mechanisms._bids_at, mechanisms._reader
+
+    def counted_bids(*args):
+        counts["bids"] += 1
+        return bids_at(*args)
+
+    def counted_reader(solver, inst, templates):
+        read = reader(solver, inst, templates)
+
+        def read_counted(points):
+            counts["rounds"] += 1
+            return read(points)
+
+        return read_counted
+
+    monkeypatch.setattr(mechanisms, "_bids_at", counted_bids)
+    monkeypatch.setattr(mechanisms, "_reader", counted_reader)
+    for dists, top, guesses in (
+            ([Uniform(0.0, 1.0)] * 4, 1.0, True),
+            ([Uniform(2.0, 12.0), Exponential(0.25)] * 2, 12.0, True),
+            ([TruncatedNormal(1.0, 1.0, 0.0, 3.0)] * 4, 3.0, False)):
+        counts.clear()
+        for make, model in ((brute_cascade_solver, CASCADE),
+                            (exact_mnl_solver, MNL)):
+            for _ in range(6):
+                inst = Instance(n=4, m=3, k=2, model=model,
+                                p=rng.uniform(0.01, 0.5, (4, 3)))
+                mechanisms.myerson_rows(inst, rng.uniform(0.0, top, (8, 4)),
+                                        dists, make(), 1024)
+        assert counts["rounds"] > 30
+        assert (counts["bids"] <= 2 * counts["rounds"] + 2 * 12) == guesses
+
+
 def test_envelope_clamps_float_dust_below_the_lowest_bid(monkeypatch):
     """A payer whose lowest step sits just above bid 0: a free slot below
     every other bidder, taken at any positive bid.  Half the grid bids 0
@@ -1350,8 +1464,9 @@ def test_envelope_clamps_float_dust_below_the_lowest_bid(monkeypatch):
 
     def read(points):
         reads.append(points)
-        lines = [(0.0, 0.5) if bids(k, g) == 0.0 else top for k, g in points]
-        return [y for y, _c in lines], [c for _y, c in lines]
+        own = bids(None, np.array([g for _k, g in points])).tolist()
+        lines = [(0.0, 0.5) if b == 0.0 else top for b in own]
+        return [y for y, _c in lines], [c for _y, c in lines], own
 
     tops = ([top[0]], [top[1]])
     got = mechanisms._grid_sums(read, tops, 1024, bids)
@@ -1370,7 +1485,8 @@ def test_envelope_cuts_fall_back_to_the_midpoint():
         def read(points):
             reads.append(points)
             ys = [curve(g) for _k, g in points]
-            return ys, [1.0 - y for y in ys] if lines else None
+            own = bids(None, np.array([g for _k, g in points])).tolist()
+            return ys, [1.0 - y for y in ys] if lines else None, own
 
         tops = ([curve(1024)], [1.0 - curve(1024)] if lines else None)
         return mechanisms._grid_sums(read, tops, 1024, bids), reads
@@ -1384,6 +1500,60 @@ def test_envelope_cuts_fall_back_to_the_midpoint():
     for curve, bids in ((lambda g: 0.5 if g >= 700 else 0.0, flat),
                         (lambda g: 0.0 if g >= 300 else 0.5, rising)):
         assert walk(curve, bids, True) == walk(curve, bids, False)
+
+
+def test_guessed_cuts_equal_the_bisection():
+    """``_cuts`` with each payer's guess (``_values_at`` over
+    ``inverse_virtual_values``, floored to a grid point) cuts every seeded
+    span where its bisection alone cuts: uniform values with a = 0 and
+    a > 0, exponential values, a truncated normal and a custom
+    distribution (no guess); b* on the zero-bid plateau, inside the
+    support, past its upper end (where bids are the values) and outside
+    the span's bids (clamped); and spans that fall back to the midpoint.
+    A round whose payers all have a guess is settled by one ``bids`` call;
+    any other costs at most that one call more than the bisection."""
+    rng = np.random.default_rng(2711)
+    square = Uniform(0.0, 4.0)  # as a triple: a regular custom family
+    kinds = [Uniform(0.0, 1.0), Uniform(2.0, 12.0), Exponential(1.0),
+             Exponential(0.25), TruncatedNormal(1.0, 1.0, 0.0, 3.0),
+             CustomDistribution(square.cdf, square.pdf, square.quantile,
+                                0.0, 4.0)]
+    tops = np.array([1.3, 15.0, 5.0, 20.0, 3.9, 4.0])
+    calls = Counter()
+    for case in range(300):
+        which = rng.integers(0, 4 if case % 3 else len(kinds), 16)
+        values = rng.uniform(0.0, tops[which])
+        steps = values / int(rng.choice([7, 64, 1000, 1024]))
+
+        def bids(k, g, _which=which, _steps=steps):
+            return mechanisms._bids_at(kinds, _which[k], g * _steps[k])
+
+        def guess(k, b, _which=which, _steps=steps):
+            return mechanisms._values_at(kinds, _which[k], b) / _steps[k]
+
+        spans, ends, lines = [], [], []
+        for k in range(len(values)):
+            lo = int(rng.integers(1, values[k] / steps[k] - 1))
+            hi = int(rng.integers(lo + 2, values[k] / steps[k] + 1))
+            b_lo, b_hi = bids(np.array([k, k]), np.array([lo, hi])).tolist()
+            at = rng.choice([-0.1, 0.0, b_lo - 0.1, b_hi + 0.1,
+                             *rng.uniform(b_lo, b_hi, 4)])
+            y_lo, y_hi = (0.25, 0.75) if rng.random() < 0.9 else (0.5, 0.25)
+            c_lo = float(rng.uniform(0.0, 2.0))
+            spans.append((k, lo, hi))
+            ends.append({lo: y_lo, hi: y_hi})
+            lines.append({lo: (c_lo, b_lo),
+                          hi: (c_lo + at * (y_lo - y_hi), b_hi)})
+        counted = {}
+        for name, by in (("guess", guess), ("bisection", None)):
+            def spied(k, g, _bids=bids, _name=(name, case % 3 > 0)):
+                calls[_name] += 1
+                return _bids(k, g)
+            counted[name] = mechanisms._cuts(spans, ends, lines, spied, by)
+        assert counted["guess"] == counted["bisection"], case
+    # (search, every family guesses) -> bids calls: one per such round
+    assert calls["guess", True] == 200 < calls["bisection", True] / 5
+    assert calls["guess", False] <= calls["bisection", False] + 100
 
 
 def test_curves_only_on_the_greedy_handle():
