@@ -21,6 +21,7 @@ operations are pure functions, so concurrent read access is safe.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -328,6 +329,16 @@ def json_fits(kind: type, value) -> bool:
     if kind is float and isinstance(value, int):
         return abs(value) <= sys.float_info.max
     return isinstance(value, kind)
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` as an int, if it is a positive integral real, no bool."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and value >= 1
+            and float(value).is_integer()):
+        raise ValidationError(
+            f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def instance_from_dict(data: dict) -> Instance:

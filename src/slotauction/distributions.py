@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SlotauctionError, json_fits
+from .core import SlotauctionError, json_fits, positive_int
 
 INVERSE_TOL = 1e-9
 REGULARITY_GRID = 10_001
@@ -69,9 +69,15 @@ class ValueDistribution:
         target; the closed-form families override it).  Above the support
         the guess continues phi as the identity, as the mechanisms bid
         there.  A guess, not a bound: float phi is rounded, so where it
-        crosses a target can lie a float or two away (uniform) or many
-        (exponential, whose 1 - F is rounded near 1); callers check it."""
+        crosses a target can lie a float or two away; callers check it."""
         return np.full(np.shape(phi), np.nan)
+
+
+def _require_finite(family: str, **params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DistributionError(
+                f"{family} needs a finite {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,13 @@ class Uniform(ValueDistribution):
     b: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite("uniform", a=self.a, b=self.b)
         if not self.a < self.b:
             raise DistributionError("uniform needs a < b")
+        if not math.isfinite(self.b - self.a):
+            raise DistributionError(
+                f"uniform needs a finite width b - a, got a={self.a!r},"
+                f" b={self.b!r}")
 
     @property
     def lo(self) -> float:
@@ -120,8 +131,12 @@ class Exponential(ValueDistribution):
     rate: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite("exponential", rate=self.rate)
         if not self.rate > 0.0:
             raise DistributionError("exponential needs rate > 0")
+        if not math.isfinite(1.0 / self.rate):
+            raise DistributionError("exponential needs a finite mean 1/rate,"
+                                    f" got rate={self.rate!r}")
 
     lo = 0.0
     hi = math.inf
@@ -136,6 +151,19 @@ class Exponential(ValueDistribution):
         if not 0.0 <= q < 1.0:
             raise DistributionError(f"quantile needs q in [0, 1), got {q}")
         return -math.log1p(-q) / self.rate
+
+    def virtual_value(self, v: float) -> float:
+        """phi(v) = v - 1/rate: the hazard rate f / (1 - F) is the rate."""
+        if not v >= 0.0:
+            raise DistributionError(
+                f"zero density at v={v}; virtual value undefined")
+        return v - 1.0 / self.rate
+
+    def virtual_values(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if not np.all(v >= 0.0):
+            raise DistributionError("zero density below 0: no virtual value")
+        return v - 1.0 / self.rate
 
     def inverse_virtual_values(self, phi: np.ndarray) -> np.ndarray:
         """phi(v) = v - 1/rate, so phi + 1/rate, at least 0."""
@@ -197,6 +225,7 @@ class TruncatedNormal(ValueDistribution):
     hi: float
 
     def __post_init__(self) -> None:
+        _require_finite("truncated normal", mu=self.mu, sigma=self.sigma)
         if not self.sigma > 0.0:
             raise DistributionError("truncated normal needs sigma > 0")
         if not self.lo < self.hi:
@@ -296,9 +325,10 @@ def _regular_cached(dist: ValueDistribution, grid: int) -> bool:
 
 def is_regular(dist: ValueDistribution, grid: int = REGULARITY_GRID) -> bool:
     """True when the virtual value is non-decreasing across ``grid`` interior
-    quantile points (tolerance 1e-9).  The latest 1024 results are cached
-    per (distribution, grid), so mechanisms can re-check freely."""
-    return _regular_cached(dist, grid)
+    quantile points (tolerance 1e-9); ``grid`` must be a positive integer,
+    no bool.  The latest 1024 results are cached per (distribution, grid),
+    so mechanisms can re-check freely."""
+    return _regular_cached(dist, positive_int("grid", grid))
 
 
 def dist_from_dict(data: dict) -> ValueDistribution:

@@ -12,6 +12,9 @@ The solver is an in-house dense-tableau simplex with Bland's anti-cycling
 pivot rule, chosen for guaranteed termination and determinism over speed.
 It needs no phase 1: y = 0, z = 1 is a vertex of every such LP, so it starts
 from the slacks of the ``<=`` rows plus z and only improves the objective.
+The LP is bounded (every row keeps y <= z and the equality row bounds z by
+1), so every solve ends optimal; a ratio test with no leaving row can only
+come from a hand-built ``LpProblem`` and raises ``SimplexError``.
 A dense pivot costs the whole tableau, so this LP is the cross-check of the
 production MNL solver (``mnl_wdp.solve_mnl_wdp``), not the solver itself,
 and ``mnl_wdp.solve_mnl_lp`` accepts at most ``MAX_LP_CELLS`` advertiser x
@@ -30,9 +33,6 @@ from .core import (
     mnl_bids, require_valid,
 )
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
 FEAS_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 MAX_PIVOTS = 20_000
@@ -49,20 +49,19 @@ class SimplexError(SlotauctionError, RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c'v subject to row constraints, all variables >= 0.
+    """max c'v subject to a v <= rhs on every row but the last, the
+    normalization row a v == rhs, and all variables >= 0.
 
     Variables are ordered y_00, ..., y_{n-1,m-1}, z (so nvars = n*m + 1 with
-    ``shape`` = (n, m)).  ``senses`` holds "<=" or "==" per row; exactly one
-    row is an equality (the normalization row).  As in every Charnes-Cooper
-    LP, y = 0 must be feasible with z > 0, which ``solve_lp`` starts from:
-    z has a positive coefficient in the equality row and one <= 0 in every
-    ``<=`` row, and no right-hand side is negative.
+    ``shape`` = (n, m)).  As in every Charnes-Cooper LP, y = 0 must be
+    feasible with z > 0, which ``solve_lp`` starts from: z has a positive
+    coefficient in the equality row and one <= 0 in every other row, and no
+    right-hand side is negative.
     """
 
     c: np.ndarray
     a: np.ndarray
     rhs: np.ndarray
-    senses: tuple[str, ...]
     shape: tuple[int, int]
 
     def __post_init__(self) -> None:
@@ -77,16 +76,11 @@ class LpProblem:
             raise ValidationError(
                 f"objective has {c.shape[0]} coefficients, expected {n * m + 1}"
             )
-        if a.shape != (rhs.shape[0], c.shape[0]) or len(self.senses) != a.shape[0]:
+        if a.shape != (rhs.shape[0], c.shape[0]) or not rhs.shape[0]:
             raise ValidationError("inconsistent LP dimensions")
-        if any(s not in ("<=", "==") for s in self.senses):
-            raise ValidationError("row senses must be '<=' or '=='")
-        if sum(s == "==" for s in self.senses) != 1:
-            raise ValidationError("expected exactly one equality row")
-        le = np.array(self.senses) == "<="
-        if not (a[~le, -1] > 0.0).all() or (a[le, -1] > 0.0).any():
+        if not a[-1, -1] > 0.0 or (a[:-1, -1] > 0.0).any():
             raise ValidationError("z needs a positive coefficient in the"
-                                  " equality row and one <= 0 in '<=' rows")
+                                  " equality row and one <= 0 in the others")
         if not (rhs >= 0.0).all():
             raise ValidationError("right-hand sides must be non-negative")
 
@@ -96,16 +90,16 @@ class LpSolution:
     y: np.ndarray
     z: float
     objective: float
-    status: str
 
 
 def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
     """Assemble the transformed LP for an MNL instance and bid vector.
 
-    Rows: per-advertiser sum_j y_ij <= z, per-position sum_i y_ij <= z,
-    the cardinality row sum y <= K z, and the normalization
-    sum y_ij exp(rho_ij) + z = 1.  Objective: sum b_i y_ij exp(rho_ij),
-    with the bids of ``core.mnl_bids``, which rejects bids that overflow.
+    Rows, in ``LpProblem``'s layout: per-advertiser sum_j y_ij <= z,
+    per-position sum_i y_ij <= z, the cardinality row sum y <= K z, and
+    last the normalization sum y_ij exp(rho_ij) + z = 1.  Objective:
+    sum b_i y_ij exp(rho_ij), with the bids of ``core.mnl_bids``, which
+    rejects bids that overflow.
     """
     require_valid(inst, MNL)
     bids = bid_vector(inst, bids)
@@ -115,73 +109,43 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
         raise ValidationError("bids must not be all zero")
 
     n, m = inst.n, inst.m
-    nvars = n * m + 1
+    cells = np.arange(n * m)
     expo = np.exp(inst.log_odds())  # n x m, finite because p < 1
 
-    c = np.zeros(nvars)
-    c[: n * m] = (mnl_bids(inst, [bids])[0][:, None] * expo).ravel()
+    c = np.zeros(n * m + 1)
+    c[:-1] = (mnl_bids(inst, [bids])[0][:, None] * expo).ravel()
 
-    rows, rhs, senses = [], [], []
-    for i in range(n):
-        row = np.zeros(nvars)
-        row[i * m : (i + 1) * m] = 1.0
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append("<=")
-    for j in range(m):
-        row = np.zeros(nvars)
-        row[j : n * m : m] = 1.0
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append("<=")
-    row = np.ones(nvars)
-    row[-1] = -float(inst.k)
-    rows.append(row)
-    rhs.append(0.0)
-    senses.append("<=")
-    row = np.zeros(nvars)
-    row[: n * m] = expo.ravel()
-    row[-1] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    senses.append("==")
-
-    return LpProblem(
-        c=c,
-        a=np.vstack(rows),
-        rhs=np.array(rhs),
-        senses=tuple(senses),
-        shape=(n, m),
-    )
+    a = np.zeros((n + m + 2, n * m + 1))
+    a[cells // m, cells] = 1.0  # advertiser rows
+    a[n + cells % m, cells] = 1.0  # position rows
+    a[: n + m, -1] = -1.0
+    a[n + m, :-1] = 1.0  # the cardinality row
+    a[n + m, -1] = -float(inst.k)
+    a[-1, :-1] = expo.ravel()  # the normalization equality
+    a[-1, -1] = 1.0
+    rhs = np.zeros(n + m + 2)
+    rhs[-1] = 1.0
+    return LpProblem(c=c, a=a, rhs=rhs, shape=(n, m))
 
 
 def solve_lp(lp: LpProblem) -> LpSolution:
-    """Solve to a basic optimal solution, or report unbounded."""
-    status, x, objective = _simplex(lp)
-    n, m = lp.shape
-    if status != OPTIMAL:
-        return LpSolution(
-            y=np.zeros((n, m)), z=0.0, objective=float("nan"), status=status
-        )
-    resid_ok = _constraints_satisfied(lp, x)
-    if not resid_ok:
+    """Solve to a basic optimal solution, or raise ``SimplexError``: at the
+    pivot cap, on an unbounded (hand-built) LP, or when the basis breaks a
+    constraint by more than FEAS_TOL."""
+    x, objective = _simplex(lp)
+    if not _constraints_satisfied(lp, x):
         raise SimplexError("optimal basis violates constraints beyond tolerance")
+    n, m = lp.shape
     return LpSolution(
-        y=x[: n * m].reshape(n, m), z=float(x[-1]), objective=objective,
-        status=OPTIMAL,
+        y=x[: n * m].reshape(n, m), z=float(x[-1]), objective=objective
     )
 
 
 def _constraints_satisfied(lp: LpProblem, x: np.ndarray) -> bool:
     lhs = lp.a @ x
-    for k, sense in enumerate(lp.senses):
-        if sense == "<=" and lhs[k] > lp.rhs[k] + FEAS_TOL:
-            return False
-        if sense == "==" and abs(lhs[k] - lp.rhs[k]) > FEAS_TOL:
-            return False
-    return bool(np.all(x >= -FEAS_TOL))
+    return bool((lhs[:-1] <= lp.rhs[:-1] + FEAS_TOL).all()
+                and abs(lhs[-1] - lp.rhs[-1]) <= FEAS_TOL
+                and (x >= -FEAS_TOL).all())
 
 
 def recover_allocation(sol: LpSolution) -> Allocation:
@@ -191,8 +155,6 @@ def recover_allocation(sol: LpSolution) -> Allocation:
     solution always does, so a miss signals a non-vertex point and is raised
     rather than rounded over.
     """
-    if sol.status != OPTIMAL:
-        raise SimplexError(f"cannot recover from status {sol.status!r}")
     if sol.z <= FEAS_TOL:
         raise SimplexError(f"z-degenerate solution (z={sol.z})")
     x = sol.y / sol.z
@@ -227,26 +189,22 @@ def _simplex(lp: LpProblem):
     feasible vertex and Bland's rule terminates from it (Bland, 1977).
     """
     nrows, nvars = lp.a.shape
-    le = np.flatnonzero(np.array(lp.senses) == "<=")
-    slacks = nvars + np.arange(le.size)
-    ncols = nvars + le.size
+    ncols = nvars + nrows - 1  # one slack per '<=' row
     tab = np.zeros((nrows + 1, ncols + 1))
     tab[1:, :nvars] = lp.a
     tab[1:, -1] = lp.rhs
-    tab[le + 1, slacks] = 1.0
-    basis = np.full(nrows, nvars - 1)  # z on the equality row
-    basis[le] = slacks
-    _pivot(tab, lp.senses.index("==") + 1, nvars - 1)
+    tab[1:nrows, nvars:ncols] = np.eye(nrows - 1)
+    basis = np.append(np.arange(nvars, ncols), nvars - 1)  # z on the equality
+    _pivot(tab, nrows, nvars - 1)
 
     cost = np.zeros(ncols)
     cost[:nvars] = lp.c
     tab[0, :-1] = cost - cost[basis] @ tab[1:, :-1]
     tab[0, -1] = -float(cost[basis] @ tab[1:, -1])
-    if _iterate(tab, basis) == UNBOUNDED:
-        return UNBOUNDED, None, float("nan")
+    _iterate(tab, basis)
     x = np.zeros(ncols)
     x[basis] = tab[1:, -1]
-    return OPTIMAL, x[:nvars], float(-tab[0, -1])
+    return x[:nvars], float(-tab[0, -1])
 
 
 def _iterate(tab, basis):
@@ -254,12 +212,13 @@ def _iterate(tab, basis):
         red = tab[0, :-1]
         enter_candidates = np.flatnonzero(red > FEAS_TOL)
         if enter_candidates.size == 0:
-            return OPTIMAL
+            return
         enter = int(enter_candidates[0])  # Bland: smallest improving index
         col = tab[1:, enter]
         positive = np.flatnonzero(col > FEAS_TOL)
         if positive.size == 0:
-            return UNBOUNDED
+            raise SimplexError(
+                f"no leaving row for column {enter}: the LP is unbounded")
         ratios = tab[1:, -1][positive] / col[positive]
         best = ratios.min()
         ties = positive[ratios <= best + 1e-12]

@@ -59,6 +59,7 @@ from .core import (
     bid_rows,
     bid_vector,
     match_ctrs,
+    positive_int,
     require_valid,
 )
 from .cascade_wdp import OwnBidCurves, greedy_outcome
@@ -312,13 +313,11 @@ def _solve_rows(solver: SolverHandle, inst: Instance, bid_rows: np.ndarray
     return ctrs.reshape(-1, inst.n), lambda r: solved[r][0]
 
 
-def _reader(solver: SolverHandle, inst: Instance, templates,
-            lines: bool = True) -> ReadFn:
+def _reader(solver: SolverHandle, inst: Instance, templates) -> ReadFn:
     """The one way a handle is read: ``read(points)`` gives, for each point
     (template index t, advertiser i, own bid b), the CTR ``solve`` reports
     for i at row t of ``templates`` with i bidding b, and over an exact
-    handle, unless ``lines`` is False, the intercept of that row's line
-    (:func:`_lines`), else None.
+    handle the intercept of that row's line (:func:`_lines`), else None.
 
     A handle with ``curves`` is read through one reader per template, built
     from a private copy on its first read; each run of points on one
@@ -339,7 +338,7 @@ def _reader(solver: SolverHandle, inst: Instance, templates,
         rows = templates[[t for t, _i, _b in points]]
         rows[np.arange(len(points)), ii] = [b for _t, _i, b in points]
         return _lines(rows, _solve_rows(solver, inst, rows)[0], ii,
-                      lines and solver.is_exact)
+                      solver.is_exact)
 
     return read
 
@@ -426,7 +425,7 @@ def myerson_rows(
             f"expected {inst.n} distributions, got {len(dists)}")
     if not all(isinstance(dist, ValueDistribution) for dist in dists):
         raise ValidationError(f"dists must be ValueDistributions: {dists!r}")
-    grid_size = _grid_size(grid_size)
+    grid_size = positive_int("grid_size", grid_size)
     for dist in dists:
         if not is_regular(dist):
             raise IrregularDistributionError(
@@ -478,16 +477,6 @@ def _priced(inst: Instance, values: np.ndarray,
     payments[s_of, i_of] = _clip_dust(
         values[s_of, i_of] * ctrs[s_of, i_of] - steps * areas)
     return _outcomes(values, ctrs, payments, outcome)
-
-
-def _grid_size(grid_size) -> int:
-    """``grid_size`` as an int, if it is a positive integral real, no bool."""
-    if isinstance(grid_size, bool) or not (
-            isinstance(grid_size, numbers.Real) and grid_size >= 1
-            and float(grid_size).is_integer()):
-        raise ValidationError(
-            f"grid_size must be a positive integer, got {grid_size!r}")
-    return int(grid_size)
 
 
 def _grid_sums(read: Callable[[list[tuple[int, int]]], tuple],
@@ -605,7 +594,8 @@ def monotone_grid_sum(
     The one-curve case of :func:`_grid_sums`.
     """
     return _grid_sums(lambda points: ([curve(g) for _k, g in points], None),
-                      ([hi_value], None), _grid_size(grid_size))[0]
+                      ([hi_value], None),
+                      positive_int("grid_size", grid_size))[0]
 
 
 def monotonicity_audit(
@@ -644,8 +634,7 @@ def audit_drops(
             raise ValidationError(
                 f"advertiser {i!r} is no integer in 0..{inst.n - 1}")
     grid = sorted(float(g) for g in grid)
-    read = _reader(solver, inst, [bid_vector(inst, bids_template)],
-                   lines=False)
+    read = _reader(solver, inst, [bid_vector(inst, bids_template)])
     ctrs = read([(0, i, b) for i in advertisers for b in grid])[0]
     for s, i in enumerate(advertisers):
         yield i, _first_drop(grid, ctrs[s * len(grid):(s + 1) * len(grid)])

@@ -49,7 +49,6 @@ from .core import (
 )
 from .linfrac import (
     MAX_LP_CELLS,
-    SimplexError,
     build_charnes_cooper,
     recover_allocation,
     solve_lp,
@@ -305,10 +304,7 @@ def solve_mnl_lp(inst: Instance, bids) -> WdpResult:
         n=len(keep), m=inst.m, k=inst.k, p=inst.p[keep, :], model=MNL
     )
     lp = build_charnes_cooper(sub, bids[keep])
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise SimplexError(f"winner determination LP came back {sol.status}")
-    sub_alloc = recover_allocation(sol)
+    sub_alloc = recover_allocation(solve_lp(lp))
     alloc = Allocation({keep[i]: j for i, j in sub_alloc.assignment.items()})
     return _result(bids, alloc, mnl_ctr(inst, alloc))
 

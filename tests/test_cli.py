@@ -674,6 +674,32 @@ def test_non_numeric_distribution_parameter_is_solver_error(tmp_path):
                 ) == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("text,name", [
+    ('{"family": "uniform", "a": 0, "b": 1e999}', "finite b"),
+    ('{"family": "uniform", "a": -1e308, "b": 1e308}', "b - a"),
+    ('{"family": "exponential", "rate": 1e999}', "finite rate"),
+    ('{"family": "exponential", "rate": 1e-320}', "1/rate"),
+    ('{"family": "truncnorm", "mu": 1e999, "sigma": 1, "lo": 0, "hi": 1}',
+     "finite mu"),
+    ('{"family": "truncnorm", "mu": 0, "sigma": 1e999, "lo": 0, "hi": 1}',
+     "finite sigma"),
+])
+def test_non_finite_distribution_parameter_is_named(tmp_path, capsys, text,
+                                                     name):
+    """JSON reads 1e999 as inf: the distribution refuses it at
+    construction, and the exit-2 message names the parameter."""
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 1, "m": 1, "k": 1, "model": "cascade", "p": [[1.0]]},
+    )
+    (tmp_path / "dist.json").write_text(text)
+    assert main(["simulate", "--instance", inst,
+                 "--dist", str(tmp_path / "dist.json"), "--samples", "2",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_SOLVER
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_every_library_error_class_exits_2(monkeypatch, capsys):
     """Every exception class the package defines, except the CLI's own
     usage error, is a SlotauctionError, which main reports as exit 2."""

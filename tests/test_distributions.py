@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slotauction.core import ValidationError
 from slotauction.distributions import (
     CustomDistribution,
     DistributionError,
@@ -65,8 +66,8 @@ def test_inverse_virtual_values_guess_the_crossing():
     phi's rounding e, not to the last float: phi at the guess plus e
     reaches t, and phi at the guess less e does not, unless the guess is
     the support's lower end (where phi reaches t).  Uniform: e = 2 ulps of
-    |t| + b.  Exponential: phi(v) = v - (1 - F) / f carries the rounding
-    of 1 - F near 1, e = 2^-49 e^(rate v) / rate plus 4 ulps of v."""
+    |t| + b.  Exponential: phi(v) = v - 1/rate, whose rounding is on the
+    scale of v + 1/rate, e = 2 ulps of v + 1/rate."""
     rng = np.random.default_rng(271)
     cases = []
     for dist in (Uniform(0.0, 1.0), Uniform(2.0, 12.0), Uniform(0.5, 3.0)):
@@ -85,8 +86,7 @@ def test_inverse_virtual_values_guess_the_crossing():
                             [-1.0 / rate, 0.0]])
         v = dist.inverse_virtual_values(t)
         assert np.array_equal(v, np.maximum(t + 1.0 / rate, 0.0))
-        cases.append((dist, t, v, 2.0 ** -49 * np.exp(rate * v) / rate
-                      + 4 * np.spacing(v)))
+        cases.append((dist, t, v, 2 * np.spacing(v + 1.0 / rate)))
     for dist, t, v, e in cases:
         low = v == dist.lo
         assert low.any() and (~low).any()
@@ -112,6 +112,51 @@ def test_exponential_closed_forms():
     assert e.pdf(0.0) == pytest.approx(1.0)
     assert e.cdf(math.log(2.0)) == pytest.approx(0.5)
     assert e.virtual_value(2.0) == pytest.approx(1.0)
+
+
+def test_exponential_virtual_value_never_decreases():
+    """phi(v) = v - 1/rate is non-decreasing in floats: along a dense walk
+    up to 30/rate, with runs of consecutive floats, in both the scalar and
+    the array form, for rates on and off powers of two."""
+    rng = np.random.default_rng(281)
+    for rate in (1.0, 0.25, 3.0, 0.7, 11.3):
+        top = 30.0 / rate
+        v = np.linspace(0.0, top, 200_001)
+        for start in rng.uniform(0.0, top, 20):  # 500 adjacent floats each
+            run = start + np.arange(500) * np.spacing(start)
+            v = np.concatenate([v, run[run <= top]])
+        v = np.sort(v)
+        phi = Exponential(rate).virtual_values(v)
+        assert np.all(np.diff(phi) >= 0.0), rate
+        scalar = [Exponential(rate).virtual_value(x) for x in v[::97].tolist()]
+        assert np.array_equal(scalar, phi[::97])
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: Uniform(0.0, math.inf), "finite b"),
+    (lambda: Uniform(-math.inf, 1.0), "finite a"),
+    (lambda: Uniform(math.nan, 1.0), "finite a"),
+    (lambda: Uniform(-1e308, 1e308), "b - a"),
+    (lambda: Exponential(math.inf), "finite rate"),
+    (lambda: Exponential(math.nan), "finite rate"),
+    (lambda: Exponential(1e-320), "1/rate"),
+    (lambda: TruncatedNormal(math.inf, 1.0, 0.0, 1.0), "finite mu"),
+    (lambda: TruncatedNormal(0.0, math.inf, 0.0, 1.0), "finite sigma"),
+    (lambda: TruncatedNormal(0.0, math.nan, 0.0, 1.0), "finite sigma"),
+], ids=["uniform-b-inf", "uniform-a-inf", "uniform-a-nan", "uniform-width",
+        "exponential-rate-inf", "exponential-rate-nan",
+        "exponential-mean-inf", "truncnorm-mu-inf", "truncnorm-sigma-inf",
+        "truncnorm-sigma-nan"])
+def test_parameters_are_checked_at_construction(make, name):
+    with pytest.raises(DistributionError, match=name):
+        make()
+
+
+def test_truncated_normal_keeps_infinite_ends():
+    dist = TruncatedNormal(mu=0.0, sigma=1.0, lo=-math.inf, hi=math.inf)
+    assert dist.cdf(0.0) == pytest.approx(0.5)
+    assert TruncatedNormal(mu=1.0, sigma=2.0, lo=0.0, hi=math.inf).cdf(0.0) \
+        == 0.0
 
 
 def test_parameter_validation():
@@ -183,6 +228,12 @@ def bimodal_fixture():
         return 0.5 * (lo + hi)
 
     return CustomDistribution(cdf, pdf, quantile, lo=0.0, hi=4.0)
+
+
+@pytest.mark.parametrize("grid", [0, -5, 2.5, True, "3", None, math.nan])
+def test_is_regular_refuses_a_grid_that_is_no_positive_integer(grid):
+    with pytest.raises(ValidationError, match="grid must be a positive"):
+        is_regular(Uniform(0.0, 1.0), grid=grid)
 
 
 def test_bimodal_mixture_is_irregular():
