@@ -172,7 +172,7 @@ def exact_budgeted_matching(
     """
     from . import oracle  # oracle imports this module
 
-    table, values = oracle._matchings(inst, None, values, None)
+    table, values = oracle._matchings(inst, None, values)
     scaled_p = np.asarray(scaled_p, dtype=float)
     if scaled_p.shape != inst.p.shape:
         raise ValidationError(
@@ -213,7 +213,7 @@ def ptas_restricted_welfare(inst: Instance, values, eps: float) -> Allocation:
 
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    table, values = oracle._matchings(inst, CASCADE, values, None)
+    table, values = oracle._matchings(inst, CASCADE, values)
     guesses = inst.n * (2.0 / eps + 1.0)  # a float: inf, not an overflow
     if guesses * (len(table) + 64) > PTAS_SCORES:
         raise SizeGuardError(

@@ -26,9 +26,10 @@ Exit codes:
   0  ok
   1  usage error: flags, config, a file unreadable or not JSON (a key
      repeated within one object included), values that are not n finite
-     numbers, a --dist file that is not of JSON objects
+     numbers, a --dist file that is not of JSON objects, a seed below 0
   2  solver or validation error, a ``core.SlotauctionError``: a malformed
-     or invalid instance or distribution, an input above a size guard
+     or invalid instance or distribution, an input above a size guard (a
+     grid above 2^53 included)
   3  audit failure
   4  internal error: any other exception, reported with its traceback
 """
@@ -148,9 +149,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             merged[key] = getattr(args, key)
     if not 0.0 < merged["epsilon"] < 1.0:
         raise UsageError(f"epsilon must lie in (0, 1), got {merged['epsilon']}")
-    for key in ("samples", "grid"):
-        if merged[key] < 1:
-            raise UsageError(f"{key} must be at least 1, got {merged[key]}")
+    for key, least in (("samples", 1), ("grid", 1), ("seed", 0)):
+        if merged[key] < least:
+            raise UsageError(
+                f"{key} must be at least {least}, got {merged[key]}")
     return merged
 
 

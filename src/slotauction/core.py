@@ -335,7 +335,7 @@ def positive_int(name: str, value) -> int:
     """``value`` as an int, if it is a positive integral real, no bool."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Real) and value >= 1
-            and float(value).is_integer()):
+            and value % 1 == 0):  # exact for ints past the float range
         raise ValidationError(
             f"{name} must be a positive integer, got {value!r}")
     return int(value)

@@ -54,6 +54,7 @@ from .core import (
     AugmentedAllocation,
     CtrVector,
     Instance,
+    SizeGuardError,
     SlotauctionError,
     ValidationError,
     bid_rows,
@@ -73,6 +74,8 @@ GREEDY_CASCADE = "greedy_cascade"
 PLANTED_BUG = "planted_bug"
 
 DEFAULT_GRID_SIZE = 1024
+# Grid points g * step are exact floats up to 2^53; the walk's spans int64.
+MAX_GRID_SIZE = 2 ** 53
 MONOTONE_TOL = 1e-9
 
 SolveFn = Callable[[Instance, np.ndarray], tuple[AugmentedAllocation, CtrVector]]
@@ -425,7 +428,7 @@ def myerson_rows(
             f"expected {inst.n} distributions, got {len(dists)}")
     if not all(isinstance(dist, ValueDistribution) for dist in dists):
         raise ValidationError(f"dists must be ValueDistributions: {dists!r}")
-    grid_size = positive_int("grid_size", grid_size)
+    grid_size = _grid_size(grid_size)
     for dist in dists:
         if not is_regular(dist):
             raise IrregularDistributionError(
@@ -594,8 +597,14 @@ def monotone_grid_sum(
     The one-curve case of :func:`_grid_sums`.
     """
     return _grid_sums(lambda points: ([curve(g) for _k, g in points], None),
-                      ([hi_value], None),
-                      positive_int("grid_size", grid_size))[0]
+                      ([hi_value], None), _grid_size(grid_size))[0]
+
+
+def _grid_size(grid_size) -> int:
+    """``grid_size`` as an int, a positive integer up to ``MAX_GRID_SIZE``."""
+    if positive_int("grid_size", grid_size) > MAX_GRID_SIZE:
+        raise SizeGuardError(f"grid_size {grid_size} exceeds the 2^53 guard")
+    return int(grid_size)
 
 
 def monotonicity_audit(

@@ -3,13 +3,13 @@
 Every optimizer in this package is cross-checked against exhaustive
 enumeration here.  Guards are hard errors, never silent truncation.
 
-All oracles walk one memoized table per (n, m, k, active advertisers).  A
-row gives each advertiser's position, or -1 if unmatched.  Rows come in a
-fixed order: positions ascending, each one first left empty, then given to
-the free active advertisers in ascending order; the first row is the empty
-matching.  Ties follow one rule, written once in ``_first_best``: the first
-row whose score beats the running best (from the empty matching's 0.0) by
-more than ``TIE_MARGIN``.
+All oracles walk one memoized table per (n, m, k).  A row gives each
+advertiser's position, or -1 if unmatched.  Rows come in a fixed order:
+positions ascending, each one first left empty, then given to the free
+advertisers in ascending order; the first row is the empty matching.  Ties
+follow one rule, written once in ``_first_best``: the first row whose score
+beats the running best (from the empty matching's 0.0) by more than
+``TIE_MARGIN``.
 
 ``brute_solve_rows`` scores one table on arrays for many bid rows at once,
 with the cascade oracle's own arithmetic.  It is the brute handle, whose
@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (
     Allocation, AugmentedAllocation, CASCADE, Instance, MNL, SizeGuardError,
-    ValidationError, bid_rows, bid_vector, mnl_ctr, require_valid, welfare,
+    bid_rows, bid_vector, mnl_ctr, require_valid, welfare,
 )
 from .cascade_wdp import (
     SCORE_BLOCK, optimal_permutation, restricted_ctr, sorted_view,
@@ -35,7 +35,7 @@ from .mnl_wdp import WdpResult
 
 # Acceptance packs draw n, m up to 6, so the guard admits 36 edges.
 MAX_CELLS = 36
-# A 6x6 table of 13 327 rows takes ~3.1 MB with its views: cache < 100 MB.
+# One table per (n, m, k); 6x6's 13 327 rows take ~3.1 MB: cache < 100 MB.
 TABLE_CACHE = 32
 # A candidate replaces the best so far only if it scores more than this above.
 TIE_MARGIN = 1e-15
@@ -73,12 +73,8 @@ class _Table(tuple):
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
-def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]) -> _Table:
-    """Every matching of ``active`` (sorted) as rows; the active set is
-    checked here, so a cached table is one that passed."""
-    if not set(active).issubset(range(n)):
-        raise ValidationError(
-            f"active advertisers {list(active)} outside 0..{n - 1}")
+def _matching_table(n: int, m: int, k: int) -> _Table:
+    """Every matching of n advertisers to m positions, at most k edges."""
     rows: list[tuple[int, ...]] = []
     row = [-1] * n
 
@@ -88,7 +84,7 @@ def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]) -> _Table:
             return
         fill(j + 1, used)  # position j left empty
         if used < k:
-            for i in active:
+            for i in range(n):
                 if row[i] < 0:
                     row[i] = j
                     fill(j + 1, used + 1)
@@ -98,7 +94,7 @@ def _matching_table(n: int, m: int, k: int, active: tuple[int, ...]) -> _Table:
     return _Table(rows)
 
 
-def _matchings(inst: Instance, model, values, active):
+def _matchings(inst: Instance, model, values):
     """The entry check every oracle makes; returns the matching table and
     the values as an array (None when no values are given)."""
     require_valid(inst, model)
@@ -109,8 +105,7 @@ def _matchings(inst: Instance, model, values, active):
         )
     if values is not None:
         values = bid_vector(inst, values)
-    key = range(inst.n) if active is None else sorted({*active})
-    return _matching_table(inst.n, inst.m, inst.k, tuple(key)), values
+    return _matching_table(inst.n, inst.m, inst.k), values
 
 
 def _first_best(scored):
@@ -145,12 +140,9 @@ def _first_best_rows(scores: np.ndarray) -> np.ndarray:
     return best
 
 
-def enumerate_matchings(
-    inst: Instance, active: set[int] | None = None
-) -> Iterator[Allocation]:
-    """Yield every feasible matching exactly once, in the table's order.
-    ``active`` optionally restricts which advertisers may be matched."""
-    table, _ = _matchings(inst, None, None, active)
+def enumerate_matchings(inst: Instance) -> Iterator[Allocation]:
+    """Yield every feasible matching exactly once, in the table's order."""
+    table, _ = _matchings(inst, None, None)
     for pairs in table.pairs:
         yield Allocation(dict(pairs))
 
@@ -158,7 +150,7 @@ def enumerate_matchings(
 def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
     """Exact argmax of the bid-weighted MNL click-through over all matchings.
     Rendering order is irrelevant under MNL, so only matchings vary."""
-    table, bids = _matchings(inst, MNL, bids, None)
+    table, bids = _matchings(inst, MNL, bids)
     expo = np.exp(inst.log_odds())
     weighted = (bids[:, None] * expo).tolist()
     expo = expo.tolist()
@@ -183,7 +175,7 @@ def brute_force_wdp_cascade(inst: Instance, values
     """Exact cascade-welfare maximum over all matchings.  Each matching is
     rendered in decreasing order of matched value, which is welfare-maximal
     for a fixed matching."""
-    table, values = _matchings(inst, CASCADE, values, None)
+    table, values = _matchings(inst, CASCADE, values)
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 
@@ -212,22 +204,18 @@ def brute_solve_rows(inst: Instance, rows):
     ``==`` that outcome at row r, built when called.  The brute handle's
     ``solve_rows``.
 
-    The table is the union of the rows' positive bidders.  Each row scores
-    it with ``brute_force_wdp_cascade``'s recurrence in its own value
-    order.  A bid <= 0 comes after every positive one there and adds a term
-    of at most 0 (or NaN), so a table row matching it scores at most what
-    the same row without it scores; that row comes earlier in the table, so
-    the tie rule never picks the former: the pick over the row's positive
-    bidders is the oracle's over every advertiser.  A NaN score
-    (+-inf * 0.0) becomes -inf, which never beats either, as NaN never does
-    in the scalar loop.  Rows are scored ``SCORE_BLOCK`` rates at a time;
-    CTRs are then taken at the picked rows only, rated as
-    ``core.cascade_ctr`` does.
+    Each row scores the table with ``brute_force_wdp_cascade``'s recurrence
+    in its own value order.  A bid <= 0 comes after every positive one there
+    and adds a term of at most 0 (or NaN), so a table row matching such bids
+    scores at most what the same row without them scores; that row comes
+    earlier in the table, so the tie rule never picks it: no pick matches a
+    bid <= 0.  A NaN score (+-inf * 0.0) becomes -inf, which never beats
+    the running best, as NaN never does in the scalar loop.  Rows are scored
+    ``SCORE_BLOCK`` rates at a time; CTRs are then taken at the picked rows
+    only, rated as ``core.cascade_ctr`` does.
     """
-    require_valid(inst, CASCADE)
+    table, _ = _matchings(inst, CASCADE, None)
     rows = bid_rows(inst, rows)
-    positive = np.flatnonzero((rows > 0.0).any(axis=0)).tolist()
-    table, _ = _matchings(inst, CASCADE, None, positive)
     rates = table.rates(inst.p)
     by_advertiser, matched = rates.T, table.positions.T >= 0
     # value order, as sorted_view: decreasing bid, ties index-ascending
@@ -270,7 +258,7 @@ def brute_solve_rows(inst: Instance, rows):
 
 def brute_force_restricted(inst: Instance, values) -> tuple[Allocation, float]:
     """Exact maximum of the truncated no-cascade welfare over all matchings."""
-    table, values = _matchings(inst, CASCADE, values, None)
+    table, values = _matchings(inst, CASCADE, values)
     order = sorted_view(values)
     p, v = inst.p.tolist(), values.tolist()
 

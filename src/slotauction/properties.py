@@ -89,7 +89,7 @@ def sandwich(inst: Instance, values) -> tuple[list[float], str | None]:
     including the first violating matching, and its violation (None if
     there is none).  Like ``restricted_ctr``, a second truncated advertiser
     among those matchings raises ``RuntimeError``."""
-    table, values = oracle._matchings(inst, CASCADE, values, None)
+    table, values = oracle._matchings(inst, CASCADE, values)
     rates = table.rates(inst.p)
     rows = rates.shape[0]
     ctrs, granted = np.zeros(rates.shape), np.zeros(rates.shape)

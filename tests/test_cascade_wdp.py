@@ -569,7 +569,7 @@ def test_ptas_solves_the_unscaled_guess_once(monkeypatch):
     assert got == want
     guesses = np.concatenate(stacks)
     assert len(guesses) == 3 * 8 - 2  # 8 alphas per advertiser, one is 1.0
-    table = oracle._matching_table(3, 2, 2, (0, 1, 2))
+    table = oracle._matching_table(3, 2, 2)
     unscaled = table.rates(inst.p)
     assert sum(np.array_equal(g, unscaled) for g in guesses) == 1
 

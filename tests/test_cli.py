@@ -547,6 +547,60 @@ def test_simulate_rejects_non_positive_samples_and_grid(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    """A seed below 0, from the flag or from a config file, exits 1 before
+    any draw, on every command that draws: numpy refuses negative seeds."""
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 2, "m": 1, "k": 1, "model": "cascade", "p": [[0.5], [0.5]]},
+    )
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    vals = write_json(tmp_path / "vals.json", [0.5, 0.25])
+    out = str(tmp_path / "o.csv")
+    negative = write_json(tmp_path / "cfg.json", {"seed": -1})
+    runs = [
+        ["simulate", "--instance", inst, "--dist", dist, "--samples", "2",
+         "--seed", "-1"],
+        ["simulate", "--instance", inst, "--dist", dist, "--samples", "2",
+         "--config", negative],
+        ["simulate", "--instance", inst, "--dist", dist, "--samples", "2",
+         "--algorithm", "greedy", "--mechanism", "myerson", "--seed", "-1"],
+        ["mechanism", "--instance", inst, "--dist", dist, "--values", vals,
+         "--algorithm", "greedy", "--mechanism", "myerson", "--seed", "-7"],
+        ["audit", "--seed", "-1"],
+        ["audit", "--config", negative],
+    ]
+    for argv in runs:
+        assert main([*argv, "--out", out]) == EXIT_USAGE, argv
+        assert "seed must be at least 0, got -" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("algo", ["brute", "greedy"])
+def test_grid_above_two_to_the_53_exits_2(tmp_path, capsys, algo):
+    """A grid of 2^53 prices within the grid's slack; one point more, or a
+    grid past int64, exits 2 at the grid guard, before any solve."""
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 2, "m": 1, "k": 1, "model": "cascade", "p": [[1.0], [1.0]]},
+    )
+    vals = write_json(tmp_path / "vals.json", [0.9, 0.7])
+    dist = write_json(tmp_path / "dist.json",
+                      {"family": "uniform", "a": 0, "b": 1})
+    base = ["mechanism", "--instance", inst, "--values", vals, "--dist", dist,
+            "--mechanism", "myerson", "--algorithm", algo]
+    out = tmp_path / "mech.csv"
+    assert main([*base, "--grid", str(2 ** 53), "--out", str(out)]) == EXIT_OK
+    assert abs(float(read_csv(out)[1][3]) - 0.7) <= 1e-12
+    out.unlink()
+    for grid in (2 ** 53 + 1, 2 ** 63 - 1, 10 ** 20, 10 ** 400):
+        assert main([*base, "--grid", str(grid),
+                     "--out", str(out)]) == EXIT_SOLVER, grid
+        assert "exceeds the 2^53 guard" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_different_seed_changes_output(tmp_path):
     inst = write_json(
         tmp_path / "inst.json",

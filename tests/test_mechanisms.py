@@ -12,6 +12,7 @@ from slotauction.core import (
     Instance,
     MNL,
     Permutation,
+    SizeGuardError,
     ValidationError,
     cascade_ctr,
 )
@@ -22,6 +23,7 @@ from slotauction.distributions import (
     Uniform,
 )
 from slotauction.mechanisms import (
+    MAX_GRID_SIZE,
     IrregularDistributionError,
     NonMonotoneSolverError,
     SolverHandle,
@@ -429,10 +431,11 @@ def test_brute_solve_rows_ctrs_equal_solves():
     with and without another +inf bidder; and on both floats of every step
     of an advertiser's CTR in its own bid, where rounding in another order
     than the solver would step one float early or late.  A NaN row raises
-    ``ValidationError``."""
+    ``ValidationError``.  Some blocks have an advertiser bidding <= 0 in
+    every row, whom no pick matches."""
     handle = brute_cascade_solver()
     rng = np.random.default_rng(431)
-    checked = fewer_slots = 0
+    checked = fewer_slots = never_positive = 0
     while checked < 600:
         inst, values = tie_heavy_cascade_case(rng)
         if inst.n * inst.m > 20:
@@ -446,7 +449,8 @@ def test_brute_solve_rows_ctrs_equal_solves():
             == (0, inst.n)
         checked += 1
         fewer_slots += inst.k < inst.m
-    assert fewer_slots > 100
+        never_positive += bool((rows <= 0.0).all(axis=0).any())
+    assert fewer_slots > 100 and never_positive > 100, never_positive
 
     rng = np.random.default_rng(149)
     cases = 0
@@ -685,9 +689,17 @@ def test_monotone_grid_sum_checks_grid_size():
     for bad in (0, -3, 2.5, 0.0, float("nan"), float("inf"), "8", None):
         with pytest.raises(ValidationError):
             monotone_grid_sum(curve, bad)
+    # past 2^53 grid points are no longer exact floats, and near 2^63 the
+    # span arithmetic overflows int64: refused before any read
+    for bad in (MAX_GRID_SIZE + 1, 2 ** 62, 2 ** 63 - 1, 10 ** 20, 10 ** 400):
+        with pytest.raises(SizeGuardError):
+            monotone_grid_sum(curve, bad)
     assert reads == []
     for size in (4, 4.0, np.int64(4)):
         assert monotone_grid_sum(curve, size) == 10.0
+    assert MAX_GRID_SIZE == 2 ** 53
+    assert monotone_grid_sum(lambda g: float(g > 2 ** 52),
+                             MAX_GRID_SIZE) == 2.0 ** 52
 
 
 # ------------------------------------------------------------------- myerson
@@ -733,6 +745,9 @@ def test_myerson_grid_size_must_be_integral():
     for grid in (2.5, 1.5, 0.0, float("nan"), float("inf"), "8", True,
                  np.True_):
         with pytest.raises(ValidationError):
+            myerson(inst, values, dists, brute_cascade_solver(), grid)
+    for grid in (MAX_GRID_SIZE + 1, 2 ** 63 - 1, 10 ** 20, 10 ** 400):
+        with pytest.raises(SizeGuardError):
             myerson(inst, values, dists, brute_cascade_solver(), grid)
 
 

@@ -55,19 +55,6 @@ def test_size_guard_is_hard():
         next(iter(enumerate_matchings(inst)))
 
 
-def test_active_filter_restricts_advertisers():
-    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
-    for alloc in enumerate_matchings(inst, active={1}):
-        assert set(alloc.assignment) <= {1}
-
-
-def test_repeated_active_advertisers_count_once():
-    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
-    repeated = enumerate_matchings(inst, [2, 0, 1, 0])
-    assert sum(1 for _ in repeated) == count(inst)
-    assert sum(1 for _ in enumerate_matchings(inst, [0, 0])) == 3
-
-
 def test_mnl_brute_lone_ad():
     inst = Instance(1, 1, 1, [[0.5]], MNL)
     result = brute_force_wdp_mnl(inst, [2.0])
@@ -137,17 +124,6 @@ def test_model_mismatch_is_validation_error():
         brute_force_wdp_cascade(mnl, [1.0])
     with pytest.raises(ValidationError):
         brute_force_restricted(mnl, [1.0])
-
-
-def test_active_outside_the_instance_is_validation_error():
-    inst = Instance(3, 2, 2, np.full((3, 2), 0.5), MNL)
-    with pytest.raises(ValidationError):
-        next(iter(enumerate_matchings(inst, active={5})))
-    with pytest.raises(ValidationError):
-        next(iter(enumerate_matchings(inst, active={-1, 0})))
-    cascade = Instance(3, 2, 2, np.full((3, 2), 0.5), CASCADE)
-    with pytest.raises(ValidationError):
-        next(iter(enumerate_matchings(cascade, active={3})))
 
 
 @pytest.mark.parametrize("length", [2, 4])
@@ -253,17 +229,14 @@ def _items(alloc):
 
 
 def test_table_order_equals_the_recursive_generator():
-    rng = np.random.default_rng(401)
     for n in range(1, MAX_CELLS + 1):
         for m in range(1, MAX_CELLS // n + 1):
-            subset = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
             for k in range(1, m + 1):
-                for active in (tuple(range(n)), subset):
-                    expected = [
-                        tuple(raw.get(i, -1) for i in range(n))
-                        for raw in _reference_matchings(n, m, k, active)
-                    ]
-                    assert list(_matching_table(n, m, k, active)) == expected
+                expected = [
+                    tuple(raw.get(i, -1) for i in range(n))
+                    for raw in _reference_matchings(n, m, k, range(n))
+                ]
+                assert list(_matching_table(n, m, k)) == expected
 
 
 def test_oracles_equal_the_reference_loops():
@@ -293,8 +266,8 @@ def test_oracles_equal_the_reference_loops():
         assert _items(chi.allocation) == list(best.items()), case
         assert w == best_w, case
         # over every advertiser the oracle picks what the reference picks
-        # over the positive bidders alone, with +-inf bids too: the claim
-        # brute_solve_rows rests on
+        # over the positive bidders alone, with +-inf bids too: no pick
+        # matches a bid <= 0, as brute_solve_rows' tie argument says
         infinite = np.where(infs.random(inst.n) < 0.3,
                             infs.choice([np.inf, -np.inf], inst.n), values)
         for row in (values, infinite):
@@ -305,16 +278,12 @@ def test_oracles_equal_the_reference_loops():
             assert _items(chi.allocation) == list(best.items()), (case, row)
             assert w == best_w, (case, row)
 
-        positive = np.flatnonzero(values > 0.0).tolist()
-        for active in (None, positive):
-            candidates = range(inst.n) if active is None else active
-            if inst.n * inst.m <= 16:
-                streamed = [_items(a)
-                            for a in enumerate_matchings(inst, active)]
-                assert streamed == [
-                    list(raw.items()) for raw in _reference_matchings(
-                        inst.n, inst.m, inst.k, candidates)
-                ], case
+        if inst.n * inst.m <= 16:
+            streamed = [_items(a) for a in enumerate_matchings(inst)]
+            assert streamed == [
+                list(raw.items()) for raw in _reference_matchings(
+                    inst.n, inst.m, inst.k, range(inst.n))
+            ], case
 
         alloc, w = brute_force_restricted(inst, values)
         assert _items(alloc) == list(
