@@ -155,6 +155,10 @@ def validate_instance(inst: Instance) -> str | None:
     violated invariant as a message."""
     if inst.model not in (MNL, CASCADE):
         return f"unknown behavior model {inst.model!r}"
+    for name in ("n", "m", "k"):
+        value = getattr(inst, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return f"{name} must be an integer, got {value!r}"
     if inst.n < 1 or inst.m < 1:
         return "n and m must be at least 1"
     if not 1 <= inst.k <= inst.m:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (
     Allocation, AugmentedAllocation, CASCADE, Instance, MNL, SizeGuardError,
-    bid_rows, bid_vector, mnl_ctr, require_valid, welfare,
+    bid_rows, bid_vector, mnl_bids, mnl_ctr, require_valid, welfare,
 )
 from .cascade_wdp import (
     SCORE_BLOCK, optimal_permutation, restricted_ctr, sorted_view,
@@ -148,9 +148,11 @@ def enumerate_matchings(inst: Instance) -> Iterator[Allocation]:
 
 
 def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
-    """Exact argmax of the bid-weighted MNL click-through over all matchings.
+    """Exact argmax of the bid-weighted MNL click-through over all matchings,
+    with the bids of ``core.mnl_bids``, as the exact MNL solvers read them.
     Rendering order is irrelevant under MNL, so only matchings vary."""
-    table, bids = _matchings(inst, MNL, bids)
+    table, _ = _matchings(inst, MNL, None)
+    bids = mnl_bids(inst, [bids])[0]
     expo = np.exp(inst.log_odds())
     weighted = (bids[:, None] * expo).tolist()
     expo = expo.tolist()

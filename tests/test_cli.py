@@ -476,6 +476,22 @@ def test_simulate_deterministic_and_welfare_ordered(tmp_path):
         assert entry["vcg"] >= entry["myerson"] - 1e-12, sample_id
 
 
+@pytest.mark.parametrize("algorithm", ["brute", "lp", "dinkelbach"])
+def test_mnl_bids_past_the_float_range_exit_2(tmp_path, capsys, algorithm):
+    """On the MNL smoke instance, bids of 1e308 take the MNL weights past
+    the float range: every exact MNL route, the brute oracle too, reads
+    bids through ``core.mnl_bids``, exits 2 and names advertiser 0, rather
+    than printing an infinite objective, which is no JSON."""
+    inst = write_json(tmp_path / "inst.json", {
+        "n": 3, "m": 2, "k": 2, "model": "mnl",
+        "p": [[0.5, 0.3], [0.4, 0.25], [0.6, 0.1]]})
+    vals = write_json(tmp_path / "vals.json", [1e308, 1e308, 1e308])
+    code = main(["solve", "--instance", inst, "--values", vals,
+                 "--algorithm", algorithm])
+    assert code == EXIT_SOLVER
+    assert "advertiser 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("block", [None, 1, 200])
 def test_simulate_equals_the_recorded_pack(tmp_path, monkeypatch, block):
     """Recorded ``simulate`` CSVs, byte for byte: brute vcg and myerson at

@@ -21,6 +21,7 @@ from slotauction.core import (
     instance_from_dict,
     instance_to_dict,
     mnl_ctr,
+    require_valid,
     validate_instance,
     welfare,
 )
@@ -68,6 +69,40 @@ def test_validate_mnl_rejects_certain_click():
 def test_validate_k_bounds():
     assert "K=2" in validate_instance(Instance(1, 1, 2, [[0.5]], MNL))
     assert "K=0" in validate_instance(Instance(1, 1, 0, [[0.5]], MNL))
+
+
+@pytest.mark.parametrize("model", [CASCADE, MNL])
+@pytest.mark.parametrize("name, dims", [
+    ("k", {"n": 2, "m": 2, "k": 1.5}),
+    ("n", {"n": 2.0, "m": 2, "k": 1}),
+    ("m", {"n": 2, "m": 2.0, "k": 1}),
+    ("k", {"n": 2, "m": 2, "k": np.float64(1.0)}),
+    ("n", {"n": True, "m": 2, "k": 1}),
+    ("k", {"n": 2, "m": 2, "k": True}),
+], ids=["k-1.5", "n-2.0", "m-2.0", "k-float64", "n-True", "k-True"])
+def test_instance_dimensions_must_be_integers(model, name, dims):
+    """n, m and k must be integers, no bool: a fractional k would let the
+    oracle match more pairs than ``check_feasible`` allows, and on MNL a
+    float n or k reaches numpy as an index.  Both ``require_valid`` and the
+    solvers refuse them."""
+    rows = int(dims["n"])
+    p = np.full((rows, int(dims["m"])), 0.4)
+    solve = brute_force_wdp_cascade if model == CASCADE else solve_mnl_wdp
+    match = f"{name} must be an integer"
+    with pytest.raises(ValidationError, match=match):
+        require_valid(Instance(**dims, p=p, model=model))
+    with pytest.raises(ValidationError, match=match):
+        solve(Instance(**dims, p=p, model=model), [1.0] * rows)
+
+
+def test_numpy_integer_dimensions_stay_accepted():
+    p, bids = [[0.5, 0.4], [0.4, 0.5]], [1.0, 2.0]
+    wide = (np.int64(2), np.int32(2), np.int8(1))
+    assert brute_force_wdp_cascade(Instance(*wide, p, CASCADE), bids) \
+        == brute_force_wdp_cascade(Instance(2, 2, 1, p, CASCADE), bids)
+    got = solve_mnl_wdp(Instance(*wide, p, MNL), bids)
+    want = solve_mnl_wdp(Instance(2, 2, 1, p, MNL), bids)
+    assert (got.allocation, got.objective) == (want.allocation, want.objective)
 
 
 def test_allocation_rejects_position_reuse():

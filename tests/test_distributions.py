@@ -1,4 +1,6 @@
 import math
+from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +159,76 @@ def test_truncated_normal_keeps_infinite_ends():
     assert dist.cdf(0.0) == pytest.approx(0.5)
     assert TruncatedNormal(mu=1.0, sigma=2.0, lo=0.0, hi=math.inf).cdf(0.0) \
         == 0.0
+
+
+def test_standard_normal_cdf_and_pdf_equal_the_formulas_bit_for_bit():
+    """``statistics.NormalDist()``, which the truncated normal evaluates,
+    gives the bits of the one-line erf CDF and exp PDF on seeded points
+    (near 0, in both tails, past the underflow, and the infinities)."""
+    def cdf(x: float) -> float:
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    def pdf(x: float) -> float:
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    normal = NormalDist()
+    rng = np.random.default_rng(311)
+    points = np.concatenate([rng.normal(0.0, 1.0, 40_000),
+                             rng.uniform(-10.0, 10.0, 40_000),
+                             rng.uniform(-45.0, 45.0, 20_000),
+                             rng.normal(0.0, 1e-9, 1_000),
+                             [0.0, -0.0, math.inf, -math.inf]]).tolist()
+    for name, want in (("cdf", cdf), ("pdf", pdf)):
+        got = np.array([getattr(normal, name)(x) for x in points])
+        assert got.tobytes() == np.array([want(x) for x in points]).tobytes()
+
+
+# Standard normal quantiles at exact float levels, solved at 60 digits
+# (mpmath: findroot on ncdf) and rounded to 17.
+NORMAL_QUANTILES = [
+    (1e-300, -37.047096299361199), (1e-18, -8.7572903487823151),
+    (1e-12, -7.0344838253011319), (1e-8, -5.6120012441747887),
+    (1e-4, -3.7190164854556806), (1e-3, -3.0902323061678135),
+    (0.01, -2.3263478740408411), (0.02425, -1.9729610513118848),
+    (0.075, -1.4395314709384559), (0.1, -1.2815515655446004),
+    (0.3, -0.52440051270804082), (0.5, 0.0), (0.7, 0.52440051270804066),
+    (0.9, 1.2815515655446006), (0.925, 1.4395314709384562),
+    (0.97575, 1.972961051311885), (0.999, 3.0902323061678133),
+    (1 - 1e-8, 5.612001243305505), (2**-53, -8.2095361516013869),
+    (1 - 2**-53, 8.2095361516013869),
+]
+
+
+@pytest.mark.parametrize("q, want", NORMAL_QUANTILES)
+def test_normal_quantile_within_8_ulps_of_the_reference(q, want):
+    """Over the whole line the truncated normal is the standard normal, and
+    its quantile is within 8 ulps of the 60-digit value, deep tails and the
+    largest level ``sample`` draws (1 - 2**-53) too."""
+    got = TruncatedNormal(0.0, 1.0, -math.inf, math.inf).quantile(q)
+    assert abs(got - want) <= 8 * math.ulp(want), (got, want)
+
+
+def test_truncated_normal_quantile_is_finite_inside_its_window():
+    """With an infinite end, every level ``sample`` can draw (a multiple of
+    2**-53 in [0, 1)), 0 and 1 - 2**-53 among them, gives a finite value
+    inside the window, even where rounding carries the standard normal
+    level onto 0 or 1.  Each draw comes from a source that always returns
+    that level."""
+    inf = math.inf
+    rng = np.random.default_rng(313)
+    levels = [0.0, 2**-53, 2**-52, 1e-300, 0.5, 1 - 2**-52, 1 - 2**-53,
+              *rng.random(200).tolist()]
+    for dist in (TruncatedNormal(0.0, 1.0, 0.0, inf),
+                 TruncatedNormal(0.0, 1.0, -inf, 0.0),
+                 TruncatedNormal(0.0, 1.0, -inf, inf),
+                 TruncatedNormal(2.0, 0.5, 3.0, inf),
+                 TruncatedNormal(0.0, 1.0, 6.0, inf),
+                 TruncatedNormal(0.0, 1.0, -inf, -6.0),
+                 TruncatedNormal(-1.0, 2.0, -inf, 8.0),
+                 TruncatedNormal(1e6, 1e3, -inf, inf)):
+        for q in levels:
+            v = sample(dist, SimpleNamespace(random=lambda: q))
+            assert math.isfinite(v) and dist.lo <= v <= dist.hi, (dist, q, v)
 
 
 def test_parameter_validation():
