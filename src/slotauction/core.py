@@ -9,8 +9,8 @@ Two user-behavior models turn a (partial) matching of advertisers to
 positions into realized click-through rates:
 
 * ``mnl``: the user weighs all shown creatives simultaneously; each matched
-  creative is clicked with probability proportional to the exponential of its
-  log-odds, normalized by one plus the total.  Rendering order is irrelevant.
+  creative is clicked with probability proportional to its odds exp(rho) =
+  p / (1 - p), over one plus the total odds.  Rendering order is irrelevant.
 * ``cascade``: the user scans positions in a chosen rendering order and
   leaves after the first click, so each creative's rate is discounted by the
   no-click probabilities of everything rendered before it.
@@ -21,6 +21,7 @@ operations are pure functions, so concurrent read access is safe.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ class Instance:
     """An auction instance: dimensions, standalone CTRs, behavior model.
 
     ``p`` is copied to a read-only float array; it is the single source of
-    truth, log-odds are derived on demand via :meth:`log_odds`.
+    truth, and :attr:`odds` is derived from it on first read.
     """
 
     n: int
@@ -70,10 +71,13 @@ class Instance:
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
-    def log_odds(self) -> np.ndarray:
-        """Elementwise logit of ``p``; finite only when p < 1 strictly."""
+    @functools.cached_property
+    def odds(self) -> np.ndarray:
+        """Read-only p / (1 - p), exp(rho) in every MNL route; inf at p = 1."""
         with np.errstate(divide="ignore"):
-            return np.log(self.p / (1.0 - self.p))
+            odds = self.p / (1.0 - self.p)
+        odds.flags.writeable = False
+        return odds
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,11 @@ def mnl_ctr(inst: Instance, alloc: Allocation) -> CtrVector:
 
 
 def match_ctrs(inst: Instance, match: np.ndarray) -> np.ndarray:
-    """MNL CTRs of matching rows (position or -1 per advertiser): odds over
-    1 plus their sequential sum in advertiser order, on any Python (from
-    3.12 ``sum()`` compensates).  Unvalidated; callers check the instance
-    and the matching."""
-    p = np.where(match >= 0, inst.p[np.arange(inst.n), match], 0.0)
-    odds = p / (1.0 - p)
+    """MNL CTRs of matching rows (position or -1 per advertiser): matched
+    ``odds`` over 1 plus their sequential sum in advertiser order, on any
+    Python (from 3.12 ``sum()`` compensates).  Unvalidated; callers check
+    the instance and the matching."""
+    odds = np.where(match >= 0, inst.odds[np.arange(inst.n), match], 0.0)
     return odds / (1.0 + np.cumsum(odds, axis=-1)[..., -1:])
 
 
@@ -273,7 +276,7 @@ def mnl_bids(inst: Instance, rows) -> np.ndarray:
     """
     require_valid(inst, MNL)
     rows = bid_rows(inst, rows)
-    top = np.exp(inst.log_odds()).max(axis=1)
+    top = inst.odds.max(axis=1)
     pos = np.where(top > 0.0, np.maximum(rows, 0.0), 0.0)
     with np.errstate(over="ignore"):
         load = pos * top

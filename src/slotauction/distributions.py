@@ -54,20 +54,21 @@ class ValueDistribution:
         raise NotImplementedError
 
     def virtual_value(self, v: float) -> float:
-        """phi(v) = v - (1 - F(v)) / f(v); requires positive density at v."""
-        density = self.pdf(v)
-        if density <= 0.0:
-            raise DistributionError(
-                f"zero density at v={v}; virtual value undefined"
-            )
-        return v - (1.0 - self.cdf(v)) / density
+        """phi(v): ``virtual_values`` at the one point v."""
+        return float(self.virtual_values(v))
 
     def virtual_values(self, v: np.ndarray) -> np.ndarray:
-        """``virtual_value`` at each point of ``v``, bit for bit.  Families
-        override this loop only where numpy repeats the scalar operations
-        (``np.exp`` is not ``math.exp`` to the last bit; numpy has no erf)."""
-        return np.array([self.virtual_value(x) for x in np.ravel(v).tolist()],
-                        dtype=float).reshape(np.shape(v))
+        """phi(v) = v - (1 - F(v)) / f(v) at each point of ``v``, where f > 0,
+        in its shape.  Families override this loop where numpy repeats it bit
+        for bit (``np.exp`` is not ``math.exp`` to the last bit; no erf)."""
+        phi = []
+        for x in np.ravel(v).tolist():
+            density = self.pdf(x)
+            if density <= 0.0:
+                raise DistributionError(
+                    f"zero density at v={x}; virtual value undefined")
+            phi.append(x - (1.0 - self.cdf(x)) / density)
+        return np.array(phi, dtype=float).reshape(np.shape(v))
 
     def inverse_virtual_values(self, phi: np.ndarray) -> np.ndarray:
         """A guess at the smallest value whose virtual value reaches each
@@ -158,14 +159,8 @@ class Exponential(ValueDistribution):
             raise DistributionError(f"quantile needs q in [0, 1), got {q}")
         return -math.log1p(-q) / self.rate
 
-    def virtual_value(self, v: float) -> float:
-        """phi(v) = v - 1/rate: the hazard rate f / (1 - F) is the rate."""
-        if not v >= 0.0:
-            raise DistributionError(
-                f"zero density at v={v}; virtual value undefined")
-        return v - 1.0 / self.rate
-
     def virtual_values(self, v: np.ndarray) -> np.ndarray:
+        """phi(v) = v - 1/rate: the hazard rate f / (1 - F) is the rate."""
         v = np.asarray(v, dtype=float)
         if not np.all(v >= 0.0):
             raise DistributionError("zero density below 0: no virtual value")
@@ -195,6 +190,14 @@ class TruncatedNormal(ValueDistribution):
         fhi = normal.cdf((self.hi - self.mu) / self.sigma)
         if not fhi - flo > 0.0:
             raise DistributionError("truncation window carries no mass")
+        # On an unbounded side quantile reaches Phi^-1 at 5e-324 or 1 - 2**-53.
+        for end, level in ((self.lo, math.nextafter(0.0, 1.0)),
+                           (self.hi, math.nextafter(1.0, 0.0))):
+            if math.isinf(end) and math.isinf(
+                    self.mu + self.sigma * normal.inv_cdf(level)):
+                raise DistributionError(
+                    f"truncated normal sigma={self.sigma!r} (mu={self.mu!r})"
+                    f" takes its quantile past the float range toward {end}")
         # The standard normal and its CDF at the window's ends, for every call.
         object.__setattr__(self, "_normal", normal)
         object.__setattr__(self, "_mass", (flo, fhi))
@@ -277,14 +280,11 @@ def sample(dist: ValueDistribution, rng: np.random.Generator) -> float:
 # n distributions, far fewer than this.
 @functools.lru_cache(maxsize=1024)
 def _regular_cached(dist: ValueDistribution, grid: int) -> bool:
-    qs = np.arange(1, grid + 1) / (grid + 1)
-    last = -math.inf
-    for q in qs:
-        phi = dist.virtual_value(dist.quantile(float(q)))
-        if phi < last - 1e-9:
-            return False
-        last = max(last, phi)
-    return True
+    qs = (np.arange(1, grid + 1) / (grid + 1)).tolist()
+    phi = dist.virtual_values(np.array([dist.quantile(q) for q in qs]))
+    # The running maximum before each point skips NaN, as Python's max does.
+    top = np.fmax.accumulate(np.concatenate([[-math.inf], phi[:-1]]))
+    return not np.any(phi < top - 1e-9)
 
 
 def is_regular(dist: ValueDistribution, grid: int = REGULARITY_GRID) -> bool:

@@ -2,11 +2,11 @@
 
 The bid-weighted MNL objective is a ratio of two affine functions of the
 matching variables.  Substituting y_ij = x_ij / D and z = 1 / D, where D is
-the common denominator 1 + sum of matched exp(log-odds), turns the ratio
-into a linear objective over a polytope whose rows mirror the matching
-constraints scaled by z, plus one normalization equality tying y and z
-together.  Any basic optimal solution has z > 0 and y / z integral, so the
-winning matching is read off directly.
+the common denominator 1 + sum of matched exp(rho) (the odds ``inst.odds``),
+turns the ratio into a linear objective over a polytope whose rows mirror
+the matching constraints scaled by z, plus one normalization equality tying
+y and z together.  Any basic optimal solution has z > 0 and y / z integral,
+so the winning matching is read off directly.
 
 The solver is an in-house dense-tableau simplex with Bland's anti-cycling
 pivot rule, chosen for guaranteed termination and determinism over speed.
@@ -98,8 +98,8 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
     Rows, in ``LpProblem``'s layout: per-advertiser sum_j y_ij <= z,
     per-position sum_i y_ij <= z, the cardinality row sum y <= K z, and
     last the normalization sum y_ij exp(rho_ij) + z = 1.  Objective:
-    sum b_i y_ij exp(rho_ij), with the bids of ``core.mnl_bids``, which
-    rejects bids that overflow.
+    sum b_i y_ij exp(rho_ij), with exp(rho) read as ``inst.odds`` and the
+    bids of ``core.mnl_bids``, which rejects bids that overflow.
     """
     require_valid(inst, MNL)
     bids = bid_vector(inst, bids)
@@ -110,10 +110,9 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
 
     n, m = inst.n, inst.m
     cells = np.arange(n * m)
-    expo = np.exp(inst.log_odds())  # n x m, finite because p < 1
 
     c = np.zeros(n * m + 1)
-    c[:-1] = (mnl_bids(inst, [bids])[0][:, None] * expo).ravel()
+    c[:-1] = (mnl_bids(inst, [bids])[0][:, None] * inst.odds).ravel()
 
     a = np.zeros((n + m + 2, n * m + 1))
     a[cells // m, cells] = 1.0  # advertiser rows
@@ -121,7 +120,7 @@ def build_charnes_cooper(inst: Instance, bids) -> LpProblem:
     a[: n + m, -1] = -1.0
     a[n + m, :-1] = 1.0  # the cardinality row
     a[n + m, -1] = -float(inst.k)
-    a[-1, :-1] = expo.ravel()  # the normalization equality
+    a[-1, :-1] = inst.odds.ravel()  # the normalization equality
     a[-1, -1] = 1.0
     rhs = np.zeros(n + m + 2)
     rhs[-1] = 1.0

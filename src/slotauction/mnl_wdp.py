@@ -19,9 +19,9 @@ problems.
   kept as a cross-check.  It accepts at most ``linfrac.MAX_LP_CELLS``
   positive-bid advertiser x position cells and raises ``SizeGuardError``
   above that, before any tableau is built.
-* Both routes read bids through ``core.mnl_bids`` and CTRs through
-  ``core.match_ctrs``, so they accept the same bids and price a matching
-  to the same bit.
+* Both routes read bids through ``core.mnl_bids``, weights from
+  ``Instance.odds`` and CTRs through ``core.match_ctrs``, so they accept the
+  same bids and price a matching to the same bit.
 * ``dinkelbach_check`` and the dict-based ``max_weight_matching`` are an
   independent loop-by-loop reference that shares no code with either route;
   past the LP's range they are the only cross-check.
@@ -130,7 +130,6 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
     if len(pos) > per:  # mnl_bids leaves checked rows as they are
         return np.concatenate([solve_mnl_wdp_rows(inst, pos[lo:lo + per])
                                for lo in range(0, len(pos), per)])
-    expo = np.exp(inst.log_odds())
     match = np.full(pos.shape, -1, dtype=np.intp)
     live = np.flatnonzero(pos.any(axis=1))
     b, lam = pos[live], np.zeros(live.size)
@@ -138,8 +137,8 @@ def solve_mnl_wdp_rows(inst: Instance, bid_rows) -> np.ndarray:
         if not live.size:
             break
         step = capped_matching(  # b <= lam: no edge, so 0, never overflowing
-            np.maximum(b - lam[:, None], 0.0)[:, :, None] * expo, inst.k)
-        e = np.where(step >= 0, expo[np.arange(inst.n), step], 0.0)
+            np.maximum(b - lam[:, None], 0.0)[:, :, None] * inst.odds, inst.k)
+        e = np.where(step >= 0, inst.odds[np.arange(inst.n), step], 0.0)
         new_lam = (np.cumsum(b * e, axis=1)[:, -1]
                    / (1.0 + np.cumsum(e, axis=1)[:, -1]))
         done = new_lam - lam <= DINKELBACH_TOL
@@ -313,17 +312,17 @@ def dinkelbach_check(inst: Instance, bids) -> WdpResult:
     """Solve the same problem by parametric search, avoiding the LP entirely.
 
     Repeatedly: given a payoff guess lam, find the max-weight matching under
-    edge weights (b_i - lam) * exp(rho_ij) with non-positive weights dropped
-    and at most K edges, then move lam to the matched ratio
-    sum b_i x e^rho / (1 + sum x e^rho).  The guess increases strictly until
-    it fixes at the optimum, which happens after finitely many steps.
+    edge weights (b_i - lam) * exp(rho_ij), e^rho the instance's odds, with
+    non-positive weights dropped and at most K edges, then move lam to the
+    matched ratio sum b_i x e^rho / (1 + sum x e^rho).  The guess increases
+    strictly until it fixes at the optimum, after finitely many steps.
     """
     require_valid(inst, MNL)
     bids = bid_vector(inst, bids)
     keep = np.flatnonzero(bids > 0.0).tolist()
     if not keep:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
-    expo = np.exp(inst.log_odds())
+    odds = inst.odds
 
     lam = 0.0
     alloc = Allocation({})
@@ -331,12 +330,12 @@ def dinkelbach_check(inst: Instance, bids) -> WdpResult:
         weights = {}
         for i in keep:
             for j in range(inst.m):
-                w = (bids[i] - lam) * expo[i, j]
+                w = (bids[i] - lam) * odds[i, j]
                 if w > 0.0:
                     weights[(i, j)] = w
         matching = max_weight_matching(weights, cap=inst.k)
-        num = sum(bids[i] * expo[i, j] for i, j in matching.items())
-        den = 1.0 + sum(expo[i, j] for i, j in matching.items())
+        num = sum(bids[i] * odds[i, j] for i, j in matching.items())
+        den = 1.0 + sum(odds[i, j] for i, j in matching.items())
         new_lam = num / den
         if new_lam - lam <= DINKELBACH_TOL:
             alloc = Allocation(matching)

@@ -153,16 +153,15 @@ def brute_force_wdp_mnl(inst: Instance, bids) -> WdpResult:
     Rendering order is irrelevant under MNL, so only matchings vary."""
     table, _ = _matchings(inst, MNL, None)
     bids = mnl_bids(inst, [bids])[0]
-    expo = np.exp(inst.log_odds())
-    weighted = (bids[:, None] * expo).tolist()
-    expo = expo.tolist()
+    weighted = (bids[:, None] * inst.odds).tolist()
+    odds = inst.odds.tolist()
 
     def scored():
         for pairs in table.pairs:
             num, den = 0.0, 1.0
             for i, j in pairs:
                 num += weighted[i][j]
-                den += expo[i][j]
+                den += odds[i][j]
             yield num / den, pairs
 
     pairs, objective = _first_best(scored())

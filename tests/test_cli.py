@@ -770,6 +770,24 @@ def test_non_finite_distribution_parameter_is_named(tmp_path, capsys, text,
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_truncated_normal_overflowing_sigma_is_named(tmp_path, capsys):
+    """A sigma whose quantile overflows the floats on the window's unbounded
+    side is refused when the distribution is read: exit 2, naming sigma,
+    and no CSV."""
+    inst = write_json(
+        tmp_path / "inst.json",
+        {"n": 1, "m": 1, "k": 1, "model": "cascade", "p": [[0.5]]},
+    )
+    (tmp_path / "dist.json").write_text(
+        '{"family": "truncated_normal", "mu": 0, "sigma": 1e308, "lo": 0,'
+        ' "hi": 1e999}')
+    assert main(["simulate", "--instance", inst,
+                 "--dist", str(tmp_path / "dist.json"), "--samples", "2",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_SOLVER
+    assert "sigma" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_every_library_error_class_exits_2(monkeypatch, capsys):
     """Every exception class the package defines, except the CLI's own
     usage error, is a SlotauctionError, which main reports as exit 2."""

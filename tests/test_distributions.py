@@ -240,6 +240,31 @@ def test_parameter_validation():
         TruncatedNormal(mu=0.0, sigma=-1.0, lo=0.0, hi=1.0)
 
 
+@pytest.mark.parametrize("mu, sigma, lo, hi", [
+    (0.0, 1e308, -math.inf, math.inf),
+    (0.0, 1e308, 0.0, math.inf),
+    (0.0, 1e307, -math.inf, 0.0),  # -38.47 sigma overflows, 8.21 would not
+    (1e308, 2e307, 0.0, math.inf),
+])
+def test_truncated_normal_refuses_a_quantile_past_the_floats(mu, sigma, lo,
+                                                             hi):
+    """On an unbounded side the quantile reaches about -38.47 or 8.21
+    standard deviations; a (mu, sigma) that overflows there is refused at
+    construction, by name, not left to make an infinite value."""
+    with pytest.raises(DistributionError, match="sigma"):
+        TruncatedNormal(mu, sigma, lo, hi)
+
+
+def test_truncated_normal_wide_but_finite_quantiles_are_kept():
+    """Just inside the float range, and with finite ends, sigma is kept
+    and every level ``sample`` can draw gives a finite value."""
+    for dist in (TruncatedNormal(0.0, 4e306, -math.inf, math.inf),
+                 TruncatedNormal(0.0, 1e307, 0.0, math.inf),
+                 TruncatedNormal(0.0, 1e308, -1e308, 1e308)):
+        for q in (0.0, 2**-53, 0.5, 0.99, 1 - 2**-53):
+            assert math.isfinite(dist.quantile(q)), (dist, q)
+
+
 @pytest.mark.parametrize("dist", FAMILIES)
 def test_quantile_inverts_cdf(dist):
     for q in np.linspace(0.001, 0.999, 200):

@@ -46,7 +46,7 @@ def row_by_row_charnes_cooper(inst, bids):
     position rows, the cardinality row, then the normalization equality."""
     n, m = inst.n, inst.m
     nvars = n * m + 1
-    expo = np.exp(inst.log_odds())
+    expo = inst.odds
     c = np.zeros(nvars)
     c[: n * m] = (mnl_bids(inst, [bids])[0][:, None] * expo).ravel()
     rows, rhs = [], []

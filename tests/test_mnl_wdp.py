@@ -121,6 +121,39 @@ def test_ties_follow_the_documented_rule():
     assert np.array_equal(first.ctrs, again.ctrs)
 
 
+def test_an_exact_tie_scores_the_same_odds_on_every_route():
+    """Both advertisers score exactly 1.5 (2 * 3 / 4 and 3 * 1 / 2).  Every
+    route weighs by ``Instance.odds``, the p / (1 - p) the CTRs use, so the
+    exact routes all keep the lowest index and all five report 1.5 itself,
+    not a neighbouring float."""
+    inst = Instance(n=2, m=1, k=1, p=[[0.75], [0.5]], model=MNL)
+    bids = [2.0, 3.0]
+    ctrs, outcome = exact_mnl_solver().solve_rows(inst, np.array([bids]))
+    assert outcome(0).allocation.assignment == {0: 0}
+    results = [solve_mnl_wdp(inst, bids), dinkelbach_check(inst, bids),
+               solve_mnl_lp(inst, bids)]
+    for result in results:
+        assert result.allocation.assignment == {0: 0}
+    results.append(brute_force_wdp_mnl(inst, bids))
+    objectives = [float(ctrs[0] @ bids)] + [r.objective for r in results]
+    assert [repr(x) for x in objectives] == ["1.5"] * 5
+
+
+def test_odds_are_one_read_only_matrix():
+    """``inst.odds`` is p / (1 - p) to the bit, computed once and shared by
+    every read, read-only; a cascade rate of 1 gives inf, no warning."""
+    rng = np.random.default_rng(331)
+    for _ in range(50):
+        inst = rand_mnl_instance(rng, nmax=6, mmax=6)
+        odds = inst.odds
+        assert odds is inst.odds
+        assert odds.tolist() == (inst.p / (1.0 - inst.p)).tolist()
+        with pytest.raises(ValueError):
+            odds[0, 0] = 1.0
+    cascade = Instance(n=1, m=2, k=1, p=[[1.0, 0.5]], model="cascade")
+    assert cascade.odds.tolist() == [[float("inf"), 1.0]]
+
+
 def test_bid_equal_to_the_optimal_ratio_is_left_out():
     # Alone, advertiser 0 earns 2 * 1/2 = 1; adding advertiser 1 (bid 1)
     # gives (2 + 1) / 3 = 1 as well, so the bid equals the optimal ratio.
@@ -279,7 +312,7 @@ def _one_row_loop(inst, bids):
     if keep.size == 0:
         return WdpResult(Allocation({}), 0.0, np.zeros(inst.n))
     b = bids[keep]
-    expo = np.exp(inst.log_odds()[keep])
+    expo = inst.odds[keep]
     lam = 0.0
     for _ in range(100):
         match = capped_matching((b - lam)[:, None] * expo, inst.k)

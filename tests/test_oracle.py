@@ -162,7 +162,7 @@ def _reference_matchings(n, m, k, candidates):
 
 def _reference_mnl(inst, bids):
     bids = np.asarray(bids, dtype=float)
-    expo = np.exp(inst.log_odds())
+    expo = inst.odds
     weighted = bids[:, None] * expo
     best_obj, best = 0.0, {}
     for raw in _reference_matchings(inst.n, inst.m, inst.k, range(inst.n)):
